@@ -50,6 +50,10 @@ _GENERATORS: dict = {
                   "k-dimensional hypercube skeleton"),
     "frucht": (G.frucht, "frucht",
                "cubic 12-vertex graph with trivial symmetry group"),
+    "random_regular": (lambda n, d, seed: G.random_regular(int(n), int(d),
+                                                           int(seed)),
+                       "random_regular:n:d:seed",
+                       "random d-regular graph from the pairing model, fixed by seed"),
 }
 
 _GENERATOR_EXPECTED: dict = {

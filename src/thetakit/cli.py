@@ -30,12 +30,7 @@ from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
 from .graphs import Graph
 from .io import read_edge_list, read_graph6
 from .products import PRODUCT_VERTEX_CAP, power_spectrum, strong_power
-from .spectra import (
-    eigenvalues,
-    jacobi_eigenvalues,
-    ramanujan_verdict_from_values,
-    spectrum_from_values,
-)
+from .spectra import eigenvalues, ramanujan_verdict_from_values
 from .srg import srg_check, srg_params_feasible
 from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
 
@@ -407,11 +402,7 @@ def cmd_power(args) -> int:
             row["eigmin_upper"] = reports[1].rhs
             all_reports.extend(reports)
         if args.materialize and n ** k <= PRODUCT_VERTEX_CAP:
-            import numpy as np
-
-            pk = strong_power(g, k)
-            dense = spectrum_from_values(
-                jacobi_eigenvalues(pk.adj.astype(np.float64)))
+            dense = eigenvalues(strong_power(g, k))
             row["lambda2_dense"] = dense.second_largest()
             row["lambda_min_dense"] = dense.smallest()
         rows.append(row)

@@ -8,112 +8,23 @@ from typing import Optional
 
 import numpy as np
 
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-_SWEEP_LIMIT = 100
+# perfbench's environment report reads this; there is no jit path.
+_HAVE_NUMBA = False
 MATERIALIZE_CAP = 1_000_000
 
 
-def _jacobi_python(a: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized cyclic Jacobi fallback; same sweep order as the jit kernel."""
-    n = a.shape[0]
-    for _ in range(_SWEEP_LIMIT):
-        off = math.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("jacobi sweep limit reached")
-    return np.diagonal(a).copy()
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_kernel(a, tol):  # pragma: no cover - exercised via wrapper
-        n = a.shape[0]
-        for _sweep in range(100):
-            off = 0.0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    off += a[p, q] * a[p, q]
-            off = math.sqrt(2.0 * off)
-            if off < tol:
-                return 0
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    for k in range(n):
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[k, q] = s * akp + c * akq
-                    for k in range(n):
-                        apk = a[p, k]
-                        aqk = a[q, k]
-                        a[p, k] = c * apk - s * aqk
-                        a[q, k] = s * apk + c * aqk
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-        return 1
-
-
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps, descending.
+    """Eigenvalues of a symmetric matrix, descending, by LAPACK ``eigvalsh``.
 
-    Fixed sweep order, no pivot randomness: identical input gives identical
-    output. Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * n.
+    Input that is not square or not symmetric raises ValueError. The name
+    is historical; perfbench's tracer wraps this function by name.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=0.0):
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return a.diagonal().copy()
-    tol = 1e-12 * n
-    if _HAVE_NUMBA:
-        status = _jacobi_kernel(np.ascontiguousarray(a), tol)
-        if status != 0:
-            raise RuntimeError("jacobi sweep limit reached")
-        vals = np.diagonal(a).copy()
-    else:
-        vals = _jacobi_python(a, tol)
-    return np.sort(vals)[::-1].copy()
+    return np.linalg.eigvalsh(a)[::-1].copy()
 
 
 @dataclass(frozen=True)

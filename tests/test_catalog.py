@@ -27,6 +27,13 @@ def test_generator_resolution():
     assert load("hypercube:4").n == 16
 
 
+def test_random_regular_spec():
+    g = load("random_regular:20:3:7")
+    assert g.n == 20
+    assert g.is_regular() and g.degree() == 3
+    assert "random_regular" in generator_names()
+
+
 def test_generator_names_cover_core():
     names = generator_names()
     for want in ("petersen", "shrikhande", "paley", "kneser", "cycle"):

@@ -1,11 +1,12 @@
-"""Jacobi eigensolver against the LAPACK oracle, spectrum grouping,
-complement spectra, and Ramanujan verdicts."""
+"""The dense eigensolver against closed-form strongly regular spectra,
+spectrum grouping, complement spectra, and Ramanujan verdicts."""
 
 import math
 
 import numpy as np
 import pytest
 
+from thetakit.catalog import entries, load
 from thetakit.graphs import (
     complete,
     complete_bipartite,
@@ -30,16 +31,40 @@ from thetakit.spectra import (
     spectrum_from_groups,
     spectrum_from_values,
 )
+from thetakit.srg import SrgParams
 
 
-def test_jacobi_matches_lapack_on_random_symmetric():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 5, 10, 17, 30):
-        m = rng.standard_normal((n, n))
-        a = (m + m.T) / 2.0
-        got = jacobi_eigenvalues(a)
-        want = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.max(np.abs(got - want)) < 1e-8
+# strongly regular generator specs with their parameters, beside the
+# strongly regular bundled fixtures
+SRG_GENERATORS = {
+    "petersen": (10, 3, 0, 1),
+    "shrikhande": (16, 6, 2, 2),
+    "paley:29": (29, 14, 6, 7),
+    "kneser:7:2": (21, 10, 3, 6),
+}
+
+
+def _srg_cases():
+    fixtures = {e.name: e.srg for e in entries()
+                if e.kind == "fixture" and e.srg is not None}
+    return sorted({**fixtures, **SRG_GENERATORS}.items())
+
+
+@pytest.mark.parametrize("spec,params", _srg_cases())
+def test_spectrum_matches_srg_closed_form(spec, params):
+    p = SrgParams(*params)
+    r, s = p.eigenvalues()
+    f, g = p.multiplicities()
+    groups = eigenvalues(load(spec)).groups
+    assert [m for _, m in groups] == [1, f, g]
+    assert [v for v, _ in groups] == pytest.approx([p.d, r, s], abs=1e-9)
+
+
+def test_jacobi_small_orders():
+    assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
+    assert list(jacobi_eigenvalues([[2.5]])) == [2.5]
+    got = jacobi_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
+    assert list(got) == pytest.approx([1.0, -1.0])
 
 
 def test_jacobi_is_deterministic():
