@@ -3,130 +3,4 @@ strongly regular graphs, eigenvalue bounds for strong products, Ramanujan
 thresholds, chromatic and capacity certificates, all cross-checked by
 exact solvers."""
 
-from .bounds import (
-    AffinePolarInfo,
-    BoundReport,
-    GSequence,
-    affine_polar_params,
-    alon_boppana,
-    chromatic_lb_complement_product,
-    chromatic_lb_regular,
-    chromatic_lb_self_complementary,
-    chromatic_lb_strong_product,
-    eig2_lower_product,
-    eig2_lower_product_lmin,
-    eig_inequality_cor0,
-    eigmin_upper_product,
-    eigmin_upper_product_lmin,
-    g_sequence,
-    haemers_clique_upper,
-    haemers_clique_upper_maxdeg,
-    k0_self_complementary_vt,
-    make_report,
-    non_ramanujan_k0,
-    ramanujan_bounds,
-    self_complementary_eig_bounds,
-    srg_chromatic_factor,
-    srg_product_chromatic_bounds,
-    wei_bounds,
-)
-from .catalog import CatalogEntry, entries, load, load_fixture
-from .exact import (
-    CapacityCertificate,
-    SolveResult,
-    capacity_certificate,
-    capacity_power_lb,
-    chromatic_number,
-    clique_number,
-    independence_number,
-)
-from .graphs import (
-    Graph,
-    GraphMeta,
-    complete,
-    complete_bipartite,
-    cycle,
-    disjoint_union,
-    empty,
-    frucht,
-    hypercube,
-    kneser,
-    paley,
-    path,
-    petersen,
-    random_regular,
-    self_complementary_extend,
-    shrikhande,
-)
-from .io import from_graph6, read_edge_list, read_graph6, to_graph6, write_graph6
-from .iso import are_isomorphic, is_self_complementary
-from .products import (
-    power_spectrum,
-    product_degree,
-    product_order,
-    product_spectrum,
-    strong_power,
-    strong_product,
-)
-from .spectra import (
-    RamanujanVerdict,
-    Spectrum,
-    complement_spectrum,
-    eigenvalues,
-    is_ramanujan,
-    jacobi_eigenvalues,
-    lambda2,
-    lambda_min,
-    lambda_nontrivial,
-    ramanujan_verdict_from_values,
-    spectrum_from_groups,
-    spectrum_from_values,
-)
-from .srg import SrgFeasibility, SrgParams, srg_check, srg_params_feasible
-from .theta import (
-    ThetaBounds,
-    ThetaEstimate,
-    ThetaResult,
-    theta_best,
-    theta_bounds_complement,
-    theta_bounds_regular,
-    theta_exact,
-    theta_exact_result,
-    theta_kneser,
-    theta_lower_regular,
-    theta_srg,
-    theta_upper_regular,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffinePolarInfo", "BoundReport", "CapacityCertificate", "CatalogEntry",
-    "GSequence", "Graph", "GraphMeta", "RamanujanVerdict", "SolveResult",
-    "Spectrum", "SrgFeasibility", "SrgParams", "ThetaBounds", "ThetaEstimate",
-    "ThetaResult",
-    "affine_polar_params", "alon_boppana", "are_isomorphic",
-    "capacity_certificate", "capacity_power_lb",
-    "chromatic_lb_complement_product", "chromatic_lb_regular",
-    "chromatic_lb_self_complementary", "chromatic_lb_strong_product",
-    "chromatic_number", "clique_number", "complement_spectrum", "complete",
-    "complete_bipartite", "cycle", "disjoint_union", "eig2_lower_product",
-    "eig2_lower_product_lmin", "eig_inequality_cor0", "eigenvalues",
-    "eigmin_upper_product", "eigmin_upper_product_lmin", "empty", "entries",
-    "from_graph6", "frucht", "g_sequence", "haemers_clique_upper",
-    "haemers_clique_upper_maxdeg", "hypercube", "independence_number",
-    "is_ramanujan", "is_self_complementary", "jacobi_eigenvalues",
-    "k0_self_complementary_vt", "kneser", "lambda2", "lambda_min",
-    "lambda_nontrivial", "load", "load_fixture", "make_report",
-    "non_ramanujan_k0", "paley", "path", "petersen", "power_spectrum",
-    "product_degree", "product_order", "product_spectrum", "ramanujan_bounds",
-    "ramanujan_verdict_from_values", "random_regular", "read_edge_list",
-    "read_graph6", "self_complementary_eig_bounds", "self_complementary_extend",
-    "shrikhande", "spectrum_from_groups", "spectrum_from_values", "srg_check",
-    "srg_chromatic_factor", "srg_params_feasible",
-    "srg_product_chromatic_bounds", "strong_power", "strong_product",
-    "theta_best", "theta_bounds_complement", "theta_bounds_regular",
-    "theta_exact", "theta_exact_result", "theta_kneser", "theta_lower_regular",
-    "theta_srg", "theta_upper_regular", "to_graph6", "wei_bounds",
-    "write_graph6",
-]

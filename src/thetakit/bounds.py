@@ -11,7 +11,7 @@ import numpy as np
 
 from .graphs import Graph
 from .spectra import complement_spectrum, eigenvalues, spectrum_from_groups
-from .srg import SrgParams, srg_check
+from .srg import SrgParams
 
 EQUALITY_TOL = 1e-6
 
@@ -341,10 +341,7 @@ def srg_product_chromatic_bounds(params_list, chis=None):
     """
     prod = 1.0
     for p in params_list:
-        if not isinstance(p, SrgParams):
-            p = SrgParams(*p)
-        t = math.sqrt(p.disc)
-        prod *= 1.0 + 2.0 * p.d / (t + p.mu - p.lam)
+        prod *= srg_chromatic_factor(p)
     upper = None
     if chis is not None:
         upper = math.prod(chis)

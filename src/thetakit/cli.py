@@ -156,7 +156,7 @@ def _theta_payload(g, est):
 
 
 def _task_theta(g, args):
-    est = theta_best(g, exact_cap=args.exact_cap)
+    est = theta_best(g)
     out = _theta_payload(g, est)
     reports = []
     if g.is_regular() and 0 < g.degree() < g.n - 1:
@@ -176,10 +176,7 @@ def _task_theta(g, args):
                                        float(est.value) - 1e-6, b.upper, "<="))
     p = srg_check(g)
     if p is not None:
-        t, tc = theta_srg(p)
-        out["theta"] = _num(t) if isinstance(t, Fraction) else t
-        out["theta_complement"] = _num(tc) if isinstance(tc, Fraction) else tc
-        out["method"] = "closed-form"
+        out["theta_complement"] = _num(theta_srg(p)[1])
     return out, reports
 
 
@@ -201,6 +198,13 @@ def _task_ramanujan(g, _args):
     }, []
 
 
+def _factor_data(g, s, est):
+    """One regular factor's data for the strong-product eigenvalue bounds."""
+    tight = bool(srg_check(g)) or g.meta.edge_transitive is True
+    return {"n": g.n, "d": g.degree(), "theta": float(est.value),
+            "lmin": s.smallest(), "tight": tight}
+
+
 def _task_product_bounds(g, args):
     if not g.is_regular():
         return {"applicable": False, "reason": "graph is not regular"}, []
@@ -210,17 +214,15 @@ def _task_product_bounds(g, args):
         return {"applicable": False, "reason": "empty graph"}, []
     s = eigenvalues(g)
     ps = power_spectrum(s, k)
-    est = theta_best(g, exact_cap=args.exact_cap)
+    est = theta_best(g)
     if est.value is None:
         return {"applicable": False,
                 "reason": "theta not determined for factor"}, []
-    tight = bool(srg_check(g)) or g.meta.edge_transitive is True
-    fdata = [{"n": n, "d": d, "theta": float(est.value),
-              "lmin": s.smallest(), "tight": tight}] * k
     l2p, lminp = ps.second_largest(), ps.smallest()
     reports = []
     if d < n - 1:
-        reports = product_bound_reports(fdata, l2p, lminp)
+        reports = product_bound_reports([_factor_data(g, s, est)] * k,
+                                        l2p, lminp)
     out = {
         "k": k,
         "product_order": n ** k,
@@ -234,7 +236,7 @@ def _task_product_bounds(g, args):
 
 
 def _task_chromatic_bounds(g, args):
-    est = theta_best(g, exact_cap=args.exact_cap)
+    est = theta_best(g)
     out = {}
     reports = []
     n = g.n
@@ -266,7 +268,7 @@ def _task_chromatic_bounds(g, args):
 
 
 def _task_capacity(g, args):
-    est = theta_best(g, exact_cap=args.exact_cap)
+    est = theta_best(g)
     if est.value is None:
         return {"status": "unknown-theta"}, []
     cert = capacity_certificate(g, float(est.value), args.budget)
@@ -292,7 +294,7 @@ def _task_k0(g, args):
     n, d = g.n, g.degree()
     if not 0 < d < n - 1:
         return {"applicable": False, "reason": "degenerate degree"}, []
-    est = theta_best(g, exact_cap=args.exact_cap)
+    est = theta_best(g)
     if est.value is None:
         return {"applicable": False, "reason": "theta not determined"}, []
     t = float(est.value)
@@ -374,8 +376,8 @@ def cmd_power(args) -> int:
         _emit(result, args)
         return EXIT_OK
     s = eigenvalues(g)
-    est = theta_best(g, exact_cap=args.exact_cap)
-    tight = bool(srg_check(g)) or g.meta.edge_transitive is True
+    est = theta_best(g)
+    factor = _factor_data(g, s, est) if est.value is not None else None
     rows = []
     all_reports = []
     for k in range(1, args.k + 1):
@@ -392,11 +394,8 @@ def cmd_power(args) -> int:
         verdict = ramanujan_verdict_from_values(ps, dk)
         row["is_ramanujan"] = verdict.is_ramanujan
         row["lambda_nontrivial"] = verdict.lam
-        fdata = [{"n": n, "d": d, "lmin": s.smallest(), "tight": tight}] * k
-        if est.value is not None:
-            for f in fdata:
-                f["theta"] = float(est.value)
-            reports = product_bound_reports(fdata, row["lambda2"],
+        if factor is not None:
+            reports = product_bound_reports([factor] * k, row["lambda2"],
                                             row["lambda_min"])
             row["eig2_lower"] = reports[0].lhs
             row["eigmin_upper"] = reports[1].rhs
@@ -598,8 +597,6 @@ def _add_common(p):
     p.add_argument("--out", help="also write JSON to this path")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                    help="time budget in seconds for exact solvers")
-    p.add_argument("--exact-cap", type=int, default=64,
-                   help="largest order handed to the theta optimizer")
 
 
 def build_parser() -> argparse.ArgumentParser:

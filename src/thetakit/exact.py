@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
+from .products import PRODUCT_VERTEX_CAP, strong_power
 
 DEFAULT_BUDGET = 60.0
 
@@ -361,11 +362,9 @@ def capacity_certificate(g: Graph, theta: float,
 
 
 def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET,
-                      cap: int = 20000):
+                      cap: int = PRODUCT_VERTEX_CAP):
     """Capacity lower bound alpha(G^boxtimes k)^(1/k) from a materialized
     power; returns (bound or None, SolveResult for the power)."""
-    from .products import strong_power
-
     pk = strong_power(g, k, cap)
     res = independence_number(pk, budget)
     if res.status != "exact":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -28,10 +29,12 @@ class Graph:
 
     The adjacency matrix is a symmetric boolean array with zero diagonal,
     frozen after construction. Instances are immutable; all operations
-    return new graphs.
+    return new graphs. Each instance keeps a private memo of its derived
+    invariants (spectrum, strong-regularity parameters, theta), filled by
+    the functions that compute them; a new graph starts with an empty one.
     """
 
-    __slots__ = ("n", "adj", "meta")
+    __slots__ = ("n", "adj", "meta", "_memo")
 
     def __init__(self, adj: np.ndarray, meta: GraphMeta | None = None):
         a = np.asarray(adj, dtype=bool)
@@ -46,9 +49,16 @@ class Graph:
         object.__setattr__(self, "n", a.shape[0])
         object.__setattr__(self, "adj", a)
         object.__setattr__(self, "meta", meta or GraphMeta())
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
+
+    def _cached(self, key, compute):
+        """The memo entry for key, calling compute() once to fill it."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- construction -------------------------------------------------
 
@@ -260,21 +270,55 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular simple graph via the pairing model, deterministic in seed."""
+    """Random d-regular simple graph, deterministic in seed.
+
+    One uniform pairing of the n*d vertex stubs, repaired by switchings:
+    a loop or repeated pair {a, b} and a random pair {c, e} are replaced by
+    {a, c} and {b, e} when both are new non-loop pairs. Every switching
+    removes a defect and adds none, so the repair ends; a pairing it cannot
+    repair is redrawn. Above half density few switchings are possible, so
+    there the graph is the complement of a random (n-1-d)-regular one.
+    """
     if n * d % 2 or d >= n:
         raise ValueError("need d < n and n*d even")
+    if 2 * d > n - 1:
+        sparse = random_regular(n, n - 1 - d, seed)
+        return sparse.complement().with_meta(name=f"rr({n},{d},{seed})")
     rng = np.random.default_rng(seed)
-    for _ in range(2000):
+    for _ in range(100):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            continue
-        seen = {(min(u, v), max(u, v)) for u, v in pairs.tolist()}
-        if len(seen) == len(pairs):
-            return Graph.from_edge_list(n, sorted(seen),
+        pairs = [(min(u, v), max(u, v))
+                 for u, v in stubs.reshape(-1, 2).tolist()]
+        if _repair_pairing(pairs, rng):
+            return Graph.from_edge_list(n, sorted(pairs),
                                         GraphMeta(name=f"rr({n},{d},{seed})"))
-    raise RuntimeError("pairing model failed to produce a simple graph")
+    raise RuntimeError("switching repair failed to produce a simple graph")
+
+
+def _repair_pairing(pairs: list, rng) -> bool:
+    """Switch the loops and repeats out of a pairing in place; False if stuck."""
+    count = Counter(pairs)
+    m = len(pairs)
+    tries = 0
+    for i in range(m):
+        while pairs[i][0] == pairs[i][1] or count[pairs[i]] > 1:
+            tries += 1
+            if tries > 100 * m:
+                return False
+            j = int(rng.integers(m))
+            (a, b), (c, e) = pairs[i], pairs[j]
+            if rng.random() < 0.5:
+                c, e = e, c
+            new1, new2 = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+            if a == c or b == e or new1 == new2 or count[new1] or count[new2]:
+                continue
+            count[pairs[i]] -= 1
+            count[pairs[j]] -= 1
+            count[new1] += 1
+            count[new2] += 1
+            pairs[i], pairs[j] = new1, new2
+    return True
 
 
 def self_complementary_extend(g: Graph) -> Graph:

@@ -120,8 +120,12 @@ def spectrum_from_groups(groups, rtol: float = 1e-6) -> Spectrum:
 
 
 def eigenvalues(g, rtol: float = 1e-6) -> Spectrum:
-    """Adjacency spectrum of a graph, descending, with multiplicity groups."""
-    return spectrum_from_values(jacobi_eigenvalues(g.adj.astype(np.float64)), rtol)
+    """Adjacency spectrum of a graph, descending, with multiplicity groups.
+
+    Computed once per graph and grouping tolerance, then reused.
+    """
+    return g._cached(("eigenvalues", rtol), lambda: spectrum_from_values(
+        jacobi_eigenvalues(g.adj.astype(np.float64)), rtol))
 
 
 def lambda2(g) -> float:

@@ -60,8 +60,12 @@ def srg_check(g: Graph) -> Optional[SrgParams]:
 
     Integer arithmetic throughout. Complete and empty graphs are excluded
     (lam or mu would be vacuous); returns None for them and for any graph
-    failing regularity or the identity.
+    failing regularity or the identity. Computed once per graph, then reused.
     """
+    return g._cached(("srg_check",), lambda: _srg_identity(g))
+
+
+def _srg_identity(g: Graph) -> Optional[SrgParams]:
     n = g.n
     if n < 2 or not g.is_regular():
         return None

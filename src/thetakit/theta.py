@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .srg import SrgParams
+from .spectra import eigenvalues
+from .srg import SrgParams, srg_check
 
 THETA_EXACT_DEFAULT_CAP = 64
 
@@ -143,6 +144,10 @@ def _certificate(b, wmat, edges_u, edges_v):
     return ub, lb
 
 
+_COOL_OPTIONS = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12}
+_POLISH_OPTIONS = {"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14}
+
+
 def theta_exact_result(g: Graph, tol: float = 1e-6,
                        cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaResult:
     from scipy.optimize import minimize
@@ -161,38 +166,23 @@ def theta_exact_result(g: Graph, tol: float = 1e-6,
         b = np.ones((n, n))
         return ThetaResult(float(n), float(n), b, True, 0, 0.0)
 
+    # cool the temperature by 5x per round down to the floor, then polish
+    # at the floor with tighter L-BFGS-B settings
+    mu_floor = min(1e-8, tol / (4.0 * math.log(max(n, 2))))
+    mus = [1.0]
+    while mus[-1] > mu_floor:
+        mus.append(max(mus[-1] * 0.2, mu_floor))
+    schedule = [(mu, _COOL_OPTIONS) for mu in mus] \
+        + [(mus[-1], _POLISH_OPTIONS)] * 6
     x = -np.ones(m)
     best_ub = math.inf
     best_lb = 1.0
     best_b = None
     total_iters = 0
-    mu = 1.0
-    mu_floor = min(1e-8, tol / (4.0 * math.log(max(n, 2))))
-    while True:
+    for mu, options in schedule:
         res = minimize(
             lambda xx: _smoothed(xx, mu, base, edges_u, edges_v, n)[:2],
-            x, jac=True, method="L-BFGS-B",
-            options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        x = res.x
-        total_iters += res.nit
-        _, _, b, wmat = _smoothed(x, mu, base, edges_u, edges_v, n)
-        ub, lb = _certificate(b, wmat, edges_u, edges_v)
-        if ub < best_ub:
-            best_ub, best_b = ub, b
-        best_lb = max(best_lb, lb)
-        if best_ub - best_lb <= tol:
-            return ThetaResult(best_ub, best_lb, best_b, True, total_iters,
-                               best_ub - best_lb)
-        if mu <= mu_floor:
-            break
-        mu = max(mu * 0.2, mu_floor)
-    # polish rounds at the floor temperature
-    for _ in range(6):
-        res = minimize(
-            lambda xx: _smoothed(xx, mu, base, edges_u, edges_v, n)[:2],
-            x, jac=True, method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14},
+            x, jac=True, method="L-BFGS-B", options=options,
         )
         x = res.x
         total_iters += res.nit
@@ -239,10 +229,13 @@ def theta_best(g: Graph, tol: float = 1e-6,
 
     Order: strong-regularity closed form, then matching spectral bounds
     for regular graphs, then the optimizer for small n, else an interval.
+    Computed once per graph, tolerance and cap, then reused.
     """
-    from .srg import srg_check
-    from .spectra import eigenvalues
+    return g._cached(("theta_best", tol, exact_cap),
+                     lambda: _theta_dispatch(g, tol, exact_cap))
 
+
+def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
     n = g.n
     if n == 0:
         return ThetaEstimate(0.0, Fraction(0), "closed-form")

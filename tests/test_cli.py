@@ -33,6 +33,15 @@ def test_analyze_json_shape(capsys):
     assert doc["violations"] == []
 
 
+def test_analyze_dense_random_regular_spec(capsys):
+    rc, out, _ = run(["analyze", "--gen", "random_regular:60:8:0",
+                      "--tasks", "spectrum,srg,ramanujan", "--json"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["tasks"]["spectrum"]["degree"] == 8
+    assert doc["graph"]["edges"] == 240
+
+
 def test_analyze_reports_round_trip(capsys):
     rc, out, _ = run(["analyze", "--gen", "petersen", "--tasks",
                       "product-bounds", "--power", "2", "--json"], capsys)

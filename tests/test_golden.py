@@ -1,11 +1,16 @@
 """Golden CLI outputs: the deterministic JSON of `analyze` on every bundled
-fixture and of a dense `power --materialize` cross-check must stay
-byte-identical to the files under tests/golden/.
+fixture, of `analyze` with every task on two graphs that are regular but
+not strongly regular, and of two `power` tables (one with a dense
+`--materialize` cross-check) must stay byte-identical to the files under
+tests/golden/.
 
-The tasks exclude `capacity` and `--exact-chi`, whose output depends on
-search budgets and timing. To regenerate the goldens after a deliberate
-output change, run ``python tests/test_golden.py`` with the package on the
-path.
+The fixture runs exclude `capacity`, and no run uses `--exact-chi`: their
+output depends on search budgets and timing on graphs that large. The
+all-task runs on frucht and cycle:7 include `capacity`, whose exact
+searches finish on 12 and 7 vertices far inside the default budget.
+
+To regenerate the goldens after a deliberate output change, run
+``python tests/test_golden.py`` with the package on the path.
 """
 
 import contextlib
@@ -19,12 +24,18 @@ from thetakit.catalog import fixture_names
 
 GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
 ANALYZE_TASKS = "spectrum,theta,srg,ramanujan,product-bounds,chromatic-bounds,k0"
+ALL_TASKS = ",".join(cli.TASKS)
 
 CASES = {f"analyze-{name}": ["analyze", "--gen", name, "--json",
                              "--tasks", ANALYZE_TASKS]
          for name in fixture_names()}
+CASES["analyze-frucht-alltasks"] = [
+    "analyze", "--gen", "frucht", "--json", "--tasks", ALL_TASKS]
+CASES["analyze-cycle7-alltasks"] = [
+    "analyze", "--gen", "cycle:7", "--json", "--tasks", ALL_TASKS]
 CASES["power-petersen-k2-materialize"] = [
     "power", "--gen", "petersen", "-k", "2", "--materialize", "--json"]
+CASES["power-cycle5-k5"] = ["power", "--gen", "cycle:5", "-k", "5", "--json"]
 
 
 def run_case(argv) -> str:

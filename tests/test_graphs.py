@@ -115,6 +115,23 @@ def test_random_regular_deterministic():
         random_regular(5, 5, seed=0)
 
 
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_random_regular_dense_degrees_succeed(d):
+    # a bare pairing is simple for about 1 in 6000 draws at d=6 and 1 in
+    # 7 million at d=8 here (exp(-(d^2-1)/4)); the repair must not give up
+    for seed in range(16):
+        g = random_regular(60, d, seed=seed)
+        assert g.n == 60 and g.degree() == d
+        assert g.edge_count() == 60 * d // 2   # no pair was merged away
+    assert random_regular(60, d, seed=3) == random_regular(60, d, seed=3)
+
+
+def test_random_regular_extreme_degrees():
+    assert random_regular(8, 0, seed=1).edge_count() == 0
+    assert random_regular(8, 7, seed=1) == complete(8)
+    assert random_regular(9, 8, seed=2) == complete(9)
+
+
 def test_complement_involution():
     for seed in range(4):
         g = random_regular(10, 3, seed=seed)
