@@ -73,18 +73,23 @@ def group_values(values, rtol: float = 1e-6) -> tuple:
     """Collapse a descending value list into (value, multiplicity) pairs.
 
     Adjacent values within rtol * max(1, |values|_max) of each other land in
-    one group; the group value is the mean of its members.
+    one group; the group value is the mean of its members, or 0.0 when that
+    mean is within n * eps * |values|_max of zero, LAPACK's backward-error
+    scale, so that a zero eigenvalue does not print as rounding noise.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         return ()
-    atol = rtol * max(1.0, float(np.abs(vals).max()))
+    vmax = float(np.abs(vals).max())
+    atol = rtol * max(1.0, vmax)
+    zero = vals.size * np.finfo(np.float64).eps * vmax
     groups = []
     start = 0
     for i in range(1, vals.size + 1):
         if i == vals.size or vals[i - 1] - vals[i] > atol:
             chunk = vals[start:i]
-            groups.append((float(chunk.mean()), int(chunk.size)))
+            mean = float(chunk.mean())
+            groups.append((0.0 if abs(mean) <= zero else mean, int(chunk.size)))
             start = i
     return tuple(groups)
 

@@ -94,12 +94,19 @@ def theta_kneser(m: int, r: int) -> int:
 
 # -- exact solver -----------------------------------------------------
 #
-# theta(G) = min lambda_max(B) over symmetric B with B_ij = 1 on the
-# diagonal and on non-edges, free on edges. Any feasible B upper-bounds
-# theta; a PSD matrix X with trace 1 and zeros on edges lower-bounds it
-# by sum(X). The solver minimises a log-sum-exp smoothing of lambda_max
-# with decreasing temperature and recovers the dual witness X from the
-# smoothed gradient, stopping when the two bounds pinch to tol.
+# theta(G) is the common value of the semidefinite pair (Lovasz 1979)
+#   max sum(X)  s.t. tr X = 1, X_ij = 0 on edges, X PSD;
+#   min t       s.t. Z = tI + sum_e y_e E_e - J PSD,
+# with E_e = e_i e_j^T + e_j e_i^T for the edge e = ij. Every (t, y, Z)
+# gives the feasible B = tI - Z = J - sum_e y_e E_e (1 on the diagonal and
+# on non-edges), and lambda_max(B) bounds theta from above; every X, the
+# dual witness, bounds it from below by sum(X), once _certificate has
+# repaired rounding in its zeros and in its PSD-ness. The solver is a
+# feasible-start primal-dual interior-point method with the HKM direction
+# and Mehrotra's predictor-corrector, sigma = (mu_aff/mu)^3 (Helmberg,
+# Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996). It stops when the
+# best bounds pinch to tol, or when a Cholesky factorisation breaks down
+# near the optimum.
 
 
 @dataclass(frozen=True)
@@ -113,21 +120,6 @@ class ThetaResult:
 
     def __float__(self):
         return self.value
-
-
-def _smoothed(x, mu, base, edges_u, edges_v, n):
-    b = base.copy()
-    b[edges_u, edges_v] = x
-    b[edges_v, edges_u] = x
-    w, u = np.linalg.eigh(b)
-    shifted = (w - w[-1]) / mu
-    e = np.exp(shifted)
-    z = e.sum()
-    f = w[-1] + mu * math.log(z)
-    weights = e / z
-    wmat = (u * weights) @ u.T
-    grad = 2.0 * wmat[edges_u, edges_v]
-    return f, grad, b, wmat
 
 
 def _certificate(b, wmat, edges_u, edges_v):
@@ -144,14 +136,102 @@ def _certificate(b, wmat, edges_u, edges_v):
     return ub, lb
 
 
-_COOL_OPTIONS = {"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12}
-_POLISH_OPTIONS = {"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14}
+_MAX_ITERATIONS = 100
+_STEP = 0.95            # share of the step to the boundary of the PSD cone
+_BLOCK = 64             # block order of the triangular substitutions
+
+
+def _schur(x, w, edges_u, edges_v):
+    """HKM Schur complement M_kl = tr(A_k X A_l W), A_0 = I, A_e = E_e.
+
+    With e = ij and f = kl: M_00 = tr(XW), M_0e = (XW)_ij + (XW)_ji and
+    M_ef = W_ik X_jl + W_il X_jk + W_jk X_il + W_jl X_ik, summed into M in
+    place through two m x m scratch arrays.
+    """
+    m = len(edges_u)
+    xw = x @ w
+    out = np.empty((m + 1, m + 1))
+    out[0, 0] = np.trace(xw)
+    out[0, 1:] = out[1:, 0] = xw[edges_u, edges_v] + xw[edges_v, edges_u]
+    mef = out[1:, 1:]
+    mef.fill(0.0)
+    t1, t2 = np.empty((m, m)), np.empty((m, m))
+    ends = ((edges_u, edges_v), (edges_v, edges_u))
+    # mode="clip" lets take write straight into out (the default mode
+    # buffers it); every index is in range
+    for wc, xc in ends:
+        wcols, xcols = w[:, wc], x[:, xc]
+        for wr, xr in ends:
+            np.take(wcols, wr, axis=0, out=t1, mode="clip")
+            np.take(xcols, xr, axis=0, out=t2, mode="clip")
+            t1 *= t2
+            mef += t1
+    return out
+
+
+def _cho_solve(chol, r):
+    """The solution of (L L^T) s = r for the lower-triangular factor L,
+    by blocked substitution (numpy has no triangular solver)."""
+    s = np.array(r, dtype=np.float64)
+    starts = range(0, len(s), _BLOCK)
+    for a in starts:
+        e = a + _BLOCK
+        s[a:e] = np.linalg.solve(chol[a:e, a:e], s[a:e])
+        s[e:] -= chol[e:, a:e] @ s[a:e]
+    for a in reversed(starts):
+        e = a + _BLOCK
+        s[a:e] = np.linalg.solve(chol[a:e, a:e].T, s[a:e])
+        s[:a] -= chol[a:e, :a].T @ s[a:e]
+    return s
+
+
+def _step(inv_chol, d):
+    """The step along d kept inside the PSD cone, at most 1; inv_chol is
+    the inverse Cholesky factor of the current point."""
+    lmin = float(np.linalg.eigvalsh(inv_chol @ d @ inv_chol.T)[0])
+    return 1.0 if lmin >= 0.0 else min(1.0, -_STEP / lmin)
+
+
+def _on_edges(v, edges_u, edges_v, n):
+    """sum_e v_e E_e as a dense n x n matrix."""
+    e = np.zeros((n, n))
+    e[edges_u, edges_v] = v
+    e[edges_v, edges_u] = v
+    return e
+
+
+def _hkm_step(x, t, y, edges_u, edges_v):
+    """One Mehrotra predictor-corrector step in the HKM direction from the
+    feasible point (X, t, y); LinAlgError when a factorisation fails."""
+    n = len(x)
+    eye = np.eye(n)
+    z = t * eye + _on_edges(y, edges_u, edges_v, n) - 1.0
+    inv_lx = np.linalg.inv(np.linalg.cholesky(x))
+    inv_lz = np.linalg.inv(np.linalg.cholesky(z))
+    w = inv_lz.T @ inv_lz
+    chol = np.linalg.cholesky(_schur(x, w, edges_u, edges_v))
+    mu = float(np.sum(x * z)) / n
+
+    def direction(r):
+        # dX = R - X - X dZ W; the rhs A(R) - b keeps A(X + dX) = b
+        rhs = np.concatenate(([np.trace(r) - 1.0],
+                              r[edges_u, edges_v] + r[edges_v, edges_u]))
+        dy = _cho_solve(chol, rhs)
+        dz = dy[0] * eye + _on_edges(dy[1:], edges_u, edges_v, n)
+        dx = r - x - x @ dz @ w
+        return dy, dz, (dx + dx.T) / 2.0
+
+    _, dz, dx = direction(np.zeros((n, n)))
+    ap, ad = _step(inv_lx, dx), _step(inv_lz, dz)
+    mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / n
+    sigma = min(1.0, (mu_aff / mu) ** 3)
+    dy, dz, dx = direction(sigma * mu * w - dx @ dz @ w)
+    ap, ad = _step(inv_lx, dx), _step(inv_lz, dz)
+    return x + ap * dx, t + ad * dy[0], y + ad * dy[1:]
 
 
 def theta_exact_result(g: Graph, tol: float = 1e-6,
                        cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaResult:
-    from scipy.optimize import minimize
-
     n = g.n
     if n == 0:
         raise ValueError("empty vertex set")
@@ -159,43 +239,30 @@ def theta_exact_result(g: Graph, tol: float = 1e-6,
         raise ValueError(f"n={n} exceeds exact-solver cap {cap}")
     edges_u, edges_v = np.nonzero(np.triu(g.adj, 1))
     m = len(edges_u)
-    base = np.ones((n, n))
-    base[edges_u, edges_v] = 0.0
-    base[edges_v, edges_u] = 0.0
     if m == 0:
         b = np.ones((n, n))
         return ThetaResult(float(n), float(n), b, True, 0, 0.0)
 
-    # cool the temperature by 5x per round down to the floor, then polish
-    # at the floor with tighter L-BFGS-B settings
-    mu_floor = min(1e-8, tol / (4.0 * math.log(max(n, 2))))
-    mus = [1.0]
-    while mus[-1] > mu_floor:
-        mus.append(max(mus[-1] * 0.2, mu_floor))
-    schedule = [(mu, _COOL_OPTIONS) for mu in mus] \
-        + [(mus[-1], _POLISH_OPTIONS)] * 6
-    x = -np.ones(m)
-    best_ub = math.inf
-    best_lb = 1.0
-    best_b = None
-    total_iters = 0
-    for mu, options in schedule:
-        res = minimize(
-            lambda xx: _smoothed(xx, mu, base, edges_u, edges_v, n)[:2],
-            x, jac=True, method="L-BFGS-B", options=options,
-        )
-        x = res.x
-        total_iters += res.nit
-        _, _, b, wmat = _smoothed(x, mu, base, edges_u, edges_v, n)
-        ub, lb = _certificate(b, wmat, edges_u, edges_v)
+    # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1
+    x, t, y = np.eye(n) / n, n + 1.0, np.zeros(m)
+    best_ub, best_lb, best_b = math.inf, -math.inf, None
+    iterations = 0
+    while True:
+        b = 1.0 - _on_edges(y, edges_u, edges_v, n)
+        # _certificate reads X at trace 1; the division drops rounding drift
+        ub, lb = _certificate(b, x / np.trace(x), edges_u, edges_v)
         if ub < best_ub:
             best_ub, best_b = ub, b
         best_lb = max(best_lb, lb)
-        if best_ub - best_lb <= tol:
-            return ThetaResult(best_ub, best_lb, best_b, True, total_iters,
-                               best_ub - best_lb)
-    return ThetaResult(best_ub, best_lb, best_b, False, total_iters,
-                       best_ub - best_lb)
+        if best_ub - best_lb <= tol or iterations == _MAX_ITERATIONS:
+            break
+        try:
+            x, t, y = _hkm_step(x, t, y, edges_u, edges_v)
+        except np.linalg.LinAlgError:
+            break
+        iterations += 1
+    gap = best_ub - best_lb
+    return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap)
 
 
 def theta_exact(g: Graph, tol: float = 1e-6,
@@ -256,8 +323,7 @@ def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
         bounds = theta_bounds_regular(n, g.degree(), s.second_largest(),
                                       s.smallest())
         if bounds.upper - bounds.lower <= tol:
-            return ThetaEstimate((bounds.upper + bounds.lower) / 2.0, None,
-                                 "spectral-pinch", bounds)
+            return ThetaEstimate(bounds.upper, None, "spectral-pinch", bounds)
     if n <= exact_cap:
         res = theta_exact_result(g, tol, exact_cap)
         if res.converged:

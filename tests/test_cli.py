@@ -196,3 +196,14 @@ def test_console_entry_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert any(e["name"] == "petersen" for e in doc["entries"])
+
+
+def test_theta_task_does_not_import_scipy():
+    # frucht's theta comes from the optimizer, which needs only numpy
+    code = ("import sys; from thetakit import cli; "
+            "rc = cli.main(['analyze', '--gen', 'frucht', '--tasks', 'theta']); "
+            "print('scipy' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == "False"

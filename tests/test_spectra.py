@@ -101,6 +101,14 @@ def test_group_values_merges_adjacent():
     assert [m for _, m in g] == [1, 2, 1]
 
 
+def test_zero_eigenvalue_groups_to_exact_zero():
+    # LAPACK returns about -3e-16 for frucht's zero eigenvalue; the group
+    # value must not depend on that rounding
+    assert (0.0, 1) in eigenvalues(frucht()).groups
+    assert group_values([1.0, 1e-17, -1.0]) == ((1.0, 1), (0.0, 1), (-1.0, 1))
+    assert group_values([1.0, 1e-9, -1.0])[1] == (1e-9, 1)
+
+
 def test_spectrum_from_groups_merges_and_expands():
     s = spectrum_from_groups([(1.0, 2), (1.0 + 1e-9, 3), (-0.5, 1)])
     assert s.n == 6

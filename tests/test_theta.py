@@ -1,11 +1,17 @@
 """Theta values: closed forms, spectral sandwiches, and the certified optimizer."""
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from thetakit import cli, theta
+from thetakit.exact import independence_number
 from thetakit.graphs import (
+    Graph,
     complete,
     cycle,
     empty,
@@ -149,3 +155,118 @@ def test_theta_best_complement_pair():
     t = float(theta_best(g).value)
     tc = float(theta_best(g.complement()).value)
     assert t * tc == pytest.approx(13.0, rel=1e-6)
+
+
+def test_spectral_pinch_returns_the_upper_bound():
+    # C6 is regular, not strongly regular: bounds 2.5 and 3 = theta(C6)
+    est = theta_best(cycle(6), tol=1.0)
+    assert est.method == "spectral-pinch"
+    assert est.value == est.bounds.upper
+    assert est.value == pytest.approx(3.0, abs=1e-12)
+
+
+def gnp(n, p, seed):
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    return Graph(a | a.T)
+
+
+# random graphs up to the optimizer's cap of 64 vertices, regular and not
+HARD = {
+    "rr24-4": lambda: random_regular(24, 4, seed=0),
+    "rr32-3": lambda: random_regular(32, 3, seed=0),
+    "rr40-5": lambda: random_regular(40, 5, seed=0),
+    "rr64-4": lambda: random_regular(64, 4, seed=0),
+    "rr64-7": lambda: random_regular(64, 7, seed=0),
+    "gnp30": lambda: gnp(30, 0.3, seed=1),
+    "gnp64": lambda: gnp(64, 0.2, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD))
+def test_theta_exact_converges_on_random_graphs(name):
+    res = theta_exact_result(HARD[name](), tol=1e-6)
+    assert res.converged
+    assert 0.0 <= res.gap <= 1e-6
+    assert res.iterations <= 50
+
+
+CERTIFIED = {
+    "rr24-4": HARD["rr24-4"],
+    "gnp30": HARD["gnp30"],
+    "frucht": frucht,
+    "c7": lambda: cycle(7),
+    "c5xc5": lambda: strong_product(cycle(5), cycle(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_theta_exact_matrix_is_a_certificate(name):
+    g = CERTIFIED[name]()
+    res = theta_exact_result(g, tol=1e-6)
+    b = res.matrix
+    assert np.array_equal(b, b.T)
+    fixed = ~g.adj
+    assert np.all(b[fixed] == 1.0)              # diagonal and non-edges
+    assert res.value == pytest.approx(float(np.linalg.eigvalsh(b)[-1]),
+                                      abs=1e-12)
+    assert res.lower <= res.value
+    if g.n <= 24:
+        alpha = independence_number(g)
+        assert alpha.status == "exact"
+        assert alpha.value <= res.value
+
+
+@pytest.mark.parametrize("n", [7, 9, 13])
+def test_theta_exact_tight_tolerance_on_odd_cycles(n):
+    c = math.cos(math.pi / n)
+    res = theta_exact_result(cycle(n), tol=1e-10)
+    assert res.value == pytest.approx(n * c / (1 + c), abs=1e-9)
+
+
+def test_theta_exact_breakdown_returns_best_pair():
+    # at tol=0 the loop runs until a factorisation fails; no exception
+    res = theta_exact_result(cycle(7), tol=0.0)
+    c = math.cos(math.pi / 7)
+    assert res.value == pytest.approx(7 * c / (1 + c), abs=1e-9)
+    assert res.converged == (res.gap <= 0.0)
+
+
+def test_schur_complement_matches_its_definition():
+    # M_kl = tr(A_k X A_l W) with A_0 = I and A_e = E_e, from dense matrices
+    g = frucht()
+    eu, ev = np.nonzero(np.triu(g.adj, 1))
+    rng = np.random.default_rng(0)
+    n = g.n
+    x, w = (q @ q.T + np.eye(n) for q in rng.standard_normal((2, n, n)))
+    mats = [np.eye(n)]
+    for i, j in zip(eu, ev):
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0
+        mats.append(e)
+    want = np.array([[np.trace(a @ x @ b @ w) for b in mats] for a in mats])
+    assert np.allclose(theta._schur(x, w, eu, ev), want, rtol=1e-12, atol=1e-12)
+
+
+def test_schur_complement_memory():
+    # M is built in place: besides M, at most two m x m scratch arrays are
+    # live at once (plus n x m column gathers), so fewer than four in all
+    g = gnp(40, 0.7, seed=3)
+    eu, ev = np.nonzero(np.triu(g.adj, 1))
+    m = len(eu)
+    x = w = np.eye(g.n)
+    tracemalloc.start()
+    try:
+        theta._schur(x, w, eu, ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 400
+    assert peak < 3.5 * 8 * (m + 1) ** 2
+
+
+def test_analyze_theta_on_dense_random_regular(capsys):
+    rc = cli.main(["analyze", "--gen", "random_regular:60:8:0",
+                   "--tasks", "theta", "--json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tasks"]["theta"]["method"] == "optimizer"
