@@ -256,7 +256,8 @@ def _task_chromatic_bounds(g, args):
     if p is not None:
         out["chromatic_factor_srg"] = srg_chromatic_factor(p)
     if args.exact_chi:
-        res = chromatic_number(g, args.budget)
+        res = chromatic_number(g, args.budget,
+                               lower=out.get("chi_lower_from_theta", 0))
         out["chi"] = res.value
         out["chi_interval"] = [res.lower, res.upper]
         out["chi_status"] = res.status

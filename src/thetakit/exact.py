@@ -90,13 +90,16 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _max_clique_masks(adj_masks, n, budget: _Budget, initial=()):
+def _max_clique_masks(adj_masks, n, budget: _Budget, initial=(), target=None):
     """Branch and bound maximum clique over bitset adjacency.
 
     Candidates are greedily colored at every node; branches whose clique
-    size plus color bound cannot beat the incumbent are cut. Returns
-    (best clique tuple, root upper bound, complete flag).
+    size plus color bound cannot beat the incumbent are cut. A target is
+    a proven upper bound on the clique number: the search ends, complete,
+    as soon as the incumbent reaches it. Returns (best clique tuple, root
+    upper bound, complete flag).
     """
+    stop_at = n if target is None else target
     order = _degeneracy_order(adj_masks, n)
     pos = [0] * n
     for i, v in enumerate(order):
@@ -145,16 +148,19 @@ def _max_clique_masks(adj_masks, n, budget: _Budget, initial=()):
             if size + 1 > best_size:
                 best_size = size + 1
                 best_clique = tuple(_bits(new_mask))
+                if best_size >= stop_at:
+                    return
             if new_cand:
                 expand(size + 1, new_mask, new_cand)
-                if not complete:
+                if not complete or best_size >= stop_at:
                     return
             cand &= ~(1 << v)
 
     full = (1 << n) - 1
     _, root_bounds = color_bound(full)
     root_bound = max(root_bounds) if root_bounds else 0
-    expand(0, 0, full)
+    if best_size < stop_at:
+        expand(0, 0, full)
     inv = [0] * n
     for v in range(n):
         inv[pos[v]] = v
@@ -171,15 +177,23 @@ def _adj_masks(g: Graph):
     return masks
 
 
-def clique_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
-    """Exact maximum clique size within the time budget."""
+def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
+                  target: Optional[int] = None) -> SolveResult:
+    """Exact maximum clique size within the time budget.
+
+    `target`, when given, must be a proven upper bound on the clique
+    number: the search stops as soon as it finds a clique that large and
+    reports it as exact. A target below the true clique number therefore
+    yields a wrong "exact" answer.
+    """
     n = g.n
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
     masks = _adj_masks(g)
     initial = _greedy_clique(masks, n)
-    clique, root_bound, complete = _max_clique_masks(masks, n, b, initial)
+    clique, root_bound, complete = _max_clique_masks(masks, n, b, initial,
+                                                     target)
     size = len(clique)
     if complete:
         return SolveResult(size, size, size, clique, "exact", b.elapsed())
@@ -187,9 +201,14 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
                        b.elapsed())
 
 
-def independence_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
-    """Exact independence number: maximum clique of the complement."""
-    return clique_number(g.complement(), budget)
+def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
+                        target: Optional[int] = None) -> SolveResult:
+    """Exact independence number: maximum clique of the complement.
+
+    `target` must be a proven upper bound on the independence number
+    (for instance floor(theta)); see `clique_number`.
+    """
+    return clique_number(g.complement(), budget, target=target)
 
 
 # -- chromatic number -------------------------------------------------
@@ -288,9 +307,17 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
     return res, None
 
 
-def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
-    """Exact chromatic number: test k-colorability upward from a clique
-    lower bound, each test a DSATUR-ordered backtracking search."""
+def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
+                     lower: int = 0) -> SolveResult:
+    """Exact chromatic number: test k-colorability upward from the larger
+    of a clique and `lower`, each test a DSATUR-ordered backtracking
+    search; the DSATUR coloring is exact once the start reaches its size.
+
+    `lower` must be a proven lower bound on the chromatic number (for
+    instance ceil(n / theta)). A value above the true chromatic number
+    skips the colorings that would refute it and yields a wrong "exact"
+    answer.
+    """
     n = g.n
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
@@ -298,6 +325,10 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
     masks = _adj_masks(g)
     if not any(masks):
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
+    ub, greedy_cols = _dsatur_greedy(masks, n)
+    best_cols = tuple(greedy_cols)
+    if lower >= ub:
+        return SolveResult(ub, ub, ub, best_cols, "exact", b.elapsed())
     # exact clique seed when cheap, greedy otherwise
     clique_budget = min(5.0, budget / 4.0)
     cb = _Budget(clique_budget)
@@ -305,10 +336,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
     clique, _, complete = _max_clique_masks(masks, n, cb, initial)
     if not complete and len(initial) > len(clique):
         clique = initial
-    ub, greedy_cols = _dsatur_greedy(masks, n)
-    lb = len(clique)
-    best_cols = tuple(greedy_cols)
-    k = lb
+    k = max(len(clique), lower)
     while k < ub:
         verdict, cols = _k_colorable(masks, n, k, b, clique)
         if verdict is None:
@@ -342,19 +370,15 @@ def capacity_certificate(g: Graph, theta: float,
     agree to tol (then the capacity equals the common value).
 
     theta must be a genuine upper bound on the independence number (any
-    certified theta value is). When the search times out but its best
-    witness already meets floor(theta), alpha is pinned by the sandwich
-    without an exhaustive search, so a small budget suffices whenever
-    such a witness is found early; the budget only bounds the attempt
-    at full exactness.
+    certified theta value is): the alpha search stops, exact, as soon as
+    it finds an independent set of size floor(theta + tol), so a tight
+    bound ends the search at its first such witness. The budget bounds
+    only the search below that ceiling.
     """
-    res = independence_number(g, budget)
-    if res.status == "exact":
-        alpha = res.value
-    elif res.lower >= math.floor(theta + tol):
-        alpha = res.lower
-    else:
+    res = independence_number(g, budget, target=math.floor(theta + tol))
+    if res.status != "exact":
         return CapacityCertificate(float(theta), None, None, "timeout", res)
+    alpha = res.value
     if abs(float(theta) - alpha) < tol:
         return CapacityCertificate(float(theta), alpha, float(alpha),
                                    "determined", res)

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from conftest import record_criterion
 
 from thetakit.bounds import (
@@ -271,7 +270,6 @@ def test_capacity_certificates():
     assert ok, (failures, elapsed)
 
 
-@pytest.mark.slow
 def test_capacity_certificate_cameron():
     # the exhaustive search cannot finish here (greedy coloring of the
     # dense complement bounds the clique at 58, far above 21), but a

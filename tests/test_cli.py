@@ -75,6 +75,17 @@ def test_analyze_capacity_and_chi(capsys):
     assert cb["chi"] == 3 and cb["chi_lower_from_theta"] == 3
 
 
+def test_exact_chi_starts_at_theta_lower_bound(capsys):
+    # Hall-Janko: the search starts at ceil(n / theta) = 100 / 10, not at
+    # the clique size 4
+    rc, out, _ = run(["analyze", "--gen", "hall_janko", "--tasks",
+                      "chromatic-bounds", "--exact-chi", "--budget", "1",
+                      "--json"], capsys)
+    assert rc == 0
+    cb = json.loads(out)["tasks"]["chromatic-bounds"]
+    assert cb["chi_interval"][0] == cb["chi_lower_from_theta"] == 10
+
+
 def test_analyze_k0_gate(capsys):
     rc, out, _ = run(["analyze", "--gen", "complete_bipartite:3:3",
                       "--tasks", "k0", "--json"], capsys)

@@ -2,9 +2,12 @@
 brute-force enumeration on small graphs and known values on named ones."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
+from thetakit import exact
 from thetakit.catalog import load_fixture
 from thetakit.exact import (
     CapacityCertificate,
@@ -16,6 +19,7 @@ from thetakit.exact import (
     independence_number,
 )
 from thetakit.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -29,7 +33,7 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
-from thetakit.theta import theta_exact
+from thetakit.theta import theta_best, theta_exact
 
 
 def brute_clique(g):
@@ -173,13 +177,82 @@ def test_capacity_certificate_gap():
 
 def test_capacity_certificate_witness_pinch():
     # exhausting this search space is hopeless, but the greedy witness
-    # already meets the theta ceiling, so alpha is pinned at timeout
+    # already meets the theta ceiling, which ends the search with alpha
+    # proven even on a zero budget
     g = load_fixture("cameron")
     cert = capacity_certificate(g, 21.0, budget=0.0)
-    assert cert.alpha_result.status == "timeout"
+    assert cert.alpha_result.status == "exact"
     assert cert.status == "determined"
     assert cert.alpha == 21
     assert cert.capacity == 21.0
+
+
+def test_capacity_certificate_stops_at_theta():
+    # floor(theta) = 21 is reached by the first witness, so the search
+    # returns alpha proven instead of running out the budget
+    g = load_fixture("cameron")
+    cert = capacity_certificate(g, 21.0, budget=5.0)
+    assert cert.alpha_result.status == "exact"
+    assert cert.alpha_result.value == cert.alpha == 21
+
+
+def gnp(n, p, seed):
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    return Graph(a | a.T)
+
+
+@pytest.mark.parametrize("g,target", [(cycle(5), 2), (paley(29), 5)],
+                         ids=["c5", "paley29"])
+def test_alpha_with_target_matches_untargeted(g, target):
+    # paley29 has alpha 4 < 5, so the targeted search must still finish
+    res = independence_number(g, target=target)
+    assert res.status == "exact"
+    assert res.value == independence_number(g).value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_alpha_with_target_matches_brute_force(seed, monkeypatch):
+    g = gnp(9 + seed, (0.25, 0.5, 0.75)[seed % 3], seed)
+    alpha = brute_alpha(g)
+    for greedy_start in (True, False):
+        if not greedy_start:
+            # the greedy start finds alpha on graphs this small, so the
+            # branch and bound alone must then reach the target
+            monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n: ())
+        for target in (alpha, alpha + 1):
+            res = independence_number(g, target=target)
+            assert res.status == "exact"
+            assert res.value == alpha == len(res.witness)
+            assert not any(g.adj[u, v]
+                           for u, v in itertools.combinations(res.witness, 2))
+
+
+CHI_LOWER = [("petersen", petersen), ("shrikhande", shrikhande),
+             ("frucht", frucht), ("kneser62", lambda: kneser(6, 2)),
+             ("chang1", lambda: load_fixture("chang1"))]
+
+
+@pytest.mark.parametrize("name,make", CHI_LOWER, ids=[n for n, _ in CHI_LOWER])
+def test_chi_with_theta_lower_matches_unbounded(name, make):
+    g = make()
+    lower = math.ceil(g.n / float(theta_best(g).value) - 1e-9)
+    res = chromatic_number(g, lower=lower)
+    assert res.status == "exact"
+    assert res.value == chromatic_number(g).value
+    assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
+
+
+def test_chi_lower_at_dsatur_bound_skips_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    monkeypatch.setattr(exact, "_max_clique_masks", no_search)
+    # ceil(n / theta) = 3 on both, and DSATUR colors both with 3 colors
+    for g in (petersen(), frucht()):
+        res = chromatic_number(g, lower=3)
+        assert res.status == "exact" and res.value == 3
+        assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
 
 
 def test_capacity_power_lb_pentagon():

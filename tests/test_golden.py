@@ -7,7 +7,10 @@ tests/golden/.
 The fixture runs exclude `capacity`, and no run uses `--exact-chi`: their
 output depends on search budgets and timing on graphs that large. The
 all-task runs on frucht and cycle:7 include `capacity`, whose exact
-searches finish on 12 and 7 vertices far inside the default budget.
+searches finish on 12 and 7 vertices far inside the default budget. So
+does the `theta,capacity` run on the 231-vertex Cameron fixture: its first
+independent set already has floor(theta) = 21 vertices, which ends the
+search with alpha proven, whatever the budget or the machine.
 
 To regenerate the goldens after a deliberate output change, run
 ``python tests/test_golden.py`` with the package on the path.
@@ -33,6 +36,8 @@ CASES["analyze-frucht-alltasks"] = [
     "analyze", "--gen", "frucht", "--json", "--tasks", ALL_TASKS]
 CASES["analyze-cycle7-alltasks"] = [
     "analyze", "--gen", "cycle:7", "--json", "--tasks", ALL_TASKS]
+CASES["analyze-cameron-capacity"] = [
+    "analyze", "--gen", "cameron", "--json", "--tasks", "theta,capacity"]
 CASES["power-petersen-k2-materialize"] = [
     "power", "--gen", "petersen", "-k", "2", "--materialize", "--json"]
 CASES["power-cycle5-k5"] = ["power", "--gen", "cycle:5", "-k", "5", "--json"]
