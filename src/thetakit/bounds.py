@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .spectra import complement_spectrum, eigenvalues, spectrum_from_groups
+from .spectra import complement_spectrum, eigenvalues, group_values
 from .srg import SrgParams
 
 EQUALITY_TOL = 1e-6
@@ -95,28 +95,19 @@ class GSequence:
     """Per-index values eig_l(complement) - d(n-d+eig_l)/(d+(n-1)eig_l)."""
 
     values: tuple
-    tol: float
+    tol: float  # relative grouping tolerance, as in spectra.group_values
 
     @property
     def head(self) -> float:
         return self.values[0]  # always n - d - 2
 
-    def _group(self, vals) -> tuple:
-        groups = []
-        for v in sorted(vals, reverse=True):
-            if groups and abs(groups[-1][0] - v) <= self.tol:
-                groups[-1][1] += 1
-            else:
-                groups.append([v, 1])
-        return tuple((v, m) for v, m in groups)
-
     def tail_groups(self) -> tuple:
         """Distinct values over indices l >= 2 with multiplicities, descending."""
-        return self._group(self.values[1:])
+        return group_values(sorted(self.values[1:], reverse=True), self.tol)
 
     def groups(self) -> tuple:
         """Distinct values over the whole sequence with multiplicities."""
-        return self._group(self.values)
+        return group_values(sorted(self.values, reverse=True), self.tol)
 
     def distinct_count(self) -> int:
         return len(self.groups())

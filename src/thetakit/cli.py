@@ -27,10 +27,10 @@ from .bounds import (
     wei_bounds,
 )
 from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
-from .graphs import Graph
+from .graphs import Graph, within_budget
 from .io import read_edge_list, read_graph6
-from .products import PRODUCT_VERTEX_CAP, power_spectrum, strong_power
-from .spectra import eigenvalues, ramanujan_verdict_from_values
+from .products import power_spectrum, strong_power
+from .spectra import eigensolve_bytes, eigenvalues, ramanujan_verdict_from_values
 from .srg import srg_check, srg_params_feasible
 from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
 
@@ -401,7 +401,7 @@ def cmd_power(args) -> int:
             row["eig2_lower"] = reports[0].lhs
             row["eigmin_upper"] = reports[1].rhs
             all_reports.extend(reports)
-        if args.materialize and n ** k <= PRODUCT_VERTEX_CAP:
+        if args.materialize and within_budget(eigensolve_bytes(n ** k)):
             dense = eigenvalues(strong_power(g, k))
             row["lambda2_dense"] = dense.second_largest()
             row["lambda_min_dense"] = dense.smallest()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
-from .products import PRODUCT_VERTEX_CAP, strong_power
+from .products import strong_power
 
 DEFAULT_BUDGET = 60.0
 
@@ -183,8 +183,8 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
 
     `target`, when given, must be a proven upper bound on the clique
     number: the search stops as soon as it finds a clique that large and
-    reports it as exact. A target below the true clique number therefore
-    yields a wrong "exact" answer.
+    reports it as exact, and a timed-out interval ends at most at it. A
+    target below the true clique number therefore yields a wrong answer.
     """
     n = g.n
     if n == 0:
@@ -197,8 +197,8 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
     size = len(clique)
     if complete:
         return SolveResult(size, size, size, clique, "exact", b.elapsed())
-    return SolveResult(None, size, max(root_bound, size), clique, "timeout",
-                       b.elapsed())
+    upper = min(max(root_bound, size), n if target is None else target)
+    return SolveResult(None, size, upper, clique, "timeout", b.elapsed())
 
 
 def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
@@ -385,11 +385,10 @@ def capacity_certificate(g: Graph, theta: float,
     return CapacityCertificate(float(theta), alpha, None, "gap", res)
 
 
-def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET,
-                      cap: int = PRODUCT_VERTEX_CAP):
-    """Capacity lower bound alpha(G^boxtimes k)^(1/k) from a materialized
-    power; returns (bound or None, SolveResult for the power)."""
-    pk = strong_power(g, k, cap)
+def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
+    """Capacity lower bound alpha(G^boxtimes k)^(1/k) from the power, built
+    within the dense byte budget; returns (bound or None, its SolveResult)."""
+    pk = strong_power(g, k)
     res = independence_number(pk, budget)
     if res.status != "exact":
         return None, res

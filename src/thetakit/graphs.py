@@ -8,6 +8,19 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+# The byte budget of every dense allocation: a 20 000-vertex bool adjacency.
+DENSE_BYTE_BUDGET = 400_000_000
+
+
+def within_budget(nbytes: int) -> bool:
+    return nbytes <= DENSE_BYTE_BUDGET
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise ValueError, before `what` is allocated, when it exceeds the budget."""
+    if not within_budget(nbytes):
+        raise ValueError(f"{what} exceeds the dense budget of {DENSE_BYTE_BUDGET} bytes")
+
 
 @dataclass(frozen=True)
 class GraphMeta:
@@ -44,12 +57,21 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
-        a = a.copy()
+        self._fill(a.copy(), meta)
+
+    def _fill(self, a: np.ndarray, meta: GraphMeta | None) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "n", a.shape[0])
         object.__setattr__(self, "adj", a)
         object.__setattr__(self, "meta", meta or GraphMeta())
         object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _derived(cls, adj: np.ndarray, meta: GraphMeta | None = None) -> "Graph":
+        """A graph on an adjacency derived from a valid one; no checks, no copy."""
+        g = object.__new__(cls)
+        g._fill(adj, meta)
+        return g
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -75,7 +97,7 @@ class Graph:
         return cls(a, meta)
 
     def with_meta(self, **kwargs) -> "Graph":
-        return Graph(self.adj, replace(self.meta, **kwargs))
+        return Graph._derived(self.adj, replace(self.meta, **kwargs))
 
     # -- basic queries ------------------------------------------------
 
@@ -123,18 +145,18 @@ class Graph:
         np.fill_diagonal(a, False)
         name = self.meta.name
         meta = replace(self.meta, name=f"complement({name})" if name else "")
-        return Graph(a, meta)
+        return Graph._derived(a, meta)
 
     def subgraph(self, vertices) -> "Graph":
         idx = np.asarray(list(vertices), dtype=np.int64)
-        return Graph(self.adj[np.ix_(idx, idx)])
+        return Graph._derived(self.adj[np.ix_(idx, idx)])
 
     def relabel(self, perm) -> "Graph":
         """New graph with vertex i placed at position perm[i]."""
         p = np.asarray(perm, dtype=np.int64)
         inv = np.empty_like(p)
         inv[p] = np.arange(self.n)
-        return Graph(self.adj[np.ix_(inv, inv)], self.meta)
+        return Graph._derived(self.adj[np.ix_(inv, inv)], self.meta)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self.adj, other.adj)

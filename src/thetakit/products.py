@@ -3,48 +3,42 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations_with_replacement, product as iproduct
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta
+from .graphs import Graph, GraphMeta, check_budget
 from .spectra import Spectrum, spectrum_from_groups
 
-PRODUCT_VERTEX_CAP = 20000
-SPECTRUM_COMBO_CAP = 5_000_000
+# Peak bytes per group combination of `product_spectrum` / `power_spectrum`:
+# tracemalloc read 160-260 B from 9e3 to 2.6e6 combinations.
+COMBO_BYTES = 300
 
 
-def strong_product(g: Graph, h: Graph, cap: int = PRODUCT_VERTEX_CAP) -> Graph:
-    """Strong product: (A+I) kron (B+I) - I on row-major vertex pairs.
+def strong_product(*factors: Graph) -> Graph:
+    """Strong product (A_1+I) kron ... kron (A_k+I) - I of one or more graphs.
 
-    Vertex (i, j) of the product sits at index i*h.n + j.
+    Vertices are factor-vertex tuples in row-major order (for two factors,
+    (i, j) sits at i*h.n + j). Raises ValueError, before allocating, when
+    the n^2-byte adjacency exceeds the dense budget.
     """
-    n = g.n * h.n
-    if n > cap:
-        raise ValueError(f"product order {n} exceeds cap {cap}")
-    ag = g.adj.astype(np.uint8) + np.eye(g.n, dtype=np.uint8)
-    ah = h.adj.astype(np.uint8) + np.eye(h.n, dtype=np.uint8)
-    a = np.kron(ag, ah).astype(bool)
+    if not factors:
+        raise ValueError("need at least one factor")
+    n = math.prod(f.n for f in factors)
+    check_budget(n * n, f"a {n}-vertex product adjacency")
+    a = np.ones((1, 1), dtype=bool)
+    for f in factors:
+        a = np.kron(a, f.adj | np.eye(f.n, dtype=bool))
     np.fill_diagonal(a, False)
-    gname, hname = g.meta.name, h.meta.name
-    name = f"{gname}*{hname}" if gname and hname else ""
-    return Graph(a, GraphMeta(name=name))
+    names = [f.meta.name for f in factors]
+    return Graph._derived(a, GraphMeta(name="*".join(names) if all(names) else ""))
 
 
-def strong_power(g: Graph, k: int, cap: int = PRODUCT_VERTEX_CAP) -> Graph:
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if g.n ** k > cap:
-        raise ValueError(f"power order {g.n ** k} exceeds cap {cap}")
-    out = g
-    for _ in range(k - 1):
-        out = strong_product(out, g, cap)
+def strong_power(g: Graph, k: int) -> Graph:
+    """k-fold strong product of g with itself (k >= 1), named "<name>^k"."""
     name = g.meta.name
-    return out.with_meta(name=f"{name}^{k}" if name else "")
-
-
-def product_order(ns) -> int:
-    return math.prod(ns)
+    return strong_product(*[g] * k).with_meta(name=f"{name}^{k}" if name else "")
 
 
 def product_degree(ds) -> int:
@@ -52,8 +46,7 @@ def product_degree(ds) -> int:
     return math.prod(d + 1 for d in ds) - 1
 
 
-def product_spectrum(spectra, cap: int = SPECTRUM_COMBO_CAP,
-                     rtol: float = 1e-6) -> Spectrum:
+def product_spectrum(spectra, rtol: float = 1e-6) -> Spectrum:
     """Spectrum of a strong product from factor spectra, group-wise.
 
     Every eigenvalue of the product is prod(1+v_l) - 1 for one choice of
@@ -65,8 +58,7 @@ def product_spectrum(spectra, cap: int = SPECTRUM_COMBO_CAP,
         raise ValueError("need at least one factor")
     group_lists = [s.groups for s in spectra]
     combos = math.prod(len(gl) for gl in group_lists)
-    if combos > cap:
-        raise ValueError(f"{combos} group combinations exceed cap {cap}")
+    check_budget(combos * COMBO_BYTES, f"{combos} group combinations")
     out = []
     for choice in iproduct(*group_lists):
         v = 1.0
@@ -78,8 +70,7 @@ def product_spectrum(spectra, cap: int = SPECTRUM_COMBO_CAP,
     return spectrum_from_groups(out, rtol)
 
 
-def power_spectrum(s: Spectrum, k: int, cap: int = SPECTRUM_COMBO_CAP,
-                   rtol: float = 1e-6) -> Spectrum:
+def power_spectrum(s: Spectrum, k: int, rtol: float = 1e-6) -> Spectrum:
     """Spectrum of the k-th strong power via multisets of factor groups.
 
     The g^k ordered group choices collapse to multisets with multinomial
@@ -89,20 +80,14 @@ def power_spectrum(s: Spectrum, k: int, cap: int = SPECTRUM_COMBO_CAP,
         raise ValueError("need k >= 1")
     groups = s.groups
     count = math.comb(len(groups) + k - 1, k)
-    if count > cap:
-        raise ValueError(f"{count} multisets exceed cap {cap}")
+    check_budget(count * COMBO_BYTES, f"{count} group multisets")
     out = []
     for combo in combinations_with_replacement(range(len(groups)), k):
-        v = 1.0
-        m = 1
-        coeff = math.factorial(k)
-        seen: dict[int, int] = {}
+        v, m = 1.0, math.factorial(k)
         for idx in combo:
-            value, mult = groups[idx]
-            v *= 1.0 + value
-            m *= mult
-            seen[idx] = seen.get(idx, 0) + 1
-        for c in seen.values():
-            coeff //= math.factorial(c)
-        out.append((v - 1.0, m * coeff))
+            v *= 1.0 + groups[idx][0]
+            m *= groups[idx][1]
+        for c in Counter(combo).values():
+            m //= math.factorial(c)
+        out.append((v - 1.0, m))
     return spectrum_from_groups(out, rtol)

@@ -8,9 +8,10 @@ from typing import Optional
 
 import numpy as np
 
+from .graphs import check_budget
+
 # perfbench's environment report reads this; there is no jit path.
 _HAVE_NUMBA = False
-MATERIALIZE_CAP = 1_000_000
 
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -31,9 +32,9 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Eigenvalue groups (value, multiplicity) in descending value order.
 
-    `values` is the fully expanded descending array when total multiplicity
-    is small enough to materialize; spectra of huge strong powers keep it
-    None and expose everything through the groups.
+    `values` is the descending array of an eigensolved spectrum. Spectra
+    built from groups (products, powers, complements) keep it None, and
+    `expanded()` builds theirs on request, within the dense byte budget.
     """
 
     groups: tuple  # ((value, multiplicity), ...)
@@ -47,8 +48,7 @@ class Spectrum:
     def expanded(self) -> np.ndarray:
         if self.values is not None:
             return self.values
-        if self.n > MATERIALIZE_CAP:
-            raise ValueError("spectrum too large to materialize")
+        check_budget(8 * self.n, "the expanded spectrum")
         return np.repeat([v for v, _ in self.groups], [m for _, m in self.groups])
 
     def largest(self) -> float:
@@ -102,7 +102,7 @@ def spectrum_from_values(values, rtol: float = 1e-6) -> Spectrum:
 
 def spectrum_from_groups(groups, rtol: float = 1e-6) -> Spectrum:
     """Build a spectrum from unsorted (value, multiplicity) pairs, merging
-    values that agree to tolerance; expanded values only when small."""
+    values that agree to tolerance."""
     pairs = sorted(((float(v), int(m)) for v, m in groups), reverse=True)
     if not pairs:
         raise ValueError("no groups")
@@ -115,20 +115,22 @@ def spectrum_from_groups(groups, rtol: float = 1e-6) -> Spectrum:
             merged[-1][1] = tot
         else:
             merged.append([v, m])
-    out = tuple((v, m) for v, m in merged)
-    total = sum(m for _, m in out)
-    values = None
-    if total <= MATERIALIZE_CAP:
-        values = np.repeat([v for v, _ in out], [m for _, m in out]).astype(np.float64)
-        values.setflags(write=False)
-    return Spectrum(out, rtol, values)
+    return Spectrum(tuple((v, m) for v, m in merged), rtol)
+
+
+def eigensolve_bytes(n: int) -> int:
+    """Peak bytes of `eigenvalues` on n vertices: tracemalloc read 4.1
+    n-by-n float64 arrays (n = 500-2000)."""
+    return 33 * n * n
 
 
 def eigenvalues(g, rtol: float = 1e-6) -> Spectrum:
     """Adjacency spectrum of a graph, descending, with multiplicity groups.
 
-    Computed once per graph and grouping tolerance, then reused.
+    Computed once per graph and grouping tolerance, then reused; refused
+    (ValueError) when its `eigensolve_bytes` exceed the dense budget.
     """
+    check_budget(eigensolve_bytes(g.n), f"an eigensolve on {g.n} vertices")
     return g._cached(("eigenvalues", rtol), lambda: spectrum_from_values(
         jacobi_eigenvalues(g.adj.astype(np.float64)), rtol))
 

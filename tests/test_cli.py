@@ -4,6 +4,7 @@ bundled reproduction suite."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,22 @@ def test_power_table_with_materialize(capsys):
         assert r["eig2_lower"] <= r["lambda2"] + 1e-9
         assert r["lambda_min"] <= r["eigmin_upper"] + 1e-9
     assert rows[0]["is_ramanujan"] is True
+
+
+def test_materialize_stops_at_the_eigensolve_budget(capsys):
+    # Petersen^4 has 10^4 vertices: its adjacency fits the byte budget,
+    # but its ~3.3 GB eigensolve does not, so row 4 carries no dense values
+    t0 = time.perf_counter()
+    rc, out, _ = run(["power", "--gen", "petersen", "-k", "4",
+                      "--materialize", "--json"], capsys)
+    assert time.perf_counter() - t0 < 30.0
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    for r in rows[:3]:
+        assert r["lambda2"] == pytest.approx(r["lambda2_dense"], abs=1e-6)
+        assert r["lambda_min"] == pytest.approx(r["lambda_min_dense"], abs=1e-6)
+    assert rows[3]["k"] == 4
+    assert "lambda2_dense" not in rows[3] and "lambda_min_dense" not in rows[3]
 
 
 def test_power_trivial_and_input_gate(capsys):

@@ -33,6 +33,7 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
+from thetakit.products import strong_power
 from thetakit.theta import theta_best, theta_exact
 
 
@@ -196,6 +197,16 @@ def test_capacity_certificate_stops_at_theta():
     assert cert.alpha_result.value == cert.alpha == 21
 
 
+def test_timed_out_interval_ends_at_the_target():
+    # alpha(C7^3) = 33 is out of reach of a short search; the colouring
+    # bound at the root is 64, but floor(theta(C7)^3) = 36 is proven
+    th = theta_exact(cycle(7)) ** 3
+    cert = capacity_certificate(strong_power(cycle(7), 3), th, budget=0.5)
+    res = cert.alpha_result
+    assert res.status == "timeout"
+    assert res.lower <= res.upper <= 36
+
+
 def gnp(n, p, seed):
     a = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
     return Graph(a | a.T)
@@ -264,4 +275,4 @@ def test_capacity_power_lb_pentagon():
 
 def test_capacity_power_lb_cap():
     with pytest.raises(ValueError):
-        capacity_power_lb(petersen(), 5)       # 10^5 exceeds the cap
+        capacity_power_lb(petersen(), 5)       # a 10^5-vertex adjacency is over the byte budget

@@ -21,6 +21,7 @@ from thetakit.graphs import (
     shrikhande,
 )
 from thetakit.iso import are_isomorphic, is_self_complementary
+from thetakit.products import strong_power, strong_product
 from thetakit.srg import srg_check
 
 
@@ -154,6 +155,23 @@ def test_graph_is_immutable():
     with pytest.raises(AttributeError):
         g.n = 7
     assert not g.adj.flags.writeable
+
+
+def test_derived_graphs_are_valid_and_frozen():
+    g = random_regular(9, 4, seed=3)
+    derived = [g.with_meta(name="x"), g.complement(), g.relabel(np.arange(9)[::-1]),
+               g.subgraph([0, 2, 2, 5]), strong_product(g, path(3)),
+               strong_power(cycle(4), 3)]
+    for h in derived:
+        assert h.adj.dtype == bool and not h.adj.flags.writeable
+        assert np.array_equal(h.adj, h.adj.T)
+        assert not h.adj.diagonal().any()
+    assert derived[0].adj is g.adj          # with_meta shares, never copies
+    # checks on outside input stay
+    with pytest.raises(ValueError):
+        Graph(np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError):
+        Graph(np.eye(2))
 
 
 def test_with_meta():

@@ -1,16 +1,23 @@
 """Strong products: adjacency identity and analytic spectra vs. dense oracles."""
 
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thetakit.graphs import Graph, complete, cycle, empty, path, petersen, random_regular
+from thetakit.graphs import (
+    Graph,
+    complete,
+    cycle,
+    empty,
+    path,
+    petersen,
+    random_regular,
+    within_budget,
+)
 from thetakit.products import (
-    PRODUCT_VERTEX_CAP,
     power_spectrum,
     product_degree,
-    product_order,
     product_spectrum,
     strong_power,
     strong_product,
@@ -49,12 +56,36 @@ def test_strong_power():
     with pytest.raises(ValueError):
         strong_power(g, 0)
     with pytest.raises(ValueError):
-        strong_power(g, 7)   # 5^7 blows the vertex cap
-    assert 5 ** 7 > PRODUCT_VERTEX_CAP
+        strong_power(g, 7)   # a 5^7-vertex adjacency is over the byte budget
+    assert not within_budget((5 ** 7) ** 2)
+
+
+def test_three_factor_product_is_one_kron():
+    f = [cycle(5), path(3), petersen()]
+    eye = [x.adj | np.eye(x.n, dtype=bool) for x in f]
+    want = np.kron(np.kron(eye[0], eye[1]), eye[2])
+    np.fill_diagonal(want, False)
+    p = strong_product(*f)
+    assert np.array_equal(p.adj, want)
+    assert p.meta.name == "C5*P3*petersen"
+    assert strong_product(cycle(5), Graph(np.zeros((2, 2), dtype=bool))).meta.name == ""
+    with pytest.raises(ValueError):
+        strong_product()
+
+
+def test_strong_power_matches_iterated_pairwise_product():
+    for g in (cycle(5), path(3), random_regular(6, 3, seed=1)):
+        pairwise = g
+        for k in range(1, 5):
+            if k > 1:
+                pairwise = strong_product(pairwise, g)
+            p = strong_power(g, k)
+            assert np.array_equal(p.adj, pairwise.adj)
+            name = g.meta.name
+            assert p.meta.name == (f"{name}^{k}" if name else "")
 
 
 def test_order_and_degree_helpers():
-    assert product_order([5, 5, 5]) == 125
     assert product_degree([2, 2, 2]) == 26
     assert strong_power(cycle(5), 3).degree() == product_degree([2, 2, 2])
 
@@ -97,7 +128,7 @@ def test_power_spectrum_handles_huge_powers():
 def test_spectrum_caps():
     s = eigenvalues(random_regular(20, 5, seed=4))  # ~20 distinct values
     with pytest.raises(ValueError):
-        product_spectrum([s] * 6, cap=10 ** 6)
+        product_spectrum([s] * 6)         # 20^6 combinations
     with pytest.raises(ValueError):
         power_spectrum(s, 0)
     with pytest.raises(ValueError):
@@ -107,3 +138,30 @@ def test_spectrum_caps():
 def test_product_cap():
     with pytest.raises(ValueError):
         strong_product(complete(200), complete(200))
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of fn(), which must raise the budget's ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_refuses_before_allocating():
+    k200, e4000 = complete(200), empty(4000)
+    s = eigenvalues(random_regular(20, 5, seed=4))
+    huge = power_spectrum(eigenvalues(petersen()), 40)
+    for fn in (lambda: strong_product(k200, k200),   # 1.6 GB adjacency
+               lambda: eigenvalues(e4000),           # ~530 MB eigensolve
+               lambda: power_spectrum(s, 8),         # 2.2e6 multisets
+               huge.expanded):                       # 10^40 values
+        assert _peak_bytes(fn) < 1 << 20
+
+
+def test_budget_admits_the_largest_old_product():
+    assert within_budget(20000 ** 2)
+    assert not within_budget(20001 ** 2)
