@@ -19,6 +19,8 @@ from fractions import Fraction
 from . import catalog
 from .bounds import (
     alon_boppana,
+    chromatic_lb_regular,
+    chromatic_lb_strong_product,
     haemers_clique_upper,
     make_report,
     non_ramanujan_k0,
@@ -29,8 +31,8 @@ from .bounds import (
 from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
 from .graphs import Graph, within_budget
 from .io import read_edge_list, read_graph6
-from .products import power_spectrum, strong_power
-from .spectra import eigensolve_bytes, eigenvalues, ramanujan_verdict_from_values
+from .products import power_spectrum, product_degree, strong_power
+from .spectra import eigensolve_bytes, eigenvalues, is_ramanujan, ramanujan_verdict_from_values
 from .srg import srg_check, srg_params_feasible
 from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
 
@@ -188,7 +190,7 @@ def _task_ramanujan(g, _args):
         return {"applicable": False, "reason": "degree < 2"}, []
     if not g.is_connected():
         return {"applicable": False, "reason": "graph is disconnected"}, []
-    v = ramanujan_verdict_from_values(eigenvalues(g), d)
+    v = is_ramanujan(g)
     return {
         "applicable": True,
         "is_ramanujan": v.is_ramanujan,
@@ -226,7 +228,7 @@ def _task_product_bounds(g, args):
     out = {
         "k": k,
         "product_order": n ** k,
-        "product_degree": (1 + d) ** k - 1,
+        "product_degree": product_degree([d] * k),
         "lambda2": l2p,
         "lambda_min": lminp,
         "theta_factor": float(est.value),
@@ -244,13 +246,14 @@ def _task_chromatic_bounds(g, args):
     out["wei_independence_lower"] = alpha_lb
     out["wei_clique_lower"] = omega_lb
     if est.value is not None and est.value > 0:
-        t = float(est.value)
-        out["chi_lower_from_theta"] = math.ceil(n / t - 1e-9)
-        out["chi_complement_lower_from_theta"] = math.ceil(t - 1e-9)
+        chi_lb, chi_complement_lb = chromatic_lb_strong_product(
+            [(n, float(est.value))])
+        out["chi_lower_from_theta"] = chi_lb
+        out["chi_complement_lower_from_theta"] = chi_complement_lb
     if g.is_regular() and 0 < g.degree() < n - 1:
         s = eigenvalues(g)
         d, l2, lmin = g.degree(), s.second_largest(), s.smallest()
-        out["chi_lower_regular"] = math.ceil(1.0 - d / lmin - 1e-9)
+        out["chi_lower_regular"] = chromatic_lb_regular([(n, d, lmin)])
         out["haemers_clique_upper"] = haemers_clique_upper(n, d, l2)
     p = srg_check(g)
     if p is not None:
@@ -327,11 +330,7 @@ def _violations(reports):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _load_source(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_source(args)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     bad = [t for t in tasks if t not in _TASK_FNS]
     if bad or not tasks:
@@ -358,11 +357,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_power(args) -> int:
-    try:
-        g = _load_source(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_source(args)
     if not g.is_regular():
         print("error: power tables need a regular graph", file=sys.stderr)
         return EXIT_INPUT
@@ -383,7 +378,7 @@ def cmd_power(args) -> int:
     all_reports = []
     for k in range(1, args.k + 1):
         ps = power_spectrum(s, k)
-        dk = (1 + d) ** k - 1
+        dk = product_degree([d] * k)
         row = {
             "k": k,
             "order": n ** k,
@@ -644,7 +639,12 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         ap.print_help()
         return EXIT_INPUT
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, KeyError) as exc:
+        # bad input, or a dense allocation refused by the byte budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

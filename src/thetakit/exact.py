@@ -9,6 +9,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graphs import Graph
 from .products import strong_power
 
@@ -49,33 +51,36 @@ class _Budget:
         return time.monotonic() - self.start
 
 
-def _degeneracy_order(adj_masks, n):
-    """Vertex elimination order by repeatedly removing a minimum-degree vertex."""
-    remaining = (1 << n) - 1
-    deg = [bin(adj_masks[v]).count("1") for v in range(n)]
+def _pack(adj):
+    """Row bitsets of a bool matrix: bit j of entry i is adj[i, j]."""
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+
+
+def _degeneracy_order(adj):
+    """Vertex elimination order of a bool adjacency: repeatedly remove a
+    vertex of minimum degree among those left, the lowest index on ties."""
+    n = len(adj)
+    deg = adj.sum(axis=1)
     order = []
-    alive = [True] * n
     for _ in range(n):
-        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
+        v = int(np.argmin(deg))
         order.append(v)
-        alive[v] = False
-        remaining &= ~(1 << v)
-        m = adj_masks[v] & remaining
-        while m:
-            w = (m & -m).bit_length() - 1
-            deg[w] -= 1
-            m &= m - 1
+        deg -= adj[v]
+        # a removed vertex loses at most 1 per later removal, so it stays
+        # above the degrees of the vertices still left
+        deg[v] = n
     return order
 
 
 def _greedy_clique(adj_masks, n):
     """Deterministic greedy clique, used as the initial bound."""
     best: tuple = ()
-    for seed in sorted(range(n), key=lambda v: -bin(adj_masks[v]).count("1"))[:8]:
+    for seed in sorted(range(n), key=lambda v: -adj_masks[v].bit_count())[:8]:
         clique = [seed]
         cand = adj_masks[seed]
         while cand:
-            v = max(_bits(cand), key=lambda u: (bin(adj_masks[u] & cand).count("1"), -u))
+            v = max(_bits(cand), key=lambda u: ((adj_masks[u] & cand).bit_count(), -u))
             clique.append(v)
             cand &= adj_masks[v]
         if len(clique) > len(best):
@@ -90,30 +95,22 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _max_clique_masks(adj_masks, n, budget: _Budget, initial=(), target=None):
-    """Branch and bound maximum clique over bitset adjacency.
+def _max_clique_masks(adj, budget: _Budget, initial=(), target=None):
+    """Branch and bound maximum clique of a bool adjacency matrix.
 
+    The bitsets are relabelled in degeneracy order (better coloring order).
     Candidates are greedily colored at every node; branches whose clique
     size plus color bound cannot beat the incumbent are cut. A target is
     a proven upper bound on the clique number: the search ends, complete,
-    as soon as the incumbent reaches it. Returns (best clique tuple, root
-    upper bound, complete flag).
+    as soon as the incumbent reaches it. Returns (best clique, sorted, in
+    adj's labels as `initial` is, root upper bound, complete flag).
     """
+    n = len(adj)
     stop_at = n if target is None else target
-    order = _degeneracy_order(adj_masks, n)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # relabel so that low indices are removed first (better coloring order)
-    masks = [0] * n
-    for v in range(n):
-        m = adj_masks[v]
-        nm = 0
-        for w in _bits(m):
-            nm |= 1 << pos[w]
-        masks[pos[v]] = nm
+    order = _degeneracy_order(adj)
+    masks = _pack(adj[np.ix_(order, order)])
     best_size = len(initial)
-    best_clique = tuple(pos[v] for v in initial)
+    best_clique = tuple(initial)
     complete = True
 
     def color_bound(cand):
@@ -147,7 +144,7 @@ def _max_clique_masks(adj_masks, n, budget: _Budget, initial=(), target=None):
             new_cand = cand & masks[v]
             if size + 1 > best_size:
                 best_size = size + 1
-                best_clique = tuple(_bits(new_mask))
+                best_clique = tuple(order[w] for w in _bits(new_mask))
                 if best_size >= stop_at:
                     return
             if new_cand:
@@ -161,20 +158,7 @@ def _max_clique_masks(adj_masks, n, budget: _Budget, initial=(), target=None):
     root_bound = max(root_bounds) if root_bounds else 0
     if best_size < stop_at:
         expand(0, 0, full)
-    inv = [0] * n
-    for v in range(n):
-        inv[pos[v]] = v
-    clique = tuple(sorted(inv[v] for v in best_clique))
-    return clique, root_bound, complete
-
-
-def _adj_masks(g: Graph):
-    n = g.n
-    masks = [0] * n
-    for u, v in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    return tuple(sorted(best_clique)), root_bound, complete
 
 
 def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
@@ -190,10 +174,8 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
-    masks = _adj_masks(g)
-    initial = _greedy_clique(masks, n)
-    clique, root_bound, complete = _max_clique_masks(masks, n, b, initial,
-                                                     target)
+    initial = _greedy_clique(_pack(g.adj), n)
+    clique, root_bound, complete = _max_clique_masks(g.adj, b, initial, target)
     size = len(clique)
     if complete:
         return SolveResult(size, size, size, clique, "exact", b.elapsed())
@@ -218,11 +200,11 @@ def _dsatur_greedy(masks, n):
     """Greedy DSATUR coloring; returns (color count, coloring list)."""
     colors = [-1] * n
     neighbor_colors = [0] * n
-    degs = [bin(m).count("1") for m in masks]
+    degs = [m.bit_count() for m in masks]
     used = 0
     for _ in range(n):
         v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (bin(neighbor_colors[u]).count("1"), degs[u], -u))
+                key=lambda u: (neighbor_colors[u].bit_count(), degs[u], -u))
         forbid = neighbor_colors[v]
         c = 0
         while forbid & (1 << c):
@@ -241,7 +223,7 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
     """
     colors = [-1] * n
     neighbor_colors = [0] * n
-    degs = [bin(m).count("1") for m in masks]
+    degs = [m.bit_count() for m in masks]
     # pre-color a clique: its vertices must all differ anyway
     if len(clique_seed) > k:
         return False, None
@@ -257,7 +239,7 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         for u in range(n):
             if colors[u] >= 0:
                 continue
-            key = (-bin(neighbor_colors[u] & full).count("1"), -degs[u], u)
+            key = (-(neighbor_colors[u] & full).bit_count(), -degs[u], u)
             if best_key is None or key < best_key:
                 best_key = key
                 best_v = u
@@ -287,18 +269,14 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
                     touched.append(w)
                     if neighbor_colors[w] & full == full:
                         dead = True
-            if not dead:
-                res = solve(remaining - 1, max(max_used, c + 1))
-                if res:
-                    return True
-                if res is None:
-                    colors[v] = -1
-                    for w in touched:
-                        neighbor_colors[w] &= ~(1 << c)
-                    return None
+            res = False if dead else solve(remaining - 1, max(max_used, c + 1))
+            if res:
+                return True
             colors[v] = -1
             for w in touched:
                 neighbor_colors[w] &= ~(1 << c)
+            if res is None:
+                return None
         return False
 
     res = solve(n - len(clique_seed), max_used)
@@ -322,7 +300,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
-    masks = _adj_masks(g)
+    masks = _pack(g.adj)
     if not any(masks):
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
     ub, greedy_cols = _dsatur_greedy(masks, n)
@@ -333,9 +311,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     clique_budget = min(5.0, budget / 4.0)
     cb = _Budget(clique_budget)
     initial = _greedy_clique(masks, n)
-    clique, _, complete = _max_clique_masks(masks, n, cb, initial)
-    if not complete and len(initial) > len(clique):
-        clique = initial
+    clique, _, _ = _max_clique_masks(g.adj, cb, initial)
     k = max(len(clique), lower)
     while k < ub:
         verdict, cols = _k_colorable(masks, n, k, b, clique)

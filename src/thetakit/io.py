@@ -43,47 +43,33 @@ def _decode_n(data: bytes) -> tuple[int, int]:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode in graph6: size prefix then the upper triangle packed 6 bits per byte."""
-    n = g.n
-    out = bytearray(_encode_n(n))
-    bits = []
-    for j in range(1, n):
-        bits.extend(g.adj[:j, j].tolist())
-    acc = 0
-    k = 0
-    for b in bits:
-        acc = (acc << 1) | int(b)
-        k += 1
-        if k == 6:
-            out.append(acc + 63)
-            acc = k = 0
-    if k:
-        out.append((acc << (6 - k)) + 63)
-    return out.decode("ascii")
+    """Encode in graph6: size prefix then the upper triangle, column by
+    column (the lower triangle row by row), packed 6 bits per byte."""
+    bits = g.adj[np.tril_indices(g.n, -1)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
+    return (_encode_n(g.n) + body.tobytes()).decode("ascii")
 
 
 def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
+    """Decode one graph6 string (optional ">>graph6<<" header); bytes past
+    the body are ignored. Raises ValueError on a short body or a byte
+    outside 63..126, before allocating the adjacency."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     data = s.encode("ascii")
     n, used = _decode_n(data)
-    body = data[used:]
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
+    if len(data) - used < need:
         raise ValueError("graph6 body too short")
-    if any(b < 63 or b > 126 for b in body[:need]):
+    body = np.frombuffer(data, dtype=np.uint8, count=need, offset=used)
+    if ((body < 63) | (body > 126)).any():
         raise ValueError("invalid graph6 byte")
-    bits = np.zeros(need * 6, dtype=bool)
-    for i, b in enumerate(body[:need]):
-        v = b - 63
-        for k in range(6):
-            bits[6 * i + k] = (v >> (5 - k)) & 1
+    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
     a = np.zeros((n, n), dtype=bool)
-    pos = 0
-    for j in range(1, n):
-        a[:j, j] = bits[pos:pos + j]
-        pos += j
+    a[np.tril_indices(n, -1)] = bits[:m]
     a |= a.T
     return Graph(a, meta)
 

@@ -145,7 +145,7 @@ def test_power_table_with_materialize(capsys):
 
 def test_materialize_stops_at_the_eigensolve_budget(capsys):
     # Petersen^4 has 10^4 vertices: its adjacency fits the byte budget,
-    # but its ~3.3 GB eigensolve does not, so row 4 carries no dense values
+    # but its ~2.8 GB eigensolve does not, so row 4 carries no dense values
     t0 = time.perf_counter()
     rc, out, _ = run(["power", "--gen", "petersen", "-k", "4",
                       "--materialize", "--json"], capsys)
@@ -157,6 +157,41 @@ def test_materialize_stops_at_the_eigensolve_budget(capsys):
         assert r["lambda_min"] == pytest.approx(r["lambda_min_dense"], abs=1e-6)
     assert rows[3]["k"] == 4
     assert "lambda2_dense" not in rows[3] and "lambda_min_dense" not in rows[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--gen", "empty:6000", "--tasks", "spectrum"],
+    ["power", "--gen", "complete_bipartite:3000:3000", "-k", "2"],
+], ids=["analyze", "power"])
+def test_budget_refusal_inside_a_task_is_an_input_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "thetakit.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+NOT_APPLICABLE = [
+    ("path:5", "ramanujan", {"applicable": False,
+                             "reason": "graph is not regular"}),
+    ("path:5", "product-bounds", {"applicable": False,
+                                  "reason": "graph is not regular"}),
+    ("empty:5", "product-bounds", {"applicable": False,
+                                   "reason": "empty graph"}),
+    ("complete:5", "k0", {"applicable": False, "reason": "degenerate degree"}),
+    ("path:70", "capacity", {"status": "unknown-theta"}),
+    ("random_regular:70:3:1", "product-bounds",
+     {"applicable": False, "reason": "theta not determined for factor"}),
+]
+
+
+@pytest.mark.parametrize("spec,task,want", NOT_APPLICABLE,
+                         ids=[f"{t}-{s}" for s, t, _ in NOT_APPLICABLE])
+def test_task_not_applicable(spec, task, want, capsys):
+    rc, out, _ = run(["analyze", "--gen", spec, "--tasks", task, "--json"],
+                     capsys)
+    assert rc == 0
+    assert json.loads(out)["tasks"][task] == want
 
 
 def test_power_trivial_and_input_gate(capsys):

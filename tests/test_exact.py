@@ -212,6 +212,23 @@ def gnp(n, p, seed):
     return Graph(a | a.T)
 
 
+def naive_degeneracy_order(g):
+    left = set(range(g.n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (sum(g.adj[u, w] for w in left), u))
+        order.append(v)
+        left.remove(v)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_degeneracy_order_matches_naive_reference(seed):
+    # sparse graphs tie on degree often, so the lowest-index rule is exercised
+    g = gnp(5 + 4 * seed, (0.1, 0.3, 0.6)[seed % 3], seed)
+    assert exact._degeneracy_order(g.adj) == naive_degeneracy_order(g)
+
+
 @pytest.mark.parametrize("g,target", [(cycle(5), 2), (paley(29), 5)],
                          ids=["c5", "paley29"])
 def test_alpha_with_target_matches_untargeted(g, target):

@@ -1,11 +1,16 @@
 """graph6 and edge-list serialization, cross-checked against networkx."""
 
+import tracemalloc
+from importlib import resources
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from thetakit.catalog import fixture_names, load_fixture
 from thetakit.graphs import Graph, complete, cycle, empty, petersen
 from thetakit.io import (
+    _encode_n,
     from_graph6,
     read_edge_list,
     read_graph6,
@@ -53,10 +58,35 @@ def test_optional_header_accepted():
 def test_bad_input_rejected():
     with pytest.raises(ValueError):
         from_graph6("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too short"):
         from_graph6("D")          # n=5 needs body bytes
-    with pytest.raises(ValueError):
-        from_graph6("D\x1f\x1f")  # bytes below the graph6 range
+    # bytes below and above 63..126 that str.strip() does not remove
+    for bad in ("D!!", "D\x7f\x7f"):
+        with pytest.raises(ValueError, match="invalid graph6 byte"):
+            from_graph6(bad)
+    for truncated in ("~??", "~~???"):    # 4- and 8-byte size headers
+        with pytest.raises(ValueError, match="truncated"):
+            from_graph6(truncated)
+
+
+def test_huge_size_header_raises_before_allocating():
+    header = _encode_n(10 ** 6).decode()   # the 8-byte form
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too short"):
+            from_graph6(header)   # n = 10^6 and no body
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_fixtures_reencode_byte_for_byte():
+    names = fixture_names()
+    assert names
+    for name in names:
+        text = (resources.files("thetakit") / "fixtures" / f"{name}.g6").read_text()
+        assert to_graph6(load_fixture(name)) == text.strip()
 
 
 def test_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 spectrum grouping, complement spectra, and Ramanujan verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from thetakit.graphs import (
 from thetakit.spectra import (
     Spectrum,
     complement_spectrum,
+    eigensolve_bytes,
     eigenvalues,
     group_values,
     is_ramanujan,
@@ -79,6 +81,18 @@ def test_jacobi_rejects_bad_input():
         jacobi_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_eigensolve_peak_within_its_estimate():
+    # the budget check trusts eigensolve_bytes, so it must bound the peak
+    g = random_regular(1000, 4, 0)
+    tracemalloc.start()
+    try:
+        eigenvalues(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= eigensolve_bytes(g.n)
 
 
 def test_petersen_spectrum_groups():
