@@ -73,8 +73,7 @@ def _floor(x: float) -> int:
 # -- eigenvalue inequality and the derived sequence -------------------
 
 
-def eig_inequality_cor0(n: int, d: int, l2: float, lmin: float,
-                        tol: float = EQUALITY_TOL):
+def eig_inequality_cor0(n: int, d: int, l2: float, lmin: float):
     """Both directions of the spectral inequality tying lmin and l2 for a
     regular non-complete non-empty graph; equality holds exactly for
     strongly regular graphs.

@@ -59,7 +59,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+        return int(obj) if obj.denominator == 1 else _f(obj)
     if isinstance(obj, float):
         return _f(obj)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
@@ -101,13 +101,6 @@ def _load_source(args) -> Graph:
     raise ValueError("no graph source: use --gen, --g6, or --edges")
 
 
-def _num(x):
-    """Prefer exact ints in output when a value is integral."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
-    return x
-
-
 # -- analyze tasks ----------------------------------------------------
 
 
@@ -147,10 +140,10 @@ def _task_srg(g, _args):
     return out, []
 
 
-def _theta_payload(g, est):
+def _theta_payload(est):
     out = {"method": est.method}
     if est.value is not None:
-        out["theta"] = _num(est.exact) if est.exact is not None else est.value
+        out["theta"] = est.exact if est.exact is not None else est.value
     if est.bounds is not None:
         out["spectral_lower"] = est.bounds.lower
         out["spectral_upper"] = est.bounds.upper
@@ -159,7 +152,7 @@ def _theta_payload(g, est):
 
 def _task_theta(g, args):
     est = theta_best(g)
-    out = _theta_payload(g, est)
+    out = _theta_payload(est)
     reports = []
     if g.is_regular() and 0 < g.degree() < g.n - 1:
         s = eigenvalues(g)
@@ -178,7 +171,7 @@ def _task_theta(g, args):
                                        float(est.value) - 1e-6, b.upper, "<="))
     p = srg_check(g)
     if p is not None:
-        out["theta_complement"] = _num(theta_srg(p)[1])
+        out["theta_complement"] = theta_srg(p)[1]
     return out, reports
 
 

@@ -307,11 +307,8 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     best_cols = tuple(greedy_cols)
     if lower >= ub:
         return SolveResult(ub, ub, ub, best_cols, "exact", b.elapsed())
-    # exact clique seed when cheap, greedy otherwise
-    clique_budget = min(5.0, budget / 4.0)
-    cb = _Budget(clique_budget)
-    initial = _greedy_clique(masks, n)
-    clique, _, _ = _max_clique_masks(g.adj, cb, initial)
+    # exact clique seed when cheap, the best clique found otherwise
+    clique = clique_number(g, min(5.0, budget / 4.0)).witness
     k = max(len(clique), lower)
     while k < ub:
         verdict, cols = _k_colorable(masks, n, k, b, clique)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -20,6 +21,21 @@ def check_budget(nbytes: int, what: str) -> None:
     """Raise ValueError, before `what` is allocated, when it exceeds the budget."""
     if not within_budget(nbytes):
         raise ValueError(f"{what} exceeds the dense budget of {DENSE_BYTE_BUDGET} bytes")
+
+
+# Peak bytes per adjacency cell of building a graph on a new array: the
+# array, then `Graph()`'s symmetry check and its copy. tracemalloc read
+# 2.00-2.36 on generators and edge lists and 2.59-2.98 on graph6 decoding,
+# which also holds a triangle mask and the body's bits (n = 300 to 2000).
+BUILD_CELL_BYTES = 3
+
+
+def _adjacency(n: int, fill: bool = False) -> np.ndarray:
+    """A new n-by-n bool array of `fill` for a graph to be built on; refused
+    (ValueError) before allocating when BUILD_CELL_BYTES * n^2 exceeds the
+    dense budget."""
+    check_budget(BUILD_CELL_BYTES * n * n, f"a {n}-vertex adjacency")
+    return np.full((n, n), fill, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -87,7 +103,7 @@ class Graph:
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]],
                        meta: GraphMeta | None = None) -> "Graph":
-        a = np.zeros((n, n), dtype=bool)
+        a = _adjacency(n)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -173,15 +189,14 @@ class Graph:
 
 
 def complete(n: int) -> Graph:
-    a = np.ones((n, n), dtype=bool)
+    a = _adjacency(n, True)
     np.fill_diagonal(a, False)
     return Graph(a, GraphMeta(name=f"K{n}", vertex_transitive=True,
                               edge_transitive=True))
 
 
 def empty(n: int) -> Graph:
-    return Graph(np.zeros((n, n), dtype=bool),
-                 GraphMeta(name=f"empty{n}", vertex_transitive=True))
+    return Graph(_adjacency(n), GraphMeta(name=f"empty{n}", vertex_transitive=True))
 
 
 def cycle(n: int) -> Graph:
@@ -200,7 +215,7 @@ def path(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     n = a + b
-    m = np.zeros((n, n), dtype=bool)
+    m = _adjacency(n)
     m[:a, a:] = True
     m[a:, :a] = True
     meta = GraphMeta(name=f"K{a},{b}", vertex_transitive=(a == b),
@@ -214,9 +229,9 @@ def kneser(m: int, r: int) -> Graph:
 
     if not 0 < r <= m:
         raise ValueError("need 0 < r <= m")
+    n = math.comb(m, r)
+    a = _adjacency(n)
     subsets = [frozenset(c) for c in combinations(range(m), r)]
-    n = len(subsets)
-    a = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
             if not subsets[i] & subsets[j]:
@@ -240,8 +255,8 @@ def paley(q: int) -> Graph:
         raise ValueError("need q = 1 (mod 4)")
     if any(q % p == 0 for p in range(2, int(q ** 0.5) + 1)):
         raise ValueError("q must be prime")
+    a = _adjacency(q)
     squares = {(x * x) % q for x in range(1, q)}
-    a = np.zeros((q, q), dtype=bool)
     for i in range(q):
         for j in range(i + 1, q):
             if (i - j) % q in squares:
@@ -253,7 +268,7 @@ def paley(q: int) -> Graph:
 def shrikhande() -> Graph:
     """16-vertex graph on Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}."""
     diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    a = np.zeros((16, 16), dtype=bool)
+    a = _adjacency(16)
     for x1 in range(4):
         for y1 in range(4):
             for x2 in range(4):
@@ -265,9 +280,12 @@ def shrikhande() -> Graph:
 
 def hypercube(k: int) -> Graph:
     n = 1 << k
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(k) if u < u ^ (1 << b)]
-    return Graph.from_edge_list(n, edges, GraphMeta(
-        name=f"Q{k}", vertex_transitive=True, edge_transitive=True))
+    a = _adjacency(n)
+    u = np.arange(n)
+    for b in range(k):
+        a[u, u ^ (1 << b)] = True
+    return Graph(a, GraphMeta(name=f"Q{k}", vertex_transitive=True,
+                              edge_transitive=True))
 
 
 def frucht() -> Graph:
@@ -283,7 +301,7 @@ def frucht() -> Graph:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     n = sum(g.n for g in graphs)
-    a = np.zeros((n, n), dtype=bool)
+    a = _adjacency(n)
     off = 0
     for g in graphs:
         a[off:off + g.n, off:off + g.n] = g.adj
@@ -306,6 +324,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if 2 * d > n - 1:
         sparse = random_regular(n, n - 1 - d, seed)
         return sparse.complement().with_meta(name=f"rr({n},{d},{seed})")
+    a = _adjacency(n)
     rng = np.random.default_rng(seed)
     for _ in range(100):
         stubs = np.repeat(np.arange(n), d)
@@ -313,8 +332,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         pairs = [(min(u, v), max(u, v))
                  for u, v in stubs.reshape(-1, 2).tolist()]
         if _repair_pairing(pairs, rng):
-            return Graph.from_edge_list(n, sorted(pairs),
-                                        GraphMeta(name=f"rr({n},{d},{seed})"))
+            for u, v in pairs:
+                a[u, v] = a[v, u] = True
+            return Graph(a, GraphMeta(name=f"rr({n},{d},{seed})"))
     raise RuntimeError("switching repair failed to produce a simple graph")
 
 
@@ -353,7 +373,7 @@ def self_complementary_extend(g: Graph) -> Graph:
     construction here and verified by isomorphism search in the tests.
     """
     n = g.n
-    a = np.zeros((n + 4, n + 4), dtype=bool)
+    a = _adjacency(n + 4)
     a[:n, :n] = g.adj
     v1, v2, v3, v4 = n, n + 1, n + 2, n + 3
     for u, v in [(v1, v2), (v2, v3), (v3, v4)]:

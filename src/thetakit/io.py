@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta
+from .graphs import Graph, GraphMeta, _adjacency
 
 _HEADER = ">>graph6<<"
 
@@ -26,26 +26,25 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     if not data:
         raise ValueError("empty graph6 string")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 size")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, 4
-    if len(data) < 8:
+        start, used = 0, 1
+    elif len(data) >= 2 and data[1] != 126:
+        start, used = 1, 4
+    else:
+        start, used = 2, 8
+    if len(data) < used:
         raise ValueError("truncated graph6 size")
     n = 0
-    for b in data[2:8]:
+    for b in data[start:used]:
+        if not 63 <= b <= 126:
+            raise ValueError("invalid graph6 byte")
         n = (n << 6) | (b - 63)
-    return n, 8
+    return n, used
 
 
 def to_graph6(g: Graph) -> str:
     """Encode in graph6: size prefix then the upper triangle, column by
     column (the lower triangle row by row), packed 6 bits per byte."""
-    bits = g.adj[np.tril_indices(g.n, -1)]
+    bits = g.adj[np.tri(g.n, k=-1, dtype=bool)]
     bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
     body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
     return (_encode_n(g.n) + body.tobytes()).decode("ascii")
@@ -54,7 +53,8 @@ def to_graph6(g: Graph) -> str:
 def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
     """Decode one graph6 string (optional ">>graph6<<" header); bytes past
     the body are ignored. Raises ValueError on a short body or a byte
-    outside 63..126, before allocating the adjacency."""
+    outside 63..126, and when the graph exceeds the dense budget, before
+    allocating the adjacency."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -67,9 +67,9 @@ def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
     body = np.frombuffer(data, dtype=np.uint8, count=need, offset=used)
     if ((body < 63) | (body > 126)).any():
         raise ValueError("invalid graph6 byte")
+    a = _adjacency(n)
     bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
-    a = np.zeros((n, n), dtype=bool)
-    a[np.tril_indices(n, -1)] = bits[:m]
+    a[np.tri(n, k=-1, dtype=bool)] = bits[:m]
     a |= a.T
     return Graph(a, meta)
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .graphs import check_budget
@@ -32,22 +30,18 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Eigenvalue groups (value, multiplicity) in descending value order.
 
-    `values` is the descending array of an eigensolved spectrum. Spectra
-    built from groups (products, powers, complements) keep it None, and
-    `expanded()` builds theirs on request, within the dense byte budget.
+    Every spectrum, eigensolved or built from groups (products, powers,
+    complements), is kept this way; `expanded()` builds the descending
+    value array on request, within the dense byte budget.
     """
 
     groups: tuple  # ((value, multiplicity), ...)
-    tol: float
-    values: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return sum(m for _, m in self.groups)
 
     def expanded(self) -> np.ndarray:
-        if self.values is not None:
-            return self.values
         check_budget(8 * self.n, "the expanded spectrum")
         return np.repeat([v for v, _ in self.groups], [m for _, m in self.groups])
 
@@ -95,9 +89,9 @@ def group_values(values, rtol: float = 1e-6) -> tuple:
 
 
 def spectrum_from_values(values, rtol: float = 1e-6) -> Spectrum:
-    vals = np.sort(np.asarray(values, dtype=np.float64))[::-1].copy()
-    vals.setflags(write=False)
-    return Spectrum(group_values(vals, rtol), rtol, vals)
+    """Sort values descending and group them with `group_values`."""
+    vals = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    return Spectrum(group_values(vals, rtol))
 
 
 def spectrum_from_groups(groups, rtol: float = 1e-6) -> Spectrum:
@@ -115,7 +109,7 @@ def spectrum_from_groups(groups, rtol: float = 1e-6) -> Spectrum:
             merged[-1][1] = tot
         else:
             merged.append([v, m])
-    return Spectrum(tuple((v, m) for v, m in merged), rtol)
+    return Spectrum(tuple((v, m) for v, m in merged))
 
 
 def eigensolve_bytes(n: int) -> int:
@@ -136,20 +130,6 @@ def eigenvalues(g, rtol: float = 1e-6) -> Spectrum:
         jacobi_eigenvalues(g.adj.astype(np.float64)), rtol))
 
 
-def lambda2(g) -> float:
-    s = eigenvalues(g)
-    if s.n < 2:
-        raise ValueError("need at least 2 vertices")
-    return float(s.values[1])
-
-
-def lambda_min(g) -> float:
-    s = eigenvalues(g)
-    if s.n < 1:
-        raise ValueError("empty graph")
-    return float(s.values[-1])
-
-
 def complement_spectrum(s: Spectrum, n: int, d: int) -> Spectrum:
     """Spectrum of the complement of a d-regular graph from the graph's own.
 
@@ -167,19 +147,16 @@ def complement_spectrum(s: Spectrum, n: int, d: int) -> Spectrum:
         first = False
         if m2:
             out.append((-1.0 - v, m2))
-    return spectrum_from_groups(out, s.tol)
+    return spectrum_from_groups(out)
 
 
-def lambda_nontrivial(values, d: float, rtol: float = 1e-6):
+def lambda_nontrivial(s: Spectrum, d: float, rtol: float = 1e-6):
     """max |eigenvalue| over eigenvalues different from d and -d.
 
     All copies of d are dropped (disconnected regular graphs repeat d) and
     all copies of -d (bipartite components). Raises if nothing remains.
     """
-    if isinstance(values, Spectrum):
-        vals = np.asarray([v for v, _ in values.groups])
-    else:
-        vals = np.asarray(values, dtype=np.float64)
+    vals = np.asarray([v for v, _ in s.groups])
     atol = rtol * max(1.0, abs(d))
     keep = (np.abs(vals - d) > atol) & (np.abs(vals + d) > atol)
     if not keep.any():
@@ -198,10 +175,10 @@ class RamanujanVerdict:
         return self.is_ramanujan
 
 
-def ramanujan_verdict_from_values(values, d: int) -> RamanujanVerdict:
+def ramanujan_verdict_from_values(s: Spectrum, d: int) -> RamanujanVerdict:
     if d < 2:
         raise ValueError("need degree >= 2")
-    lam = lambda_nontrivial(values, d)
+    lam = lambda_nontrivial(s, d)
     thr = 2.0 * math.sqrt(d - 1.0)
     return RamanujanVerdict(lam <= thr + 1e-9, lam, thr, thr - lam)
 

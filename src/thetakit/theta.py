@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,8 +20,6 @@ THETA_EXACT_DEFAULT_CAP = 64
 class ThetaBounds:
     lower: float
     upper: float
-    exact: Optional[float] = None
-    provenance: dict = field(default_factory=dict)
 
     def contains(self, value: float, tol: float = 1e-9) -> bool:
         return self.lower - tol <= value <= self.upper + tol
@@ -44,22 +42,14 @@ def theta_lower_regular(n: int, d: int, l2: float) -> float:
 
 
 def theta_bounds_regular(n: int, d: int, l2: float, lmin: float) -> ThetaBounds:
-    return ThetaBounds(
-        lower=theta_lower_regular(n, d, l2),
-        upper=theta_upper_regular(n, d, lmin),
-        provenance={"lower": "(n-d+l2)/(1+l2)", "upper": "-n*lmin/(d-lmin)"},
-    )
+    return ThetaBounds(theta_lower_regular(n, d, l2), theta_upper_regular(n, d, lmin))
 
 
 def theta_bounds_complement(n: int, d: int, l2: float, lmin: float) -> ThetaBounds:
     """Sandwich for the complement of a d-regular graph from the graph's spectrum."""
     if lmin >= 0:
         raise ValueError("need lmin < 0")
-    return ThetaBounds(
-        lower=1.0 - d / lmin,
-        upper=n * (1.0 + l2) / (n - d + l2),
-        provenance={"lower": "1-d/lmin", "upper": "n(1+l2)/(n-d+l2)"},
-    )
+    return ThetaBounds(1.0 - d / lmin, n * (1.0 + l2) / (n - d + l2))
 
 
 def theta_srg(p: SrgParams):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from thetakit import cli
+from thetakit import cli, graphs
 from thetakit.bounds import BoundReport, make_report
 from thetakit.graphs import petersen
 from thetakit.io import write_edge_list
@@ -169,6 +169,14 @@ def test_budget_refusal_inside_a_task_is_an_input_error(argv):
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_graph_construction_is_budgeted(capsys, monkeypatch):
+    # 3 * 200^2 bytes to build the graph, over a 10 000-byte budget
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 10_000)
+    rc, _, err = run(["analyze", "--gen", "empty:200", "--tasks", "srg"], capsys)
+    assert rc == 1
+    assert "error:" in err and "budget" in err
 
 
 NOT_APPLICABLE = [

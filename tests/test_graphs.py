@@ -1,8 +1,11 @@
 """Generators and the Graph container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from thetakit import graphs
 from thetakit.graphs import (
     Graph,
     complete,
@@ -92,6 +95,10 @@ def test_hypercube():
     assert q3.n == 8 and q3.degree() == 3 and q3.is_connected()
     vals = np.sort(np.linalg.eigvalsh(q3.adj.astype(float)))
     assert np.allclose(vals, [-3, -1, -1, -1, 1, 1, 1, 3], atol=1e-9)
+    # adjacent exactly when the labels differ in one bit
+    x = np.arange(32)[:, None] ^ np.arange(32)[None, :]
+    want = (x != 0) & (x & (x - 1) == 0)
+    assert np.array_equal(hypercube(5).adj, want)
 
 
 def test_frucht():
@@ -187,3 +194,42 @@ def test_self_complementary_extend():
         g = self_complementary_extend(g)
         assert is_self_complementary(g)
     assert g.n == 13
+
+
+# graphs of 200 to 256 vertices, built at a 10 000-byte dense budget
+BUILDERS = {
+    "empty": lambda: empty(200),
+    "complete": lambda: complete(200),
+    "cycle": lambda: cycle(200),
+    "path": lambda: path(200),
+    "complete_bipartite": lambda: complete_bipartite(100, 100),
+    "kneser": lambda: kneser(12, 3),
+    "paley": lambda: paley(101),
+    "hypercube": lambda: hypercube(8),
+    "random_regular": lambda: random_regular(200, 3, seed=0),
+    "from_edge_list": lambda: Graph.from_edge_list(200, [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_construction_is_refused_over_the_budget(build, monkeypatch):
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before the adjacency, the edges or the subsets exist
+    assert peak < 10_000
+
+
+def test_combinators_are_refused_over_the_budget(monkeypatch):
+    parts = [cycle(5)] * 30
+    sc = paley(97)
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 10_000)
+    with pytest.raises(ValueError, match="budget"):
+        disjoint_union(*parts)
+    with pytest.raises(ValueError, match="budget"):
+        self_complementary_extend(sc)

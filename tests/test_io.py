@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thetakit.catalog import fixture_names, load_fixture
-from thetakit.graphs import Graph, complete, cycle, empty, petersen
+from thetakit.graphs import BUILD_CELL_BYTES, Graph, complete, cycle, empty, petersen
 from thetakit.io import (
     _encode_n,
     from_graph6,
@@ -67,6 +67,10 @@ def test_bad_input_rejected():
     for truncated in ("~??", "~~???"):    # 4- and 8-byte size headers
         with pytest.raises(ValueError, match="truncated"):
             from_graph6(truncated)
+    # size bytes outside 63..126, in the 1-, 4- and 8-byte forms
+    for bad in ("!", "~!!!", "~~!!!!!!"):
+        with pytest.raises(ValueError, match="invalid graph6 byte"):
+            from_graph6(bad)
 
 
 def test_huge_size_header_raises_before_allocating():
@@ -79,6 +83,34 @@ def test_huge_size_header_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_encode_peak_has_no_index_arrays():
+    # a bool mask and the bits: 1.5 n^2 bytes (np.tril_indices read 9 n^2)
+    n = 1000
+    g = _random_graph(n, 0.5, 5)
+    _, peak = _peak(lambda: to_graph6(g))
+    assert peak < 2 * n * n
+
+
+def test_decode_peak_within_the_construction_estimate():
+    # 2.6 n^2 bytes here (np.tril_indices read 10.6 n^2)
+    n = 1000
+    g = _random_graph(n, 0.5, 6)
+    text = to_graph6(g)
+    h, peak = _peak(lambda: from_graph6(text))
+    assert h == g
+    assert peak < BUILD_CELL_BYTES * n * n
 
 
 def test_fixtures_reencode_byte_for_byte():

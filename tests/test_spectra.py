@@ -27,7 +27,6 @@ from thetakit.spectra import (
     group_values,
     is_ramanujan,
     jacobi_eigenvalues,
-    lambda_min,
     lambda_nontrivial,
     ramanujan_verdict_from_values,
     spectrum_from_groups,
@@ -148,12 +147,12 @@ def test_complement_spectrum_needs_matching_degree():
 
 
 def test_lambda_min_and_nontrivial():
-    assert lambda_min(petersen()) == pytest.approx(-2.0)
+    assert eigenvalues(petersen()).smallest() == pytest.approx(-2.0)
     # bipartite: both d and -d are trivial
     vals = eigenvalues(complete_bipartite(3, 3))
     assert lambda_nontrivial(vals, 3) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
-        lambda_nontrivial([2.0, -2.0], 2)
+        lambda_nontrivial(spectrum_from_values([2.0, -2.0]), 2)
 
 
 def test_ramanujan_verdicts():
