@@ -252,8 +252,11 @@ def _task_chromatic_bounds(g, args):
     if p is not None:
         out["chromatic_factor_srg"] = srg_chromatic_factor(p)
     if args.exact_chi:
+        alpha_upper = (math.floor(float(est.value) + 1e-6)
+                       if est.value is not None else None)
         res = chromatic_number(g, args.budget,
-                               lower=out.get("chi_lower_from_theta", 0))
+                               lower=out.get("chi_lower_from_theta", 0),
+                               alpha_upper=alpha_upper)
         out["chi"] = res.value
         out["chi_interval"] = [res.lower, res.upper]
         out["chi_status"] = res.status

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, within_budget
 from .products import strong_power
 
 DEFAULT_BUDGET = 60.0
@@ -95,6 +95,29 @@ def _bits(mask):
         mask &= mask - 1
 
 
+def _color_bound(masks, cand):
+    """Greedy coloring of the vertex bitset `cand` under the adjacency
+    bitsets `masks`, smallest index first into each color class. Returns
+    the vertices in coloring order and each one's color number: no clique
+    among a vertex and those before it has more vertices than its number.
+    """
+    order_out = []
+    bounds = []
+    color = 0
+    uncolored = cand
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~masks[v]
+            avail &= ~(1 << v)
+            uncolored &= ~(1 << v)
+            order_out.append(v)
+            bounds.append(color)
+    return order_out, bounds
+
+
 def _max_clique_masks(adj, budget: _Budget, initial=(), target=None):
     """Branch and bound maximum clique of a bool adjacency matrix.
 
@@ -113,29 +136,12 @@ def _max_clique_masks(adj, budget: _Budget, initial=(), target=None):
     best_clique = tuple(initial)
     complete = True
 
-    def color_bound(cand):
-        order_out = []
-        bounds = []
-        color = 0
-        uncolored = cand
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~masks[v]
-                avail &= ~(1 << v)
-                uncolored &= ~(1 << v)
-                order_out.append(v)
-                bounds.append(color)
-        return order_out, bounds
-
     def expand(size, mask, cand):
         nonlocal best_size, best_clique, complete
         if budget.check():
             complete = False
             return
-        order_out, bounds = color_bound(cand)
+        order_out, bounds = _color_bound(masks, cand)
         for i in range(len(order_out) - 1, -1, -1):
             if size + bounds[i] <= best_size:
                 return
@@ -154,7 +160,7 @@ def _max_clique_masks(adj, budget: _Budget, initial=(), target=None):
             cand &= ~(1 << v)
 
     full = (1 << n) - 1
-    _, root_bounds = color_bound(full)
+    _, root_bounds = _color_bound(masks, full)
     root_bound = max(root_bounds) if root_bounds else 0
     if best_size < stop_at:
         expand(0, 0, full)
@@ -285,8 +291,79 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
     return res, None
 
 
+def _cliques_of_size(adj, size, budget: _Budget):
+    """Every clique of exactly `size` vertices of a bool adjacency, as
+    bitsets in adj's labels; None once the budget expires or the list
+    would pass the dense byte budget.
+
+    The same branch and bound as `_max_clique_masks`, in degeneracy order,
+    but it cuts a branch only when its clique plus the color bound falls
+    short of `size`, and it lists every clique that reaches it.
+    """
+    order = _degeneracy_order(adj)
+    masks = _pack(adj[np.ix_(order, order)])
+    # an int of len(adj) bits plus its list slot
+    set_bytes = 40 + len(adj) // 7
+    found = []
+
+    def expand(depth, mask, cand):
+        if budget.check():
+            return False
+        order_out, bounds = _color_bound(masks, cand)
+        for i in range(len(order_out) - 1, -1, -1):
+            if depth + bounds[i] < size:
+                return True
+            v = order_out[i]
+            if depth + 1 == size:
+                found.append(mask | (1 << v))
+                if not within_budget(len(found) * set_bytes):
+                    return False
+            elif not expand(depth + 1, mask | (1 << v), cand & masks[v]):
+                return False
+            cand &= ~(1 << v)
+        return True
+
+    if not expand(0, 0, (1 << len(adj)) - 1):
+        return None
+    return [sum(1 << order[w] for w in _bits(m)) for m in found]
+
+
+def _exact_cover(sets, n, budget: _Budget):
+    """Algorithm X over bitsets: disjoint `sets` whose union is all n
+    vertices, branching on the uncovered vertex in the fewest sets that
+    are still disjoint from the chosen ones.
+
+    Returns (verdict, chosen sets or None); verdict None means the budget
+    expired, False that no such cover exists.
+    """
+    chosen = []
+
+    def solve(uncovered, live):
+        if budget.check():
+            return None
+        if not uncovered:
+            return True
+        counts = dict.fromkeys(_bits(uncovered), 0)
+        for s in live:
+            for v in _bits(s):
+                counts[v] += 1
+        bit = 1 << min(counts, key=counts.get)
+        for s in live:
+            if s & bit:
+                chosen.append(s)
+                res = solve(uncovered & ~s, [t for t in live if not t & s])
+                if res is not False:
+                    return res
+                chosen.pop()
+        return False
+
+    res = solve((1 << n) - 1, sets)
+    return res, (chosen if res else None)
+
+
 def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
-                     lower: int = 0) -> SolveResult:
+                     lower: int = 0,
+                     alpha_upper: Optional[int] = None) -> SolveResult:
     """Exact chromatic number: test k-colorability upward from the larger
     of a clique and `lower`, each test a DSATUR-ordered backtracking
     search; the DSATUR coloring is exact once the start reaches its size.
@@ -295,6 +372,13 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     instance ceil(n / theta)). A value above the true chromatic number
     skips the colorings that would refute it and yields a wrong "exact"
     answer.
+
+    `alpha_upper` must be a proven upper bound on the independence number
+    (for instance floor(theta)); a value below it yields a wrong "exact"
+    answer as well. When n = lower * alpha_upper, every color class of a
+    `lower`-coloring is an independent set of exactly alpha_upper vertices,
+    so k = lower is decided first as an exact cover of the vertices by
+    such sets: a cover is the coloring, and no cover refutes k.
     """
     n = g.n
     if n == 0:
@@ -305,6 +389,20 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
     ub, greedy_cols = _dsatur_greedy(masks, n)
     best_cols = tuple(greedy_cols)
+    if lower < ub and alpha_upper and n == lower * alpha_upper:
+        sets = _cliques_of_size(g.complement().adj, alpha_upper, b)
+        verdict, classes = (None, None) if sets is None else _exact_cover(sets, n, b)
+        if verdict is None:
+            return SolveResult(None, lower, ub, best_cols, "timeout",
+                               b.elapsed())
+        if verdict:
+            cols = [0] * n
+            for c, s in enumerate(classes):
+                for v in _bits(s):
+                    cols[v] = c
+            return SolveResult(lower, lower, lower, tuple(cols), "exact",
+                               b.elapsed())
+        lower += 1
     if lower >= ub:
         return SolveResult(ub, ub, ub, best_cols, "exact", b.elapsed())
     # exact clique seed when cheap, the best clique found otherwise

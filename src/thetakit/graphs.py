@@ -29,6 +29,11 @@ def check_budget(nbytes: int, what: str) -> None:
 # which also holds a triangle mask and the body's bits (n = 300 to 2000).
 BUILD_CELL_BYTES = 3
 
+# Peak bytes per pair of `random_regular`'s pairing: its list of tuples
+# and the repair's Counter, with the adjacency. tracemalloc read 215-226
+# at n = 1000 and 2000, d = 100 to n / 2.
+PAIRING_PAIR_BYTES = 220
+
 
 def _adjacency(n: int, fill: bool = False) -> np.ndarray:
     """A new n-by-n bool array of `fill` for a graph to be built on; refused
@@ -324,6 +329,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if 2 * d > n - 1:
         sparse = random_regular(n, n - 1 - d, seed)
         return sparse.complement().with_meta(name=f"rr({n},{d},{seed})")
+    pairs_count = n * d // 2
+    check_budget(PAIRING_PAIR_BYTES * pairs_count,
+                 f"a pairing of {pairs_count} vertex pairs")
     a = _adjacency(n)
     rng = np.random.default_rng(seed)
     for _ in range(100):

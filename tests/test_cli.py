@@ -269,6 +269,14 @@ def test_console_entry_smoke():
     assert any(e["name"] == "petersen" for e in doc["entries"])
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetakit", "--paper-examples"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "17/17 examples reproduced" in proc.stdout
+
+
 def test_theta_task_does_not_import_scipy():
     # frucht's theta comes from the optimizer, which needs only numpy
     code = ("import sys; from thetakit import cli; "

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from thetakit import exact
+from thetakit import exact, graphs
 from thetakit.catalog import load_fixture
 from thetakit.exact import (
     CapacityCertificate,
@@ -293,3 +293,144 @@ def test_capacity_power_lb_pentagon():
 def test_capacity_power_lb_cap():
     with pytest.raises(ValueError):
         capacity_power_lb(petersen(), 5)       # a 10^5-vertex adjacency is over the byte budget
+
+
+# -- chi by exact cover on theta-tight graphs --------------------------
+
+
+def theta_tight_bounds(g):
+    th = float(theta_best(g).value)
+    return math.ceil(g.n / th - 1e-9), math.floor(th + 1e-6)
+
+
+def assert_proper(g, coloring, k):
+    assert len(coloring) == g.n and len(set(coloring)) == k
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("search ran")
+
+
+def test_cover_decides_hall_janko(monkeypatch):
+    g = load_fixture("hall_janko")
+    lower, alpha_upper = theta_tight_bounds(g)
+    assert (lower, alpha_upper) == (10, 10)
+    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    monkeypatch.setattr(exact, "clique_number", no_search)
+    res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+    assert res.status == "exact" and res.value == 10
+    assert_proper(g, res.witness, res.value)
+    sizes = [res.witness.count(c) for c in range(10)]
+    assert sizes == [10] * 10
+
+
+def test_cover_refutes_kneser62(monkeypatch):
+    # theta = 5 and n = 15 = 3 * 5, but the only independent 5-sets are
+    # the six stars, and three disjoint stars cannot cover the 15 pairs
+    g = kneser(6, 2)
+    assert theta_tight_bounds(g) == (3, 5)
+    sets = exact._cliques_of_size(g.complement().adj, 5,
+                                  exact._Budget(60.0))
+    assert len(sets) == 6
+    assert exact._exact_cover(sets, g.n, exact._Budget(60.0)) == (False, None)
+    tried = []
+    k_colorable = exact._k_colorable
+
+    def spy(masks, n, k, budget, clique_seed):
+        tried.append(k)
+        return k_colorable(masks, n, k, budget, clique_seed)
+
+    monkeypatch.setattr(exact, "_k_colorable", spy)
+    res = chromatic_number(g, lower=3, alpha_upper=5)
+    assert res.status == "exact" and res.value == 4
+    assert 3 not in tried
+    assert_proper(g, res.witness, res.value)
+
+
+@pytest.mark.parametrize("name,chi", [("chang1", 7), ("chang2", 7),
+                                      ("chang3", 7), ("schlafli", 9)])
+def test_cover_on_fixtures(name, chi, monkeypatch):
+    g = load_fixture(name)
+    lower, alpha_upper = theta_tight_bounds(g)
+    assert g.n == lower * alpha_upper
+    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    monkeypatch.setattr(exact, "clique_number", no_search)
+    res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+    assert res.status == "exact" and res.value == chi
+    assert_proper(g, res.witness, res.value)
+
+
+def test_cover_stops_honestly_on_the_budget():
+    # n = 231 = 11 * 21, and listing the 21-cocliques is far out of reach
+    g = load_fixture("cameron")
+    assert theta_tight_bounds(g) == (11, 21)
+    res = chromatic_number(g, budget=0.5, lower=11, alpha_upper=21)
+    assert res.status == "timeout" and res.value is None
+    assert (res.lower, res.upper) == (11, 17)
+    assert res.elapsed < 2.0
+    assert_proper(g, res.witness, 17)
+
+
+def test_cover_sets_are_budgeted(monkeypatch):
+    # Hall-Janko's 280 independent 10-sets do not fit in 1000 bytes
+    g = load_fixture("hall_janko")
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 1000)
+    res = chromatic_number(g, lower=10, alpha_upper=10)
+    assert res.status == "timeout"
+    assert (res.lower, res.upper) == (10, 16)
+
+
+def test_no_alpha_upper_keeps_the_search(monkeypatch):
+    monkeypatch.setattr(exact, "_cliques_of_size", no_search)
+    res = chromatic_number(kneser(6, 2), lower=3)
+    assert res.status == "exact" and res.value == 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cliques_of_size_match_brute_force(seed):
+    g = gnp(12 + seed, (0.3, 0.5, 0.7)[seed % 3], seed)
+    for size in range(1, 6):
+        want = sorted(sum(1 << v for v in sub)
+                      for sub in itertools.combinations(range(g.n), size)
+                      if all(g.adj[u, v]
+                             for u, v in itertools.combinations(sub, 2)))
+        got = exact._cliques_of_size(g.adj, size, exact._Budget(60.0))
+        assert sorted(got) == want
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_cover_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    sets = sorted({int(rng.integers(1, 1 << n))
+                   for _ in range(int(rng.integers(3, 12)))})
+    full = (1 << n) - 1
+    covers = [sub for r in range(1, len(sets) + 1)
+              for sub in itertools.combinations(sets, r)
+              if sum(sub) == full
+              and all(not a & b for a, b in itertools.combinations(sub, 2))]
+    verdict, chosen = exact._exact_cover(sets, n, exact._Budget(60.0))
+    assert verdict == bool(covers)
+    if verdict:
+        assert sum(chosen) == full and len(set(chosen)) == len(chosen)
+        assert all(not a & b for a, b in itertools.combinations(chosen, 2))
+
+
+def test_cover_matches_the_search_on_random_graphs():
+    # every graph whose alpha divides n, with lower = n / alpha: the cover
+    # must agree with the backtracking search, refuted or not
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.choice([8, 9, 10, 12]))
+        g = gnp(n, float(rng.uniform(0.3, 0.8)), int(rng.integers(1 << 30)))
+        alpha = independence_number(g).value
+        if n % alpha:
+            continue
+        res = chromatic_number(g, lower=n // alpha, alpha_upper=alpha)
+        assert res.status == "exact"
+        assert res.value == chromatic_number(g).value
+        assert_proper(g, res.witness, res.value)
+        checked += 1
+    assert checked >= 50

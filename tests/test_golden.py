@@ -4,8 +4,11 @@ not strongly regular, and of two `power` tables (one with a dense
 `--materialize` cross-check) must stay byte-identical to the files under
 tests/golden/.
 
-The fixture runs exclude `capacity`, and no run uses `--exact-chi`: their
-output depends on search budgets and timing on graphs that large. The
+The fixture runs exclude `capacity` and `--exact-chi`: their output
+depends on search budgets and timing on graphs that large. One run adds
+`--exact-chi` on Hall-Janko alone: n = 100 = 10 * floor(theta), so
+chi = 10 is decided by an exact cover of the vertices by independent
+10-sets, in a fraction of a second at the default budget. The
 all-task runs on frucht and cycle:7 include `capacity`, whose exact
 searches finish on 12 and 7 vertices far inside the default budget. So
 does the `theta,capacity` run on the 231-vertex Cameron fixture: its first
@@ -38,6 +41,9 @@ CASES["analyze-cycle7-alltasks"] = [
     "analyze", "--gen", "cycle:7", "--json", "--tasks", ALL_TASKS]
 CASES["analyze-cameron-capacity"] = [
     "analyze", "--gen", "cameron", "--json", "--tasks", "theta,capacity"]
+CASES["analyze-hall_janko-chi"] = [
+    "analyze", "--gen", "hall_janko", "--tasks", "chromatic-bounds",
+    "--exact-chi", "--json"]
 CASES["power-petersen-k2-materialize"] = [
     "power", "--gen", "petersen", "-k", "2", "--materialize", "--json"]
 CASES["power-cycle5-k5"] = ["power", "--gen", "cycle:5", "-k", "5", "--json"]

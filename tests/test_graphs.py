@@ -233,3 +233,20 @@ def test_combinators_are_refused_over_the_budget(monkeypatch):
         disjoint_union(*parts)
     with pytest.raises(ValueError, match="budget"):
         self_complementary_extend(sc)
+
+
+@pytest.mark.parametrize("d", [99, 150], ids=["sparse-side", "complement-side"])
+def test_random_regular_pairing_is_refused_over_the_budget(d, monkeypatch):
+    # the 3 * 200^2-byte adjacency fits in 500 000 bytes, but a pairing of
+    # 9900 (d = 99) or 4900 (the complement's d = 49) pairs does not
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 500_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pairing.*budget"):
+            random_regular(200, d, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    # a sparse pairing on the same vertices still fits
+    assert random_regular(200, 3, seed=0).degree() == 3
