@@ -12,6 +12,7 @@ import numpy as np
 from .graphs import Graph
 from .spectra import complement_spectrum, eigenvalues, group_values
 from .srg import SrgParams
+from .theta import theta_srg
 
 EQUALITY_TOL = 1e-6
 
@@ -342,8 +343,7 @@ def srg_chromatic_factor(p: SrgParams) -> float:
     """The per-factor value 1 + 2d/(t+mu-lam) (theta of the complement)."""
     if not isinstance(p, SrgParams):
         p = SrgParams(*p)
-    t = math.sqrt(p.disc)
-    return 1.0 + 2.0 * p.d / (t + p.mu - p.lam)
+    return float(theta_srg(p)[1])
 
 
 # -- affine polar graph parameters ------------------------------------

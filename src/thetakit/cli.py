@@ -112,9 +112,10 @@ def _task_spectrum(g, _args):
         "regular": g.is_regular(),
         "connected": g.is_connected(),
         "eigenvalues": [{"value": v, "multiplicity": m} for v, m in s.groups],
-        "lambda_max": s.largest(),
-        "lambda_min": s.smallest(),
     }
+    if g.n >= 1:
+        out["lambda_max"] = s.largest()
+        out["lambda_min"] = s.smallest()
     if g.n >= 2:
         out["lambda2"] = s.second_largest()
     if g.is_regular():

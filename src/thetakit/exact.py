@@ -202,28 +202,12 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
 # -- chromatic number -------------------------------------------------
 
 
-def _dsatur_greedy(masks, n):
-    """Greedy DSATUR coloring; returns (color count, coloring list)."""
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    degs = [m.bit_count() for m in masks]
-    used = 0
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (neighbor_colors[u].bit_count(), degs[u], -u))
-        forbid = neighbor_colors[v]
-        c = 0
-        while forbid & (1 << c):
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-        for w in _bits(masks[v]):
-            neighbor_colors[w] |= 1 << c
-    return used, colors
-
-
 def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
     """Backtracking k-coloring in DSATUR order with symmetry breaking.
+
+    The search runs over an explicit stack, one frame per colored vertex,
+    so its depth is not limited. With k = n it never backtracks, and its
+    coloring is the greedy DSATUR coloring.
 
     Returns (verdict, coloring or None); verdict None means budget expired.
     """
@@ -251,44 +235,45 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
                 best_v = u
         return best_v
 
+    uncolored = n - len(clique_seed)
     max_used = len(clique_seed)
-
-    def solve(remaining, max_used):
-        if budget.check():
-            return None
-        if remaining == 0:
-            return True
-        v = pick()
+    stack = []  # (vertex, color, max_used before it, touched neighbors)
+    v = None    # None: pick the next vertex; else try v's colors from c on
+    while True:
+        if v is None:
+            if budget.check():
+                return None, None
+            if len(stack) == uncolored:
+                return True, list(colors)
+            v, c = pick(), 0
         forbid = neighbor_colors[v] & full
-        if forbid == full:
-            return False
         limit = min(k, max_used + 1)
-        for c in range(limit):
-            if forbid & (1 << c):
-                continue
+        while c < limit and forbid >> c & 1:
+            c += 1
+        if c < limit:
             colors[v] = c
+            bit = 1 << c
             touched = []
             dead = False
             for w in _bits(masks[v]):
-                if colors[w] < 0 and not neighbor_colors[w] & (1 << c):
-                    neighbor_colors[w] |= 1 << c
+                if colors[w] < 0 and not neighbor_colors[w] & bit:
+                    neighbor_colors[w] |= bit
                     touched.append(w)
                     if neighbor_colors[w] & full == full:
                         dead = True
-            res = False if dead else solve(remaining - 1, max(max_used, c + 1))
-            if res:
-                return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_colors[w] &= ~(1 << c)
-            if res is None:
-                return None
-        return False
-
-    res = solve(n - len(clique_seed), max_used)
-    if res:
-        return True, list(colors)
-    return res, None
+            stack.append((v, c, max_used, touched))
+            if not dead:
+                max_used = max(max_used, c + 1)
+                v = None
+                continue
+        elif not stack:
+            return False, None
+        # undo the newest color and try the next one for its vertex
+        v, c, max_used, touched = stack.pop()
+        colors[v] = -1
+        for w in touched:
+            neighbor_colors[w] &= ~(1 << c)
+        c += 1
 
 
 def _cliques_of_size(adj, size, budget: _Budget):
@@ -387,7 +372,9 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     masks = _pack(g.adj)
     if not any(masks):
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
-    ub, greedy_cols = _dsatur_greedy(masks, n)
+    # the k = n descent never backtracks, so it completes on any budget
+    _, greedy_cols = _k_colorable(masks, n, n, _Budget(math.inf), ())
+    ub = max(greedy_cols) + 1
     best_cols = tuple(greedy_cols)
     if lower < ub and alpha_upper and n == lower * alpha_upper:
         sets = _cliques_of_size(g.complement().adj, alpha_upper, b)

@@ -219,6 +219,8 @@ def path(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise ValueError("need a >= 0 and b >= 0")
     n = a + b
     m = _adjacency(n)
     m[:a, a:] = True

@@ -109,6 +109,8 @@ def test_exit_input_errors(capsys):
     rc, _, err = run(["analyze", "--gen", "petersen", "--tasks", "bogus"],
                      capsys)
     assert rc == 1 and "error:" in err
+    rc, _, err = run(["analyze", "--gen", "complete_bipartite:-1:3"], capsys)
+    assert rc == 1 and "error:" in err
     rc, _, err = run(["analyze"], capsys)
     assert rc == 1
     rc, _, err = run([], capsys)
@@ -169,6 +171,27 @@ def test_budget_refusal_inside_a_task_is_an_input_error(argv):
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["empty:0", "path:0"])
+def test_analyze_the_null_graph(spec):
+    # default tasks: the spectrum has no eigenvalues, so no extremes
+    proc = subprocess.run([sys.executable, "-m", "thetakit.cli", "analyze",
+                           "--gen", spec, "--json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    spectrum = json.loads(proc.stdout)["tasks"]["spectrum"]
+    assert spectrum["n"] == 0 and spectrum["eigenvalues"] == []
+    assert "lambda_max" not in spectrum
+
+
+def test_exact_chi_on_a_long_cycle(capsys):
+    # the coloring search is deeper than Python's recursion limit
+    rc, out, _ = run(["analyze", "--gen", "cycle:1201", "--tasks",
+                      "chromatic-bounds", "--exact-chi", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["tasks"]["chromatic-bounds"]["chi"] == 3
 
 
 def test_graph_construction_is_budgeted(capsys, monkeypatch):

@@ -229,6 +229,36 @@ def test_degeneracy_order_matches_naive_reference(seed):
     assert exact._degeneracy_order(g.adj) == naive_degeneracy_order(g)
 
 
+def naive_dsatur(g):
+    colors = [-1] * g.n
+    for _ in range(g.n):
+        def key(u):
+            seen = {colors[w] for w in range(g.n) if g.adj[u, w]} - {-1}
+            return (len(seen), int(g.adj[u].sum()), -u)
+        v = max((u for u in range(g.n) if colors[u] < 0), key=key)
+        taken = {colors[w] for w in range(g.n) if g.adj[v, w]}
+        colors[v] = min(c for c in range(g.n) if c not in taken)
+    return colors
+
+
+DSATUR_NAMED = [("petersen", petersen), ("frucht", frucht),
+                ("paley29", lambda: paley(29)),
+                ("m22", lambda: load_fixture("m22"))]
+
+
+@pytest.mark.parametrize(
+    "g", [gnp(6 + 3 * seed, (0.15, 0.4, 0.7)[seed % 3], seed)
+          for seed in range(12)] + [make() for _, make in DSATUR_NAMED],
+    ids=[f"gnp{seed}" for seed in range(12)] + [n for n, _ in DSATUR_NAMED])
+def test_greedy_descent_is_naive_dsatur(g):
+    # with k = n the backtracking search never backtracks: its first
+    # coloring is the DSATUR coloring
+    verdict, cols = exact._k_colorable(exact._pack(g.adj), g.n, g.n,
+                                       exact._Budget(math.inf), ())
+    assert verdict is True
+    assert cols == naive_dsatur(g)
+
+
 @pytest.mark.parametrize("g,target", [(cycle(5), 2), (paley(29), 5)],
                          ids=["c5", "paley29"])
 def test_alpha_with_target_matches_untargeted(g, target):
@@ -270,17 +300,40 @@ def test_chi_with_theta_lower_matches_unbounded(name, make):
     assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
 
 
+def only_greedy_descent(monkeypatch):
+    """Let `_k_colorable` run only with k = n, the greedy DSATUR descent:
+    any refutation search (k < n) fails the test."""
+    k_colorable = exact._k_colorable
+
+    def spy(masks, n, k, budget, clique_seed):
+        if k < n:
+            raise AssertionError("search ran")
+        return k_colorable(masks, n, k, budget, clique_seed)
+
+    monkeypatch.setattr(exact, "_k_colorable", spy)
+
+
 def test_chi_lower_at_dsatur_bound_skips_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("search ran")
 
-    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    only_greedy_descent(monkeypatch)
     monkeypatch.setattr(exact, "_max_clique_masks", no_search)
     # ceil(n / theta) = 3 on both, and DSATUR colors both with 3 colors
     for g in (petersen(), frucht()):
         res = chromatic_number(g, lower=3)
         assert res.status == "exact" and res.value == 3
         assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
+
+
+@pytest.mark.parametrize("g,budget", [(cycle(1201), 60.0),
+                                      (random_regular(1500, 4, 1), 5.0)],
+                         ids=["c1201", "rr1500"])
+def test_chi_search_depth_is_unlimited(g, budget):
+    # one search frame per colored vertex: deeper than Python's recursion limit
+    res = chromatic_number(g, budget)
+    assert res.status == "exact" and res.value == 3
+    assert_proper(g, res.witness, 3)
 
 
 def test_capacity_power_lb_pentagon():
@@ -316,7 +369,7 @@ def test_cover_decides_hall_janko(monkeypatch):
     g = load_fixture("hall_janko")
     lower, alpha_upper = theta_tight_bounds(g)
     assert (lower, alpha_upper) == (10, 10)
-    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    only_greedy_descent(monkeypatch)
     monkeypatch.setattr(exact, "clique_number", no_search)
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
     assert res.status == "exact" and res.value == 10
@@ -354,7 +407,7 @@ def test_cover_on_fixtures(name, chi, monkeypatch):
     g = load_fixture(name)
     lower, alpha_upper = theta_tight_bounds(g)
     assert g.n == lower * alpha_upper
-    monkeypatch.setattr(exact, "_k_colorable", no_search)
+    only_greedy_descent(monkeypatch)
     monkeypatch.setattr(exact, "clique_number", no_search)
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
     assert res.status == "exact" and res.value == chi
