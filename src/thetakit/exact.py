@@ -175,10 +175,25 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
     number: the search stops as soon as it finds a clique that large and
     reports it as exact, and a timed-out interval ends at most at it. A
     target below the true clique number therefore yields a wrong answer.
+
+    When g.meta.vertex_transitive is True, some maximum clique holds
+    vertex 0, so the search runs on the neighbourhood of vertex 0 only and
+    adds 0 back: the value and both ends of the interval are one more than
+    the neighbourhood's. The flag is asserted, not checked, exactly like
+    `target`: on a graph that is not vertex-transitive it yields a wrong
+    "exact" answer.
     """
     n = g.n
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
+    if g.meta.vertex_transitive:
+        nbrs = g.neighbors(0)
+        res = clique_number(g.subgraph(nbrs), budget,
+                            None if target is None else target - 1)
+        value = None if res.value is None else res.value + 1
+        witness = (0,) + tuple(int(nbrs[v]) for v in res.witness)
+        return SolveResult(value, res.lower + 1, res.upper + 1, witness,
+                           res.status, res.elapsed)
     b = _Budget(budget)
     initial = _greedy_clique(_pack(g.adj), n)
     clique, root_bound, complete = _max_clique_masks(g.adj, b, initial, target)
@@ -194,7 +209,10 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
     """Exact independence number: maximum clique of the complement.
 
     `target` must be a proven upper bound on the independence number
-    (for instance floor(theta)); see `clique_number`.
+    (for instance floor(theta)); see `clique_number`. The complement keeps
+    g.meta.vertex_transitive, so a vertex-transitive g is searched only
+    on the non-neighbours of vertex 0; a false flag yields a wrong
+    "exact" answer, as in `clique_number`.
     """
     return clique_number(g.complement(), budget, target=target)
 
@@ -213,7 +231,13 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
     """
     colors = [-1] * n
     neighbor_colors = [0] * n
-    degs = [m.bit_count() for m in masks]
+    # the next vertex is the uncolored one of least (-saturation, -degree,
+    # index), kept as one int: its rank by (-degree, index) minus n for
+    # each color among its neighbors
+    pick_key = [0] * n
+    by_degree = sorted(range(n), key=lambda u: -masks[u].bit_count())
+    for rank, u in enumerate(by_degree):
+        pick_key[u] = rank
     # pre-color a clique: its vertices must all differ anyway
     if len(clique_seed) > k:
         return False, None
@@ -221,21 +245,9 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         colors[v] = i
         for w in _bits(masks[v]):
             neighbor_colors[w] |= 1 << i
+            pick_key[w] -= n
     full = (1 << k) - 1
-
-    def pick():
-        best_v = -1
-        best_key = None
-        for u in range(n):
-            if colors[u] >= 0:
-                continue
-            key = (-(neighbor_colors[u] & full).bit_count(), -degs[u], u)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = u
-        return best_v
-
-    uncolored = n - len(clique_seed)
+    uncolored = set(range(n)).difference(clique_seed)
     max_used = len(clique_seed)
     stack = []  # (vertex, color, max_used before it, touched neighbors)
     v = None    # None: pick the next vertex; else try v's colors from c on
@@ -243,21 +255,23 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         if v is None:
             if budget.check():
                 return None, None
-            if len(stack) == uncolored:
+            if not uncolored:
                 return True, list(colors)
-            v, c = pick(), 0
+            v, c = min(uncolored, key=pick_key.__getitem__), 0
         forbid = neighbor_colors[v] & full
         limit = min(k, max_used + 1)
         while c < limit and forbid >> c & 1:
             c += 1
         if c < limit:
             colors[v] = c
+            uncolored.discard(v)
             bit = 1 << c
             touched = []
             dead = False
             for w in _bits(masks[v]):
                 if colors[w] < 0 and not neighbor_colors[w] & bit:
                     neighbor_colors[w] |= bit
+                    pick_key[w] -= n
                     touched.append(w)
                     if neighbor_colors[w] & full == full:
                         dead = True
@@ -271,8 +285,10 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         # undo the newest color and try the next one for its vertex
         v, c, max_used, touched = stack.pop()
         colors[v] = -1
+        uncolored.add(v)
         for w in touched:
             neighbor_colors[w] &= ~(1 << c)
+            pick_key[w] += n
         c += 1
 
 
@@ -444,10 +460,14 @@ def capacity_certificate(g: Graph, theta: float,
 
 
 def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
-    """Capacity lower bound alpha(G^boxtimes k)^(1/k) from the power, built
-    within the dense byte budget; returns (bound or None, its SolveResult)."""
+    """Capacity lower bound w^(1/k) from an independent set of w vertices
+    in the power, built within the dense byte budget; returns (bound, its
+    SolveResult).
+
+    w is the independence number of the power when the search is exact.
+    On a timeout it is the size of the best set found, res.lower: still
+    a valid, if weaker, lower bound on the capacity.
+    """
     pk = strong_power(g, k)
     res = independence_number(pk, budget)
-    if res.status != "exact":
-        return None, res
-    return res.value ** (1.0 / k), res
+    return len(res.witness) ** (1.0 / k), res

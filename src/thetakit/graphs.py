@@ -47,9 +47,16 @@ def _adjacency(n: int, fill: bool = False) -> np.ndarray:
 class GraphMeta:
     """Asserted structural facts about a graph.
 
-    Flags are catalog/user assertions, never inferred by the library.
-    None means "unknown"; bound evaluators gated on a flag treat None
-    as not applicable.
+    Flags are catalog/user assertions, never checked by the library, just
+    as a solver's `target` is not: a false flag gives wrong answers, for
+    instance a wrong "exact" clique or independence number from a false
+    vertex_transitive. None means "unknown"; code gated on a flag treats
+    None as not applicable.
+
+    The one flag the library infers is vertex_transitive on a strong
+    product, set when every factor asserts it: the product of the
+    factors' automorphisms acts transitively on the product's vertices.
+    `Graph.complement()` keeps vertex_transitive and self_complementary.
     """
 
     name: str = ""
@@ -162,10 +169,15 @@ class Graph:
         return bool(seen.all())
 
     def complement(self) -> "Graph":
+        """The complement, keeping the flags that complementation always
+        preserves: vertex_transitive (same automorphisms) and
+        self_complementary. edge_transitive is dropped: the complement of
+        C6 is the triangular prism, which is not edge-transitive."""
         a = ~self.adj
         np.fill_diagonal(a, False)
         name = self.meta.name
-        meta = replace(self.meta, name=f"complement({name})" if name else "")
+        meta = replace(self.meta, name=f"complement({name})" if name else "",
+                       edge_transitive=None)
         return Graph._derived(a, meta)
 
     def subgraph(self, vertices) -> "Graph":

@@ -32,7 +32,10 @@ def strong_product(*factors: Graph) -> Graph:
         a = np.kron(a, f.adj | np.eye(f.n, dtype=bool))
     np.fill_diagonal(a, False)
     names = [f.meta.name for f in factors]
-    return Graph._derived(a, GraphMeta(name="*".join(names) if all(names) else ""))
+    # a product of automorphisms is an automorphism of the product
+    vt = True if all(f.meta.vertex_transitive for f in factors) else None
+    return Graph._derived(a, GraphMeta(name="*".join(names) if all(names) else "",
+                                       vertex_transitive=vt))
 
 
 def strong_power(g: Graph, k: int) -> Graph:

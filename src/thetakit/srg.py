@@ -58,7 +58,8 @@ class SrgParams:
 def srg_check(g: Graph) -> Optional[SrgParams]:
     """Certify strong regularity by the exact identity A^2 = dI + lam*A + mu*(J-I-A).
 
-    Integer arithmetic throughout. Complete and empty graphs are excluded
+    Exact arithmetic throughout: the counts are integers below 2^53, which
+    float64 holds exactly. Complete and empty graphs are excluded
     (lam or mu would be vacuous); returns None for them and for any graph
     failing regularity or the identity. Computed once per graph, then reused.
     """
@@ -72,7 +73,8 @@ def _srg_identity(g: Graph) -> Optional[SrgParams]:
     d = g.degree()
     if d == 0 or d == n - 1:
         return None  # empty / complete: not treated as strongly regular
-    a = g.adj.astype(np.int64)
+    # float64 goes through BLAS, and counts below 2^53 are exact in it
+    a = g.adj.astype(np.float64)
     a2 = a @ a
     iu, iv = np.nonzero(np.triu(g.adj, 1))
     lam_vals = a2[iu, iv]

@@ -33,7 +33,8 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
-from thetakit.products import strong_power
+from thetakit.catalog import entries
+from thetakit.products import strong_power, strong_product
 from thetakit.theta import theta_best, theta_exact
 
 
@@ -300,6 +301,52 @@ def test_chi_with_theta_lower_matches_unbounded(name, make):
     assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
 
 
+def naive_k_colorable(g, k, clique_seed=()):
+    """Backtracking k-coloring, recursive and unpruned, that colors next
+    the uncolored vertex of least (-saturation, -degree, index) and tries
+    colors from 0 up to one past the largest in use."""
+    if len(clique_seed) > k:
+        return False, None
+    colors = [-1] * g.n
+    for i, v in enumerate(clique_seed):
+        colors[v] = i
+    degs = g.degrees()
+
+    def saturation(u):
+        return len({colors[w] for w in g.neighbors(u)} - {-1})
+
+    def solve(used):
+        free = [u for u in range(g.n) if colors[u] < 0]
+        if not free:
+            return True
+        v = min(free, key=lambda u: (-saturation(u), -degs[u], u))
+        taken = {colors[w] for w in g.neighbors(v)}
+        for c in range(min(k, used + 1)):
+            if c not in taken:
+                colors[v] = c
+                if solve(max(used, c + 1)):
+                    return True
+        colors[v] = -1
+        return False
+
+    return (True, colors) if solve(len(clique_seed)) else (False, None)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_k_colorable_matches_the_plain_dsatur_rule(seed):
+    # the same verdicts and the same first colorings, with and without a
+    # clique seed, on every k from 1 to one past the chromatic number
+    g = gnp(7 + seed % 8, (0.25, 0.45, 0.65, 0.85)[seed % 4], seed)
+    masks = exact._pack(g.adj)
+    clique = clique_number(g).witness
+    chi = chromatic_number(g).value
+    for k in range(1, chi + 2):
+        for clique_seed in ((), clique):
+            got = exact._k_colorable(masks, g.n, k, exact._Budget(60.0),
+                                     clique_seed)
+            assert got == naive_k_colorable(g, k, clique_seed)
+
+
 def only_greedy_descent(monkeypatch):
     """Let `_k_colorable` run only with k = n, the greedy DSATUR descent:
     any refutation search (k < n) fails the test."""
@@ -341,6 +388,18 @@ def test_capacity_power_lb_pentagon():
     assert res.status == "exact"
     assert res.value == 5                      # alpha of C5 box C5
     assert root == pytest.approx(5.0 ** 0.5, abs=1e-9)
+
+
+def test_capacity_power_lb_keeps_the_witness_on_a_timeout():
+    # alpha(C7^3) = 33 is out of reach of a short search, but the set it
+    # found still bounds the capacity from below
+    bound, res = capacity_power_lb(cycle(7), 3, budget=1.0)
+    assert res.status == "timeout" and res.value is None
+    assert res.lower <= 33 <= res.upper
+    assert bound == len(res.witness) ** (1 / 3) >= 30 ** (1 / 3)
+    pk = strong_power(cycle(7), 3)
+    assert not any(pk.adj[u, v]
+                   for u, v in itertools.combinations(res.witness, 2))
 
 
 def test_capacity_power_lb_cap():
@@ -487,3 +546,112 @@ def test_cover_matches_the_search_on_random_graphs():
         assert_proper(g, res.witness, res.value)
         checked += 1
     assert checked >= 50
+
+
+# -- vertex-transitive graphs: search the neighbourhood of vertex 0 ------
+
+
+VT_GENERATED = [
+    ("K5", lambda: complete(5)), ("empty5", lambda: empty(5)),
+    ("C5", lambda: cycle(5)), ("C8", lambda: cycle(8)),
+    ("K33", lambda: complete_bipartite(3, 3)),
+    ("kneser62", lambda: kneser(6, 2)), ("kneser73", lambda: kneser(7, 3)),
+    ("petersen", petersen), ("paley13", lambda: paley(13)),
+    ("paley29", lambda: paley(29)), ("shrikhande", shrikhande),
+    ("Q4", lambda: hypercube(4)),
+    ("C5^2", lambda: strong_power(cycle(5), 2)),
+    ("C5^3", lambda: strong_power(cycle(5), 3)),
+    ("petersen^2", lambda: strong_power(petersen(), 2)),
+]
+VT_FIXTURES = [(e.name, lambda name=e.name: load_fixture(name))
+               for e in entries()
+               if e.kind == "fixture" and e.flags.get("vertex_transitive")]
+# floor(theta), a proven bound on alpha, where the plain search would run
+# for seconds (petersen^2) or out of any budget (cameron) without it
+ALPHA_TARGET = {"petersen^2": 16, "cameron": 21}
+
+
+@pytest.mark.parametrize("name,make", VT_GENERATED + VT_FIXTURES,
+                         ids=[n for n, _ in VT_GENERATED + VT_FIXTURES])
+def test_vertex_transitive_search_matches_the_plain_one(name, make):
+    g = make()
+    assert g.meta.vertex_transitive is True
+    plain = g.with_meta(vertex_transitive=None)
+    for solve, target, edge in ((clique_number, None, True),
+                                (independence_number, ALPHA_TARGET.get(name),
+                                 False)):
+        res = solve(g, target=target)
+        ref = solve(plain, target=target)
+        assert res.status == ref.status == "exact"
+        assert res.value == ref.value == len(res.witness)
+        # the witness is in g's own labels, vertex 0 and its neighbours
+        assert 0 in res.witness and list(res.witness) == sorted(res.witness)
+        assert all(g.adj[u, v] == edge
+                   for u, v in itertools.combinations(res.witness, 2))
+
+
+def test_vertex_transitive_timeout_interval_is_shifted():
+    g = strong_power(cycle(7), 3)
+    res = independence_number(g, budget=0.2)
+    assert res.status == "timeout" and res.value is None
+    assert res.lower == len(res.witness) <= 33 <= res.upper
+    assert res.witness[0] == 0
+    assert not any(g.adj[u, v] for u, v in itertools.combinations(res.witness, 2))
+
+
+def test_vertex_transitive_search_runs_on_the_neighbourhood(monkeypatch):
+    sizes = []
+    search = exact._max_clique_masks
+
+    def spy(adj, *args):
+        sizes.append(len(adj))
+        return search(adj, *args)
+
+    monkeypatch.setattr(exact, "_max_clique_masks", spy)
+    g = strong_power(cycle(5), 3)
+    assert independence_number(g).value == 10
+    assert clique_number(g).value == 8
+    # 125 - 27 non-neighbours of vertex 0 for alpha, its 26 neighbours for omega
+    assert sizes == [98, 26]
+
+
+def test_vertex_transitive_target_stops_the_search(monkeypatch):
+    calls = 0
+    color_bound = exact._color_bound
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return color_bound(*args)
+
+    monkeypatch.setattr(exact, "_color_bound", spy)
+    g = strong_power(cycle(5), 3)
+    counts = []
+    for target in (None, 10):
+        calls = 0
+        res = independence_number(g, target=target)
+        assert res.status == "exact" and res.value == 10
+        counts.append(calls)
+    assert counts[1] < counts[0] / 10
+
+
+def test_vertex_transitive_empty_and_complete():
+    for n in (1, 2, 5):
+        for target in (None, n):
+            assert clique_number(complete(n), target=target).witness == tuple(range(n))
+            assert independence_number(empty(n), target=target).witness == tuple(range(n))
+        for target in (None, 1):
+            assert clique_number(empty(n), target=target).witness == (0,)
+            assert independence_number(complete(n), target=target).witness == (0,)
+    assert clique_number(empty(0)).value == independence_number(complete(0)).value == 0
+
+
+def test_strong_product_is_vertex_transitive_when_every_factor_is():
+    c5 = cycle(5)
+    assert strong_product(c5, petersen()).meta.vertex_transitive is True
+    assert strong_power(c5, 3).meta.vertex_transitive is True
+    assert strong_power(c5, 3).meta.name == "C5^3"
+    for other in (frucht(), path(3), c5.with_meta(vertex_transitive=False)):
+        assert other.meta.vertex_transitive is not True
+        assert strong_product(c5, other).meta.vertex_transitive is None
+        assert strong_product(other, c5, c5).meta.vertex_transitive is None

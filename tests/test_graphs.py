@@ -148,6 +148,15 @@ def test_complement_involution():
     assert are_isomorphic(c.complement(), c)   # C5 is self-complementary
 
 
+def test_complement_keeps_only_the_flags_it_preserves():
+    # the complement of C6 is the triangular prism: vertex-transitive,
+    # but not edge-transitive
+    c = cycle(6).complement()
+    assert c.meta.edge_transitive is None
+    assert c.meta.vertex_transitive is True
+    assert paley(13).complement().meta.self_complementary is True
+
+
 def test_from_edge_list_and_relabel():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     assert g.has_edge(1, 2) and not g.has_edge(0, 3)

@@ -32,7 +32,9 @@ def test_srg_check_positives():
         (disjoint_union(complete(3), complete(3)), (6, 2, 1, 0)),
     ]
     for g, want in cases:
-        assert srg_check(g).as_tuple() == want
+        got = srg_check(g).as_tuple()
+        assert got == want
+        assert all(type(x) is int for x in got)
 
 
 def test_srg_check_negatives():
