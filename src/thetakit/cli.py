@@ -240,8 +240,11 @@ def _task_chromatic_bounds(g, args):
     out["wei_independence_lower"] = alpha_lb
     out["wei_clique_lower"] = omega_lb
     if est.value is not None and est.value > 0:
-        chi_lb, chi_complement_lb = chromatic_lb_strong_product(
-            [(n, float(est.value))])
+        # chi >= n/theta holds with theta's upper end, chi(complement) >=
+        # theta only with its lower end: an optimizer's upper end can sit
+        # its gap above an integer theta
+        chi_lb, _ = chromatic_lb_strong_product([(n, float(est.value))])
+        _, chi_complement_lb = chromatic_lb_strong_product([(n, est.lower)])
         out["chi_lower_from_theta"] = chi_lb
         out["chi_complement_lower_from_theta"] = chi_complement_lb
     if g.is_regular() and 0 < g.degree() < n - 1:

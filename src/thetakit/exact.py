@@ -13,6 +13,7 @@ import numpy as np
 
 from .graphs import Graph, within_budget
 from .products import strong_power
+from .theta import theta_best
 
 DEFAULT_BUDGET = 60.0
 
@@ -467,7 +468,14 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     w is the independence number of the power when the search is exact.
     On a timeout it is the size of the best set found, res.lower: still
     a valid, if weaker, lower bound on the capacity.
+
+    When theta(G) is known, floor(theta(G)^k) is the search's target:
+    alpha(G^k) <= theta(G^k) = theta(G)^k (Lovasz 1979, Thm 7), so the
+    search stops at a set that large and a timeout ends there.
     """
+    est = theta_best(g)
+    target = (None if est.value is None
+              else math.floor(float(est.value) ** k + 1e-6))
     pk = strong_power(g, k)
-    res = independence_number(pk, budget)
+    res = independence_number(pk, budget, target=target)
     return len(res.witness) ** (1.0 / k), res

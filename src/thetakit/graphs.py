@@ -96,7 +96,8 @@ class Graph:
 
     @classmethod
     def _derived(cls, adj: np.ndarray, meta: GraphMeta | None = None) -> "Graph":
-        """A graph on an adjacency derived from a valid one; no checks, no copy."""
+        """A graph on an adjacency valid by construction (derived from a
+        valid one, or decoded from graph6); no checks, no copy."""
         g = object.__new__(cls)
         g._fill(adj, meta)
         return g

@@ -68,10 +68,14 @@ def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
     if ((body < 63) | (body > 126)).any():
         raise ValueError("invalid graph6 byte")
     a = _adjacency(n)
-    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].ravel()
-    a[np.tri(n, k=-1, dtype=bool)] = bits[:m]
-    a |= a.T
-    return Graph(a, meta)
+    # six bits a byte: shifted to the top of the byte, its first six
+    bits = np.unpackbits(((body - 63) << 2)[:, None], axis=1, count=6).ravel()
+    # column j of the upper triangle is row j of the lower one
+    start = 0
+    for j in range(1, n):
+        a[j, :j] = a[:j, j] = bits[start:start + j]
+        start += j
+    return Graph._derived(a, meta)
 
 
 def write_graph6(g: Graph, path) -> None:

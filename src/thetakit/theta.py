@@ -91,12 +91,17 @@ def theta_kneser(m: int, r: int) -> int:
 # gives the feasible B = tI - Z = J - sum_e y_e E_e (1 on the diagonal and
 # on non-edges), and lambda_max(B) bounds theta from above; every X, the
 # dual witness, bounds it from below by sum(X), once _certificate has
-# repaired rounding in its zeros and in its PSD-ness. The solver is a
-# feasible-start primal-dual interior-point method with the HKM direction
-# and Mehrotra's predictor-corrector, sigma = (mu_aff/mu)^3 (Helmberg,
-# Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996). It stops when the
-# best bounds pinch to tol, or when a Cholesky factorisation breaks down
-# near the optimum.
+# repaired rounding in its zeros and in its PSD-ness. On a regular graph
+# the solver first scores Lovasz's ratio-bound pair (_ratio_pair), which
+# pinches, with no iteration, when the lambda_min eigenprojector is
+# constant on the edges: on distance-regular graphs (Schrijver, "A
+# comparison of the Delsarte and Lovasz bounds", IEEE Trans. IT 1979) and
+# on edge-transitive ones. The pinch is checked by the same _certificate
+# gap test, not assumed. Otherwise it runs a feasible-start primal-dual
+# interior-point method with the HKM direction and Mehrotra's
+# predictor-corrector, sigma = (mu_aff/mu)^3 (Helmberg, Rendl, Vanderbei &
+# Wolkowicz, SIAM J. Optim. 1996). It stops when the best bounds pinch to
+# tol, or when a Cholesky factorisation breaks down near the optimum.
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,28 @@ def _hkm_step(x, t, y, edges_u, edges_v):
     return x + ap * dx, t + ad * dy[0], y + ad * dy[1:]
 
 
+def _ratio_pair(g, edges_u, edges_v):
+    """Lovasz's ratio-bound pair (B, X) of a d-regular graph.
+
+    B = J - yA with y = n/(d - lambda_min) is feasible, and its lambda_max
+    is the ratio bound -n lambda_min/(d - lambda_min). The witness
+    X = z J/n + w U U^T, with U the lambda_min eigenvectors,
+    z = -lambda_min/(d - lambda_min) and w = d/((d - lambda_min) m_min),
+    is PSD with trace 1 and the same sum. It vanishes on the edges, and
+    the pair pinches, when U U^T is constant on them: on distance-regular
+    graphs, whose idempotents lie in the Bose-Mesner algebra, and on
+    edge-transitive ones.
+    """
+    n, d = g.n, g.degree()
+    vals, vecs = np.linalg.eigh(g.adj.astype(np.float64))
+    low = vals - vals[0] <= 1e-6 * d
+    lmin = float(vals[low].mean())
+    u = vecs[:, low]
+    b = 1.0 - _on_edges(n / (d - lmin), edges_u, edges_v, n)
+    x = -lmin / (d - lmin) / n + d / ((d - lmin) * u.shape[1]) * (u @ u.T)
+    return b, x
+
+
 def theta_exact_result(g: Graph, tol: float = 1e-6,
                        cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaResult:
     n = g.n
@@ -232,6 +259,12 @@ def theta_exact_result(g: Graph, tol: float = 1e-6,
     if m == 0:
         b = np.ones((n, n))
         return ThetaResult(float(n), float(n), b, True, 0, 0.0)
+
+    if g.is_regular():
+        b, x = _ratio_pair(g, edges_u, edges_v)
+        ub, lb = _certificate(b, x, edges_u, edges_v)
+        if ub - lb <= tol:
+            return ThetaResult(ub, lb, b, True, 0, ub - lb)
 
     # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1
     x, t, y = np.eye(n) / n, n + 1.0, np.zeros(m)
@@ -273,6 +306,7 @@ class ThetaEstimate:
     exact: Optional[Fraction]       # set when a closed form gave a rational
     method: str                     # "closed-form" | "optimizer" | "spectral-pinch" | "interval"
     bounds: Optional[ThetaBounds] = None
+    lower: Optional[float] = None   # certified lower end of theta, set with value
 
     def __float__(self):
         if self.value is None:
@@ -295,27 +329,27 @@ def theta_best(g: Graph, tol: float = 1e-6,
 def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
     n = g.n
     if n == 0:
-        return ThetaEstimate(0.0, Fraction(0), "closed-form")
+        return ThetaEstimate(0.0, Fraction(0), "closed-form", lower=0.0)
     m = g.edge_count()
     if m == 0:
-        return ThetaEstimate(float(n), Fraction(n), "closed-form")
+        return ThetaEstimate(float(n), Fraction(n), "closed-form", lower=float(n))
     if m == n * (n - 1) // 2:
-        return ThetaEstimate(1.0, Fraction(1), "closed-form")
+        return ThetaEstimate(1.0, Fraction(1), "closed-form", lower=1.0)
     params = srg_check(g)
     if params is not None:
         t, _ = theta_srg(params)
-        if isinstance(t, Fraction):
-            return ThetaEstimate(float(t), t, "closed-form")
-        return ThetaEstimate(float(t), None, "closed-form")
+        exact = t if isinstance(t, Fraction) else None
+        return ThetaEstimate(float(t), exact, "closed-form", lower=float(t))
     bounds = None
     if g.is_regular():
         s = eigenvalues(g)
         bounds = theta_bounds_regular(n, g.degree(), s.second_largest(),
                                       s.smallest())
         if bounds.upper - bounds.lower <= tol:
-            return ThetaEstimate(bounds.upper, None, "spectral-pinch", bounds)
+            return ThetaEstimate(bounds.upper, None, "spectral-pinch", bounds,
+                                 bounds.lower)
     if n <= exact_cap:
         res = theta_exact_result(g, tol, exact_cap)
         if res.converged:
-            return ThetaEstimate(res.value, None, "optimizer", bounds)
+            return ThetaEstimate(res.value, None, "optimizer", bounds, res.lower)
     return ThetaEstimate(None, None, "interval", bounds)

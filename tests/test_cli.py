@@ -10,8 +10,9 @@ import pytest
 
 from thetakit import cli, graphs
 from thetakit.bounds import BoundReport, make_report
-from thetakit.graphs import petersen
-from thetakit.io import write_edge_list
+from thetakit.graphs import cycle, petersen
+from thetakit.io import write_edge_list, write_graph6
+from thetakit.products import strong_product
 
 
 def run(argv, capsys):
@@ -309,3 +310,24 @@ def test_theta_task_does_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_complement_chi_bound_from_the_lower_end_of_theta(tmp_path, capsys):
+    # chi(complement) >= theta needs a proven lower end of theta: the
+    # optimizer's upper end on C5xC5 (theta = 5) reads 5.00000005, whose
+    # ceiling would be 6
+    path = tmp_path / "c5xc5.g6"
+    write_graph6(strong_product(cycle(5), cycle(5)), path)
+    rc, out, _ = run(["analyze", "--g6", str(path), "--tasks",
+                      "theta,chromatic-bounds", "--json"], capsys)
+    assert rc == 0
+    tasks = json.loads(out)["tasks"]
+    assert tasks["theta"]["method"] == "optimizer"
+    assert tasks["theta"]["theta"] > 5.0
+    assert tasks["chromatic-bounds"]["chi_complement_lower_from_theta"] == 5
+    # Q5 has a perfect matching, so chi(complement of Q5) = 16
+    rc, out, _ = run(["analyze", "--gen", "hypercube:5", "--tasks",
+                      "chromatic-bounds", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["tasks"]["chromatic-bounds"][
+        "chi_complement_lower_from_theta"] == 16

@@ -383,19 +383,37 @@ def test_chi_search_depth_is_unlimited(g, budget):
     assert_proper(g, res.witness, 3)
 
 
-def test_capacity_power_lb_pentagon():
+def _spy_targets(monkeypatch):
+    targets = []
+    search = exact.independence_number
+
+    def spy(g, budget, target=None):
+        targets.append(target)
+        return search(g, budget, target=target)
+
+    monkeypatch.setattr(exact, "independence_number", spy)
+    return targets
+
+
+def test_capacity_power_lb_pentagon(monkeypatch):
+    # floor(theta(C5)^2) = 5: the first independent 5-set ends the search
+    targets = _spy_targets(monkeypatch)
     root, res = capacity_power_lb(cycle(5), 2)
+    assert targets == [5]
     assert res.status == "exact"
     assert res.value == 5                      # alpha of C5 box C5
     assert root == pytest.approx(5.0 ** 0.5, abs=1e-9)
 
 
-def test_capacity_power_lb_keeps_the_witness_on_a_timeout():
+def test_capacity_power_lb_keeps_the_witness_on_a_timeout(monkeypatch):
     # alpha(C7^3) = 33 is out of reach of a short search, but the set it
-    # found still bounds the capacity from below
+    # found still bounds the capacity from below, and theta(C7)^3 = 36.5
+    # bounds the interval from above
+    targets = _spy_targets(monkeypatch)
     bound, res = capacity_power_lb(cycle(7), 3, budget=1.0)
+    assert targets == [36]
     assert res.status == "timeout" and res.value is None
-    assert res.lower <= 33 <= res.upper
+    assert res.lower <= 33 <= res.upper <= 36
     assert bound == len(res.witness) ** (1 / 3) >= 30 ** (1 / 3)
     pk = strong_power(cycle(7), 3)
     assert not any(pk.adj[u, v]

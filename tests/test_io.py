@@ -104,13 +104,24 @@ def test_encode_peak_has_no_index_arrays():
 
 
 def test_decode_peak_within_the_construction_estimate():
-    # 2.6 n^2 bytes here (np.tril_indices read 10.6 n^2)
+    # the adjacency and the body's bits, 1.7 n^2 bytes here: no triangle
+    # mask, no mirror copy and no checking copy in Graph()
     n = 1000
     g = _random_graph(n, 0.5, 6)
     text = to_graph6(g)
     h, peak = _peak(lambda: from_graph6(text))
     assert h == g
-    assert peak < BUILD_CELL_BYTES * n * n
+    assert peak < 2 * n * n < BUILD_CELL_BYTES * n * n
+
+
+def test_fixtures_decode_as_networkx_does():
+    for name in fixture_names():
+        text = (resources.files("thetakit") / "fixtures" / f"{name}.g6").read_text()
+        g = from_graph6(text)
+        want = nx.to_numpy_array(nx.from_graph6_bytes(text.strip().encode()),
+                                 nodelist=range(g.n), dtype=bool)
+        assert np.array_equal(g.adj, want), name
+        assert not g.adj.flags.writeable
 
 
 def test_fixtures_reencode_byte_for_byte():

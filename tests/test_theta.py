@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from thetakit import cli, theta
+from thetakit.catalog import load_fixture
 from thetakit.exact import independence_number
 from thetakit.graphs import (
     Graph,
     complete,
     cycle,
+    disjoint_union,
     empty,
     frucht,
+    hypercube,
     kneser,
     paley,
     petersen,
@@ -270,3 +273,73 @@ def test_analyze_theta_on_dense_random_regular(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tasks"]["theta"]["method"] == "optimizer"
+
+
+# -- the ratio-bound pair ----------------------------------------------
+
+def _spy_hkm(monkeypatch):
+    calls = []
+    step = theta._hkm_step
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(theta, "_hkm_step", spy)
+    return calls
+
+
+# distance-regular or edge-transitive graphs: the lambda_min eigenprojector
+# is constant on the edges, so the ratio-bound pair pinches
+PINCH = {f"c{n}": (lambda n=n: cycle(n)) for n in (5, 7, 9, 11, 13)}
+PINCH.update({f"q{k}": (lambda k=k: hypercube(k)) for k in (3, 4, 5)})
+PINCH.update({
+    "kneser7-3": lambda: kneser(7, 3),
+    "petersen": petersen,
+    "perkel": lambda: load_fixture("perkel"),
+    "gosset": lambda: load_fixture("gosset"),
+    "c5+c5": lambda: disjoint_union(cycle(5), cycle(5)),
+})
+
+
+@pytest.mark.parametrize("name", sorted(PINCH))
+def test_ratio_pair_pinches_without_iterations(name, monkeypatch):
+    g = PINCH[name]()
+    calls = _spy_hkm(monkeypatch)
+    res = theta_exact_result(g)
+    assert res.iterations == 0 and not calls
+    assert res.converged and res.gap <= 1e-6
+    n, d, lmin = g.n, g.degree(), eigenvalues(g).smallest()
+    assert abs(res.value + n * lmin / (d - lmin)) <= 1e-9
+    assert res.lower <= res.value + 1e-12
+    b = res.matrix
+    assert np.all(b[~g.adj] == 1.0)             # diagonal and non-edges
+
+
+# regular graphs where the ratio bound is not theta (or the projector is
+# not constant on the edges): the IPM runs from its usual start. The
+# values are the IPM's before the ratio pair was tried, to 1e-12, far
+# inside the 1e-6 gap, and the iteration counts match exactly
+FALL_THROUGH = {
+    "frucht": (frucht, 8, 5.000000000003852, 4.999999902785138),
+    "rr24-4-1": (lambda: random_regular(24, 4, seed=1), 11,
+                 9.427665013916885, 9.42766483099373),
+    "rr32-3-2": (lambda: random_regular(32, 3, seed=2), 11,
+                 14.39180354851293, 14.391803045968166),
+    "c5xc5": (lambda: strong_product(cycle(5), cycle(5)), 7,
+              5.000000045152705, 4.9999999718320485),
+    "c5xpetersen": (lambda: strong_product(cycle(5), petersen()), 7,
+                    8.944272095794922, 8.944271730944113),
+    "c5+c7": (lambda: disjoint_union(cycle(5), cycle(7)), 7,
+              5.553735216556086, 5.5537349521709345),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALL_THROUGH))
+def test_ratio_pair_falls_through_to_the_ipm(name, monkeypatch):
+    make, iterations, value, lower = FALL_THROUGH[name]
+    calls = _spy_hkm(monkeypatch)
+    res = theta_exact_result(make())
+    assert res.iterations == len(calls) == iterations
+    assert res.value == pytest.approx(value, rel=0, abs=1e-12)
+    assert res.lower == pytest.approx(lower, rel=0, abs=1e-12)
