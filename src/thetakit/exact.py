@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -409,8 +409,10 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
         lower += 1
     if lower >= ub:
         return SolveResult(ub, ub, ub, best_cols, "exact", b.elapsed())
-    # exact clique seed when cheap, the best clique found otherwise
-    clique = clique_number(g, min(5.0, budget / 4.0)).witness
+    # exact clique seed when cheap, the best clique found otherwise; it
+    # gets at most what is left of the budget
+    seed_budget = min(5.0, budget / 4.0, max(0.0, budget - b.elapsed()))
+    clique = clique_number(g, seed_budget).witness
     k = max(len(clique), lower)
     while k < ub:
         verdict, cols = _k_colorable(masks, n, k, b, clique)
@@ -466,16 +468,33 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     SolveResult).
 
     w is the independence number of the power when the search is exact.
-    On a timeout it is the size of the best set found, res.lower: still
-    a valid, if weaker, lower bound on the capacity.
+    On a timeout it is the size of the best set known, res.lower: still
+    a valid, if weaker, lower bound on the capacity. The best set is the
+    search's own or, when larger, the product of independent sets of G and
+    G^(k-1), each searched first on a quarter of the budget: G^k is the
+    row-major kron of G^(k-1) and G, so vertex i of G^(k-1) and j of G
+    make vertex i*n + j, and the product of independent sets is independent.
 
-    When theta(G) is known, floor(theta(G)^k) is the search's target:
-    alpha(G^k) <= theta(G^k) = theta(G)^k (Lovasz 1979, Thm 7), so the
-    search stops at a set that large and a timeout ends there.
+    When theta(G) is known, floor(theta(G)^j) is the target of the search
+    on G^j: alpha(G^j) <= theta(G^j) = theta(G)^j (Lovasz 1979, Thm 7), so
+    a search stops at a set that large and a timeout ends there.
     """
+    start = time.monotonic()
     est = theta_best(g)
-    target = (None if est.value is None
-              else math.floor(float(est.value) ** k + 1e-6))
+
+    def target(j):
+        return (None if est.value is None
+                else math.floor(float(est.value) ** j + 1e-6))
+
     pk = strong_power(g, k)
-    res = independence_number(pk, budget, target=target)
+    seed = ()
+    if k > 1:
+        first = independence_number(g, budget / 4.0, target=target(1)).witness
+        rest = first if k == 2 else independence_number(
+            strong_power(g, k - 1), budget / 4.0, target=target(k - 1)).witness
+        seed = tuple(i * g.n + j for i in rest for j in first)
+    left = max(0.0, budget - (time.monotonic() - start))
+    res = independence_number(pk, left, target=target(k))
+    if res.status == "timeout" and len(seed) > len(res.witness):
+        res = replace(res, lower=len(seed), witness=seed)
     return len(res.witness) ** (1.0 / k), res

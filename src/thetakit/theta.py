@@ -1,4 +1,4 @@
-"""Lovasz theta: spectral bounds, closed forms, and an exact small-graph solver."""
+"""Lovasz theta: spectral bounds, closed forms, and a certified solver."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
-from .spectra import eigenvalues
+from .graphs import Graph, check_budget
+from .spectra import eigenvalues, group_values
 from .srg import SrgParams, srg_check
 
 THETA_EXACT_DEFAULT_CAP = 64
@@ -239,26 +239,38 @@ def _ratio_pair(g, edges_u, edges_v):
     """
     n, d = g.n, g.degree()
     vals, vecs = np.linalg.eigh(g.adj.astype(np.float64))
-    low = vals - vals[0] <= 1e-6 * d
-    lmin = float(vals[low].mean())
-    u = vecs[:, low]
+    lmin, mult = group_values(vals[::-1])[-1]
+    u = vecs[:, :mult]
     b = 1.0 - _on_edges(n / (d - lmin), edges_u, edges_v, n)
-    x = -lmin / (d - lmin) / n + d / ((d - lmin) * u.shape[1]) * (u @ u.T)
+    x = -lmin / (d - lmin) / n + d / ((d - lmin) * mult) * (u @ u.T)
     return b, x
 
 
-def theta_exact_result(g: Graph, tol: float = 1e-6,
-                       cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaResult:
+# Peak bytes per n^2 cell of the ratio pair and its certificate (or of an
+# edgeless graph's B = J): tracemalloc read 4.0-4.2 doubles at n = 200 to
+# 1000.
+RATIO_PAIR_CELL_BYTES = 34
+
+
+def ipm_bytes(n: int, m: int) -> int:
+    """Peak bytes of the IPM on n vertices and m edges. tracemalloc read
+    3.15-3.3 doubles per cell of the (m+1)^2 Schur complement at m >= 1000;
+    the n x n iterates add 12-18 doubles per n^2 cell on sparse graphs of
+    120 to 300 vertices, and up to 37 on the 5- to 64-vertex test graphs."""
+    return 27 * (m + 1) ** 2 + 320 * n * n
+
+
+def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
     n = g.n
     if n == 0:
         raise ValueError("empty vertex set")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds exact-solver cap {cap}")
-    edges_u, edges_v = np.nonzero(np.triu(g.adj, 1))
-    m = len(edges_u)
+    check_budget(RATIO_PAIR_CELL_BYTES * n * n,
+                 f"theta's ratio pair on {n} vertices")
+    m = g.edge_count()
     if m == 0:
         b = np.ones((n, n))
         return ThetaResult(float(n), float(n), b, True, 0, 0.0)
+    edges_u, edges_v = np.nonzero(np.triu(g.adj, 1))
 
     if g.is_regular():
         b, x = _ratio_pair(g, edges_u, edges_v)
@@ -266,6 +278,7 @@ def theta_exact_result(g: Graph, tol: float = 1e-6,
         if ub - lb <= tol:
             return ThetaResult(ub, lb, b, True, 0, ub - lb)
 
+    check_budget(ipm_bytes(n, m), f"theta's IPM on {n} vertices and {m} edges")
     # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1
     x, t, y = np.eye(n) / n, n + 1.0, np.zeros(m)
     best_ub, best_lb, best_b = math.inf, -math.inf, None
@@ -288,15 +301,15 @@ def theta_exact_result(g: Graph, tol: float = 1e-6,
     return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap)
 
 
-def theta_exact(g: Graph, tol: float = 1e-6,
-                cap: int = THETA_EXACT_DEFAULT_CAP) -> float:
-    """Lovasz theta of a small graph (n <= cap) to within tol, certified.
+def theta_exact(g: Graph, tol: float = 1e-6) -> float:
+    """Lovasz theta of a graph to within tol, certified.
 
     The returned value is lambda_max of an explicit feasible matrix, so it
     is a true upper bound; the solver stops once a dual witness pinches it
-    from below to within tol.
+    from below to within tol. Refused (ValueError) before allocating when
+    the ratio pair's or the IPM's peak bytes exceed the dense budget.
     """
-    return theta_exact_result(g, tol, cap).value
+    return theta_exact_result(g, tol).value
 
 @dataclass(frozen=True)
 class ThetaEstimate:
@@ -304,7 +317,7 @@ class ThetaEstimate:
 
     value: Optional[float]          # None when only an interval is known
     exact: Optional[Fraction]       # set when a closed form gave a rational
-    method: str                     # "closed-form" | "optimizer" | "spectral-pinch" | "interval"
+    method: str                     # "closed-form" | "optimizer" | "interval"
     bounds: Optional[ThetaBounds] = None
     lower: Optional[float] = None   # certified lower end of theta, set with value
 
@@ -318,9 +331,11 @@ def theta_best(g: Graph, tol: float = 1e-6,
                exact_cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaEstimate:
     """Dispatch to the sharpest applicable theta computation.
 
-    Order: strong-regularity closed form, then matching spectral bounds
-    for regular graphs, then the optimizer for small n, else an interval.
-    Computed once per graph, tolerance and cap, then reused.
+    Order: closed form (edgeless, complete, strongly regular), then the
+    certified optimizer for n <= exact_cap, else an interval; a regular
+    graph's estimate carries its spectral sandwich in `bounds`. The
+    sandwich meets only on strongly regular graphs, which the closed form
+    has answered. Computed once per graph, tolerance and cap, then reused.
     """
     return g._cached(("theta_best", tol, exact_cap),
                      lambda: _theta_dispatch(g, tol, exact_cap))
@@ -345,11 +360,8 @@ def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
         s = eigenvalues(g)
         bounds = theta_bounds_regular(n, g.degree(), s.second_largest(),
                                       s.smallest())
-        if bounds.upper - bounds.lower <= tol:
-            return ThetaEstimate(bounds.upper, None, "spectral-pinch", bounds,
-                                 bounds.lower)
     if n <= exact_cap:
-        res = theta_exact_result(g, tol, exact_cap)
+        res = theta_exact_result(g, tol)
         if res.converged:
             return ThetaEstimate(res.value, None, "optimizer", bounds, res.lower)
     return ThetaEstimate(None, None, "interval", bounds)

@@ -1,6 +1,4 @@
-"""Shared test plumbing: the acceptance-line reporter and the slow gate."""
-
-import pytest
+"""Shared test plumbing: the acceptance-line reporter."""
 
 # one line per end-to-end criterion, printed after the run so the summary
 # survives output capture
@@ -9,22 +7,6 @@ _criteria = {}
 
 def record_criterion(key: str, ok: bool, detail: str) -> None:
     _criteria[key] = (ok, detail)
-
-
-def pytest_addoption(parser):
-    parser.addoption("--run-slow", action="store_true", default=False,
-                     help="run tests marked slow (long exact solves)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-slow"):
-        return
-    if "slow" in (config.getoption("-m") or ""):
-        return
-    skip = pytest.mark.skip(reason="slow; run with --run-slow or -m slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

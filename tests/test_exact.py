@@ -3,6 +3,7 @@ brute-force enumeration on small graphs and known values on named ones."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ def test_capacity_power_lb_pentagon(monkeypatch):
     # floor(theta(C5)^2) = 5: the first independent 5-set ends the search
     targets = _spy_targets(monkeypatch)
     root, res = capacity_power_lb(cycle(5), 2)
-    assert targets == [5]
+    assert targets == [2, 5]                   # alpha(C5) seeds, then C5^2
     assert res.status == "exact"
     assert res.value == 5                      # alpha of C5 box C5
     assert root == pytest.approx(5.0 ** 0.5, abs=1e-9)
@@ -408,13 +409,28 @@ def test_capacity_power_lb_pentagon(monkeypatch):
 def test_capacity_power_lb_keeps_the_witness_on_a_timeout(monkeypatch):
     # alpha(C7^3) = 33 is out of reach of a short search, but the set it
     # found still bounds the capacity from below, and theta(C7)^3 = 36.5
-    # bounds the interval from above
+    # bounds the interval from above. alpha(C7) = 3 and alpha(C7^2) = 10
+    # are exact in milliseconds, so their 30-set product is there whatever
+    # the machine's speed
     targets = _spy_targets(monkeypatch)
     bound, res = capacity_power_lb(cycle(7), 3, budget=1.0)
-    assert targets == [36]
+    assert targets == [3, 11, 36]
     assert res.status == "timeout" and res.value is None
     assert res.lower <= 33 <= res.upper <= 36
     assert bound == len(res.witness) ** (1 / 3) >= 30 ** (1 / 3)
+    assert res.lower == len(res.witness)
+    pk = strong_power(cycle(7), 3)
+    assert not any(pk.adj[u, v]
+                   for u, v in itertools.combinations(res.witness, 2))
+
+
+def test_capacity_power_lb_short_budget_keeps_an_independent_witness():
+    # at 0.1 s the product of the factor witnesses may beat the search's
+    # own set; either way the witness is independent in C7^3
+    bound, res = capacity_power_lb(cycle(7), 3, budget=0.1)
+    assert res.status == "timeout"
+    assert res.lower == len(res.witness) <= 33 <= res.upper
+    assert bound == len(res.witness) ** (1 / 3)
     pk = strong_power(cycle(7), 3)
     assert not any(pk.adj[u, v]
                    for u, v in itertools.combinations(res.witness, 2))
@@ -423,6 +439,29 @@ def test_capacity_power_lb_keeps_the_witness_on_a_timeout(monkeypatch):
 def test_capacity_power_lb_cap():
     with pytest.raises(ValueError):
         capacity_power_lb(petersen(), 5)       # a 10^5-vertex adjacency is over the byte budget
+
+
+def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):
+    # lower = 1 and alpha_upper = 5 = n send C5 to the cover first, which
+    # refutes k = 1 after most of the 1 s budget; the clique seed that
+    # follows gets what is left, not a fresh quarter of the budget
+    cover, search = exact._exact_cover, exact.clique_number
+    budgets = []
+
+    def slow_cover(*args):
+        time.sleep(0.9)
+        return cover(*args)
+
+    def spy(g, budget, target=None):
+        budgets.append(budget)
+        return search(g, budget, target=target)
+
+    monkeypatch.setattr(exact, "_exact_cover", slow_cover)
+    monkeypatch.setattr(exact, "clique_number", spy)
+    res = chromatic_number(cycle(5), 1.0, lower=1, alpha_upper=5)
+    # C5 is vertex-transitive: the seed search recurses once, same budget
+    assert budgets and all(0.0 <= b <= 0.1 for b in budgets)
+    assert res.lower <= 3 <= res.upper
 
 
 # -- chi by exact cover on theta-tight graphs --------------------------

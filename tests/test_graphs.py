@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -23,9 +24,13 @@ from thetakit.graphs import (
     self_complementary_extend,
     shrikhande,
 )
-from thetakit.iso import are_isomorphic, is_self_complementary
 from thetakit.products import strong_power, strong_product
 from thetakit.srg import srg_check
+
+
+def isomorphic(g, h):
+    """networkx's VF2 verdict, the tests' isomorphism oracle."""
+    return nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
 
 
 def test_complete():
@@ -63,7 +68,7 @@ def test_complete_bipartite():
 def test_kneser_petersen():
     g = kneser(6, 2)
     assert g.n == 15 and g.degree() == 6
-    assert are_isomorphic(petersen(), kneser(5, 2))
+    assert isomorphic(petersen(), kneser(5, 2))
     with pytest.raises(ValueError):
         kneser(3, 0)
 
@@ -82,7 +87,7 @@ def test_paley():
 
 
 def test_paley_5_is_the_pentagon():
-    assert are_isomorphic(paley(5), cycle(5))
+    assert isomorphic(paley(5), cycle(5))
 
 
 def test_shrikhande():
@@ -145,7 +150,7 @@ def test_complement_involution():
         g = random_regular(10, 3, seed=seed)
         assert g.complement().complement() == g
     c = cycle(5)
-    assert are_isomorphic(c.complement(), c)   # C5 is self-complementary
+    assert isomorphic(c.complement(), c)   # C5 is self-complementary
 
 
 def test_complement_keeps_only_the_flags_it_preserves():
@@ -161,7 +166,7 @@ def test_from_edge_list_and_relabel():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     assert g.has_edge(1, 2) and not g.has_edge(0, 3)
     h = g.relabel([3, 2, 1, 0])
-    assert are_isomorphic(g, h)
+    assert isomorphic(g, h)
     sub = g.subgraph([0, 1, 2])
     assert sub.n == 3 and sub.edge_count() == 2
 
@@ -201,7 +206,7 @@ def test_self_complementary_extend():
     g = cycle(5)
     for _ in range(2):
         g = self_complementary_extend(g)
-        assert is_self_complementary(g)
+        assert isomorphic(g, g.complement())
     assert g.n == 13
 
 

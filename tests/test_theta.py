@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thetakit import cli, theta
-from thetakit.catalog import load_fixture
+from thetakit import cli, graphs, theta
+from thetakit.catalog import fixture_names, load_fixture
 from thetakit.exact import independence_number
 from thetakit.graphs import (
     Graph,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     empty,
@@ -102,10 +103,32 @@ def test_theta_exact_certificate_brackets():
 
 
 def test_theta_exact_cap():
+    # the byte budget, not a vertex count, bounds the solver: the IPM on a
+    # dense irregular 100-vertex graph would hold (m+1)^2 doubles several
+    # times over, and is refused before anything that size is allocated
     with pytest.raises(ValueError):
         theta_exact(empty(0))
-    with pytest.raises(ValueError):
-        theta_exact(cycle(30), cap=20)
+    g = gnp(100, 0.9, seed=0)
+    assert not g.is_regular()
+    assert theta.ipm_bytes(g.n, g.edge_count()) > graphs.DENSE_BYTE_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense budget"):
+            theta_exact_result(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_ratio_pair_is_budgeted_apart_from_the_ipm(monkeypatch):
+    # at 10 000 bytes C9's ratio pair (34 n^2 bytes) fits and pinches, while
+    # the IPM on the 12-vertex Frucht graph does not fit
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 10_000)
+    res = theta_exact_result(cycle(9))
+    assert res.converged and res.iterations == 0
+    with pytest.raises(ValueError, match="IPM"):
+        theta_exact_result(frucht())
 
 
 def test_theta_exact_within_spectral_bounds():
@@ -140,11 +163,10 @@ def test_theta_best_dispatch():
     assert est.method == "optimizer"
     assert est.value == pytest.approx(theta_exact(frucht()), abs=1e-5)
     est = theta_best(random_regular(70, 3, seed=1), exact_cap=64)
-    assert est.method in ("spectral-pinch", "interval")
-    if est.method == "interval":
-        assert est.value is None
-        with pytest.raises(ValueError):
-            float(est)
+    assert est.method == "interval"
+    assert est.value is None
+    with pytest.raises(ValueError):
+        float(est)
 
 
 def test_theta_multiplicativity_on_pentagon_square():
@@ -160,12 +182,47 @@ def test_theta_best_complement_pair():
     assert t * tc == pytest.approx(13.0, rel=1e-6)
 
 
-def test_spectral_pinch_returns_the_upper_bound():
-    # C6 is regular, not strongly regular: bounds 2.5 and 3 = theta(C6)
+def test_loose_tolerance_on_c6_is_the_ratio_pair(monkeypatch):
+    # C6 is regular, not strongly regular: its sandwich 2.5 <= 3 does not
+    # meet, but the ratio pair gives theta(C6) = 3 with no IPM step
+    calls = _spy_hkm(monkeypatch)
     est = theta_best(cycle(6), tol=1.0)
-    assert est.method == "spectral-pinch"
-    assert est.value == est.bounds.upper
+    assert est.method == "optimizer"
     assert est.value == pytest.approx(3.0, abs=1e-12)
+    assert est.bounds.lower == pytest.approx(2.5)
+    assert not calls
+
+
+def test_spectral_sandwich_meets_only_on_strongly_regular_graphs():
+    # the two ends meet exactly in the equality case of the eigenvalue
+    # inequality, which only strongly regular graphs reach; theta_best
+    # answers those by the closed form, so no regular graph is left whose
+    # theta the sandwich alone would decide. The sweep: generators,
+    # fixtures, seeded random regular graphs and all their complements,
+    # the regular ones with 0 < d < n - 1
+    gs = [cycle(n) for n in range(3, 26)] + [hypercube(k) for k in range(2, 7)]
+    gs += [kneser(m, r) for m, r in ((5, 2), (6, 2), (7, 2), (7, 3), (8, 3))]
+    gs += [paley(q) for q in (5, 13, 17, 29, 37)] + [petersen(), shrikhande()]
+    gs += [complete_bipartite(a, a) for a in range(2, 6)]
+    gs += [disjoint_union(complete(4), complete(4)),
+           disjoint_union(cycle(5), cycle(5)),
+           strong_product(cycle(5), cycle(5)), strong_product(cycle(5), petersen())]
+    gs += [load_fixture(name) for name in fixture_names()]
+    gs += [random_regular(n, d, seed=s) for n in range(8, 41, 4)
+           for d in (3, 4, 5) if n * d % 2 == 0 for s in range(3)]
+    gs += [g.complement() for g in gs]
+    met = 0
+    for g in gs:
+        if not g.is_regular() or not 0 < g.degree() < g.n - 1:
+            continue
+        s = eigenvalues(g)
+        b = theta_bounds_regular(g.n, g.degree(), s.second_largest(),
+                                 s.smallest())
+        if b.upper - b.lower <= 1e-6:
+            met += 1
+            assert srg_check(g) is not None
+            assert theta_best(g).method == "closed-form"
+    assert met >= 40
 
 
 def gnp(n, p, seed):
