@@ -74,10 +74,17 @@ def _degeneracy_order(adj):
     return order
 
 
-def _greedy_clique(adj_masks, n):
-    """Deterministic greedy clique, used as the initial bound."""
+def _greedy_clique(adj_masks, n, budget: _Budget):
+    """Deterministic greedy clique, used as the initial bound: the largest
+    of the greedy descents from the 8 vertices of highest degree. The first
+    descent always runs, the others only while the budget lasts: a descent
+    costs O(clique size * n) big-int operations, seconds on a large dense
+    graph."""
     best: tuple = ()
     for seed in sorted(range(n), key=lambda v: -adj_masks[v].bit_count())[:8]:
+        if best and time.monotonic() > budget.deadline:
+            budget.expired = True
+            break
         clique = [seed]
         cand = adj_masks[seed]
         while cand:
@@ -196,7 +203,7 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
         return SolveResult(value, res.lower + 1, res.upper + 1, witness,
                            res.status, res.elapsed)
     b = _Budget(budget)
-    initial = _greedy_clique(_pack(g.adj), n)
+    initial = _greedy_clique(_pack(g.adj), n, b)
     clique, root_bound, complete = _max_clique_masks(g.adj, b, initial, target)
     size = len(clique)
     if complete:
@@ -214,8 +221,19 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
     g.meta.vertex_transitive, so a vertex-transitive g is searched only
     on the non-neighbours of vertex 0; a false flag yields a wrong
     "exact" answer, as in `clique_number`.
+
+    An exact result is stored on g and returned by every later call,
+    whatever its target or budget, so the capacity certificate and the
+    chromatic search share one alpha search. A timeout is not stored: a
+    later call searches again on its own budget.
     """
-    return clique_number(g.complement(), budget, target=target)
+    hit = g._memo.get("alpha")
+    if hit is not None:
+        return hit
+    res = clique_number(g.complement(), budget, target=target)
+    if res.status == "exact":
+        g._memo["alpha"] = res
+    return res
 
 
 # -- chromatic number -------------------------------------------------
@@ -377,10 +395,19 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
 
     `alpha_upper` must be a proven upper bound on the independence number
     (for instance floor(theta)); a value below it yields a wrong "exact"
-    answer as well. When n = lower * alpha_upper, every color class of a
-    `lower`-coloring is an independent set of exactly alpha_upper vertices,
-    so k = lower is decided first as an exact cover of the vertices by
-    such sets: a cover is the coloring, and no cover refutes k.
+    answer as well.
+
+    When the DSATUR coloring is not already known to be optimal, the
+    independence number is searched first (target alpha_upper, at most
+    min(5 s, budget / 4, the budget left), and shared with other callers
+    through `independence_number`'s memo). Every color class is
+    independent, so an exact alpha raises `lower` to ceil(n / alpha) and
+    replaces `alpha_upper`; a timeout leaves both as given.
+
+    When n = lower * alpha_upper, every color class of a `lower`-coloring
+    is an independent set of exactly alpha_upper vertices, so k = lower is
+    decided first as an exact cover of the vertices by such sets: a cover
+    is the coloring, and no cover refutes k.
     """
     n = g.n
     if n == 0:
@@ -393,6 +420,16 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     _, greedy_cols = _k_colorable(masks, n, n, _Budget(math.inf), ())
     ub = max(greedy_cols) + 1
     best_cols = tuple(greedy_cols)
+
+    def side_budget():
+        # a side search gets at most what is left of the budget
+        return min(5.0, budget / 4.0, max(0.0, budget - b.elapsed()))
+
+    if lower < ub:
+        alpha = independence_number(g, side_budget(), target=alpha_upper)
+        if alpha.status == "exact":
+            lower = max(lower, -(-n // alpha.value))
+            alpha_upper = alpha.value
     if lower < ub and alpha_upper and n == lower * alpha_upper:
         sets = _cliques_of_size(g.complement().adj, alpha_upper, b)
         verdict, classes = (None, None) if sets is None else _exact_cover(sets, n, b)
@@ -409,10 +446,8 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
         lower += 1
     if lower >= ub:
         return SolveResult(ub, ub, ub, best_cols, "exact", b.elapsed())
-    # exact clique seed when cheap, the best clique found otherwise; it
-    # gets at most what is left of the budget
-    seed_budget = min(5.0, budget / 4.0, max(0.0, budget - b.elapsed()))
-    clique = clique_number(g, seed_budget).witness
+    # exact clique seed when cheap, the best clique found otherwise
+    clique = clique_number(g, side_budget()).witness
     k = max(len(clique), lower)
     while k < ub:
         verdict, cols = _k_colorable(masks, n, k, b, clique)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -21,6 +24,59 @@ def check_budget(nbytes: int, what: str) -> None:
     """Raise ValueError, before `what` is allocated, when it exceeds the budget."""
     if not within_budget(nbytes):
         raise ValueError(f"{what} exceeds the dense budget of {DENSE_BYTE_BUDGET} bytes")
+
+
+# Dense solves below this matrix order run on one OpenBLAS thread. With
+# OpenBLAS at 2 threads on 2 vCPUs, eigvalsh on a random symmetric matrix
+# ties with 1 thread near n = 500 (15-16 ms) and 2 threads win above it
+# (1.3-1.9x at n >= 1000); below it a second thread saves at most a few
+# ms, yet an eigvalsh on Cameron's adjacency (n = 231) took 290-310 ms at
+# 2 threads in 1 of 4 fresh processes against 2 ms at 1.
+ONE_THREAD_ORDER = 500
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library mapped
+    into this process, found through ctypes; empty when there is none or
+    the process map cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(ln.split()[-1] for ln in fh
+                                  if "openblas" in ln.rsplit("/", 1)[-1].lower())
+    except OSError:
+        return ()
+    names = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+             for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                calls.append((get, put))
+                break
+    return tuple(calls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread(order: int):
+    """Run the block on one OpenBLAS thread when `order`, the largest
+    matrix order in it, is below ONE_THREAD_ORDER, and restore the old
+    thread counts afterwards; without OpenBLAS, do nothing."""
+    calls = _openblas_threads() if order < ONE_THREAD_ORDER else ()
+    old = [get() for get, _ in calls]
+    for _, put in calls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(calls, old):
+            put(count)
 
 
 # Peak bytes per adjacency cell of building a graph on a new array: the

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .graphs import check_budget
+from .graphs import _one_blas_thread, check_budget
 
 # perfbench's environment report reads this; there is no jit path.
 _HAVE_NUMBA = False
@@ -23,7 +23,8 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=0.0):
         raise ValueError("matrix must be symmetric")
-    return np.linalg.eigvalsh(a)[::-1].copy()
+    with _one_blas_thread(len(a)):
+        return np.linalg.eigvalsh(a)[::-1].copy()
 
 
 @dataclass(frozen=True)

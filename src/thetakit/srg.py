@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def _srg_identity(g: Graph) -> Optional[SrgParams]:
         return None  # empty / complete: not treated as strongly regular
     # float64 goes through BLAS, and counts below 2^53 are exact in it
     a = g.adj.astype(np.float64)
-    a2 = a @ a
+    with _one_blas_thread(n):
+        a2 = a @ a
     iu, iv = np.nonzero(np.triu(g.adj, 1))
     lam_vals = a2[iu, iv]
     non = np.triu(~g.adj, 1)

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, check_budget
+from .graphs import Graph, _one_blas_thread, check_budget
 from .spectra import eigenvalues, group_values
 from .srg import SrgParams, srg_check
 
@@ -273,8 +273,9 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
     edges_u, edges_v = np.nonzero(np.triu(g.adj, 1))
 
     if g.is_regular():
-        b, x = _ratio_pair(g, edges_u, edges_v)
-        ub, lb = _certificate(b, x, edges_u, edges_v)
+        with _one_blas_thread(n):
+            b, x = _ratio_pair(g, edges_u, edges_v)
+            ub, lb = _certificate(b, x, edges_u, edges_v)
         if ub - lb <= tol:
             return ThetaResult(ub, lb, b, True, 0, ub - lb)
 
@@ -283,20 +284,22 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
     x, t, y = np.eye(n) / n, n + 1.0, np.zeros(m)
     best_ub, best_lb, best_b = math.inf, -math.inf, None
     iterations = 0
-    while True:
-        b = 1.0 - _on_edges(y, edges_u, edges_v, n)
-        # _certificate reads X at trace 1; the division drops rounding drift
-        ub, lb = _certificate(b, x / np.trace(x), edges_u, edges_v)
-        if ub < best_ub:
-            best_ub, best_b = ub, b
-        best_lb = max(best_lb, lb)
-        if best_ub - best_lb <= tol or iterations == _MAX_ITERATIONS:
-            break
-        try:
-            x, t, y = _hkm_step(x, t, y, edges_u, edges_v)
-        except np.linalg.LinAlgError:
-            break
-        iterations += 1
+    # the Schur complement is the largest matrix, of order m + 1
+    with _one_blas_thread(max(n, m + 1)):
+        while True:
+            b = 1.0 - _on_edges(y, edges_u, edges_v, n)
+            # _certificate reads X at trace 1; the division drops rounding drift
+            ub, lb = _certificate(b, x / np.trace(x), edges_u, edges_v)
+            if ub < best_ub:
+                best_ub, best_b = ub, b
+            best_lb = max(best_lb, lb)
+            if best_ub - best_lb <= tol or iterations == _MAX_ITERATIONS:
+                break
+            try:
+                x, t, y = _hkm_step(x, t, y, edges_u, edges_v)
+            except np.linalg.LinAlgError:
+                break
+            iterations += 1
     gap = best_ub - best_lb
     return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap)
 

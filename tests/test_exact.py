@@ -278,13 +278,28 @@ def test_alpha_with_target_matches_brute_force(seed, monkeypatch):
         if not greedy_start:
             # the greedy start finds alpha on graphs this small, so the
             # branch and bound alone must then reach the target
-            monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n: ())
+            monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n, budget: ())
         for target in (alpha, alpha + 1):
             res = independence_number(g, target=target)
             assert res.status == "exact"
             assert res.value == alpha == len(res.witness)
             assert not any(g.adj[u, v]
                            for u, v in itertools.combinations(res.witness, 2))
+
+
+def test_greedy_start_runs_one_descent_past_the_deadline():
+    # on G(30, 0.5) seed 0 the first of the eight descents finds 5
+    # vertices and a later one 6; past the deadline only the first runs,
+    # and the search that follows sees the budget spent
+    g = gnp(30, 0.5, 0)
+    masks = exact._pack(g.adj)
+    assert len(exact._greedy_clique(masks, g.n, exact._Budget(math.inf))) == 6
+    spent = exact._Budget(0.0)
+    first = exact._greedy_clique(masks, g.n, spent)
+    assert len(first) == 5 and spent.expired
+    assert all(g.adj[u, v] for u, v in itertools.combinations(first, 2))
+    res = clique_number(g, 0.0)
+    assert res.status == "timeout" and res.lower == 5 <= res.upper
 
 
 CHI_LOWER = [("petersen", petersen), ("shrikhande", shrikhande),
@@ -444,7 +459,10 @@ def test_capacity_power_lb_cap():
 def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):
     # lower = 1 and alpha_upper = 5 = n send C5 to the cover first, which
     # refutes k = 1 after most of the 1 s budget; the clique seed that
-    # follows gets what is left, not a fresh quarter of the budget
+    # follows gets what is left, not a fresh quarter of the budget. The
+    # alpha step is bypassed: alpha(C5) = 2 would raise lower to 3 = chi
+    # and skip both the cover and the seed
+    alpha_times_out(monkeypatch)
     cover, search = exact._exact_cover, exact.clique_number
     budgets = []
 
@@ -481,10 +499,25 @@ def no_search(*args, **kwargs):
     raise AssertionError("search ran")
 
 
+def alpha_times_out(monkeypatch):
+    """Bypass chromatic_number's alpha step: every independence search
+    times out at once, so `lower` and `alpha_upper` stay as given."""
+    def timeout(g, budget, target=None):
+        return SolveResult(None, 0, g.n, (), "timeout", 0.0)
+
+    monkeypatch.setattr(exact, "independence_number", timeout)
+
+
+def alpha_from_the_memo(g, alpha_upper):
+    """Store g's exact alpha, so the alpha step runs no clique search."""
+    assert independence_number(g, target=alpha_upper).status == "exact"
+
+
 def test_cover_decides_hall_janko(monkeypatch):
     g = load_fixture("hall_janko")
     lower, alpha_upper = theta_tight_bounds(g)
     assert (lower, alpha_upper) == (10, 10)
+    alpha_from_the_memo(g, alpha_upper)
     only_greedy_descent(monkeypatch)
     monkeypatch.setattr(exact, "clique_number", no_search)
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
@@ -523,6 +556,7 @@ def test_cover_on_fixtures(name, chi, monkeypatch):
     g = load_fixture(name)
     lower, alpha_upper = theta_tight_bounds(g)
     assert g.n == lower * alpha_upper
+    alpha_from_the_memo(g, alpha_upper)
     only_greedy_descent(monkeypatch)
     monkeypatch.setattr(exact, "clique_number", no_search)
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
@@ -551,9 +585,132 @@ def test_cover_sets_are_budgeted(monkeypatch):
 
 
 def test_no_alpha_upper_keeps_the_search(monkeypatch):
+    # without alpha_upper, and without an exact alpha to take its place
+    alpha_times_out(monkeypatch)
     monkeypatch.setattr(exact, "_cliques_of_size", no_search)
     res = chromatic_number(kneser(6, 2), lower=3)
     assert res.status == "exact" and res.value == 4
+
+
+# -- chi >= ceil(n / alpha) from an exact alpha --------------------------
+
+
+# on these random graphs ceil(n / alpha) never passes the clique number;
+# on petersen, m22 and every graph from C7 on it does, and on C5^2
+# alpha = 5 and n = 25 send chi to the cover
+SWEEP_GRAPHS = ([(f"gnp{seed}", lambda seed=seed: gnp(
+                     9 + seed % 8, (0.2, 0.35, 0.5, 0.65, 0.8)[seed % 5], seed))
+                 for seed in range(20)]
+                + [("petersen", petersen), ("frucht", frucht),
+                   ("kneser62", lambda: kneser(6, 2)),
+                   ("m22", lambda: load_fixture("m22")),
+                   ("C7", lambda: cycle(7)), ("C9", lambda: cycle(9)),
+                   ("kneser72", lambda: kneser(7, 2)),
+                   ("paley13", lambda: paley(13)), ("shrikhande", shrikhande),
+                   ("C5^2", lambda: strong_power(cycle(5), 2)),
+                   ("rr30-3-1", lambda: random_regular(30, 3, 1))])
+
+
+@pytest.mark.parametrize("name,make", SWEEP_GRAPHS,
+                         ids=[n for n, _ in SWEEP_GRAPHS])
+def test_alpha_step_matches_the_plain_search(name, make, monkeypatch):
+    g = make()
+    bounds = [(0, None)]
+    if theta_best(g).value is not None:
+        bounds.append(theta_tight_bounds(g))
+    for lower, alpha_upper in bounds:
+        res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+        assert res.status == "exact"
+        assert_proper(g, res.witness, res.value)
+        with monkeypatch.context() as m:
+            alpha_times_out(m)
+            plain = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+        assert plain.status == "exact" and plain.value == res.value
+
+
+def test_paley29_needs_no_refutation(monkeypatch):
+    # theta = sqrt(29) gives only chi >= 6, but alpha = 4 gives
+    # chi >= ceil(29 / 4) = 8, the size of the greedy DSATUR coloring
+    g = paley(29)
+    lower, alpha_upper = theta_tight_bounds(g)
+    assert (lower, alpha_upper) == (6, 5)
+    only_greedy_descent(monkeypatch)
+    res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+    assert res.status == "exact" and res.value == 8
+    assert_proper(g, res.witness, 8)
+    assert g._memo["alpha"].value == 4
+
+
+def test_alpha_step_decides_gosset_by_the_cover(monkeypatch):
+    # theta = 5.6 leaves [10, 16] to a search that runs out of any budget;
+    # alpha = 4 and 56 = 14 * 4 send chi to the exact cover at k = 14
+    g = load_fixture("gosset")
+    lower, alpha_upper = theta_tight_bounds(g)
+    assert (lower, alpha_upper) == (10, 5)
+    only_greedy_descent(monkeypatch)
+    res = chromatic_number(g, budget=5.0, lower=lower, alpha_upper=alpha_upper)
+    assert res.status == "exact" and res.value == 14
+    assert_proper(g, res.witness, 14)
+    assert sorted(res.witness.count(c) for c in range(14)) == [4] * 14
+
+
+def _spy_alpha_budgets(monkeypatch):
+    budgets = []
+    search = exact.independence_number
+
+    def spy(g, budget, target=None):
+        budgets.append(budget)
+        return search(g, budget, target=target)
+
+    monkeypatch.setattr(exact, "independence_number", spy)
+    return budgets
+
+
+def test_alpha_step_gets_a_quarter_of_the_budget(monkeypatch):
+    budgets = _spy_alpha_budgets(monkeypatch)
+    assert chromatic_number(paley(29), budget=1.0).value == 8
+    assert len(budgets) == 1 and 0.0 < budgets[0] <= 0.25
+
+
+def test_alpha_step_gets_only_the_budget_left(monkeypatch):
+    # a greedy descent that takes 0.9 s of the 1 s budget leaves the alpha
+    # step at most 0.1 s, less than a quarter of the budget
+    budgets = _spy_alpha_budgets(monkeypatch)
+    k_colorable = exact._k_colorable
+
+    def slow_descent(masks, n, k, budget, clique_seed):
+        if k == n:
+            time.sleep(0.9)
+        return k_colorable(masks, n, k, budget, clique_seed)
+
+    monkeypatch.setattr(exact, "_k_colorable", slow_descent)
+    res = chromatic_number(paley(29), budget=1.0)
+    assert len(budgets) == 1 and 0.0 <= budgets[0] <= 0.1
+    assert res.lower <= 8 <= res.upper
+
+
+def test_alpha_timeout_keeps_the_interval(monkeypatch):
+    # without a target, proving alpha(Cameron) = 21 is out of reach, so
+    # the alpha step times out, stores nothing, and the k = 11 search
+    # ends at the interval it reaches without the alpha step
+    g = load_fixture("cameron")
+    statuses = []
+    search = exact.independence_number
+
+    def spy(h, budget, target=None):
+        res = search(h, budget, target=target)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(exact, "independence_number", spy)
+    res = chromatic_number(g, budget=0.5, lower=11)
+    assert statuses == ["timeout"] and "alpha" not in g._memo
+    with monkeypatch.context() as m:
+        alpha_times_out(m)
+        plain = chromatic_number(g, budget=0.5, lower=11)
+    assert res.status == plain.status == "timeout"
+    assert (res.lower, res.upper) == (plain.lower, plain.upper) == (11, 17)
+    assert_proper(g, res.witness, 17)
 
 
 @pytest.mark.parametrize("seed", range(6))

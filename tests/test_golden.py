@@ -6,9 +6,12 @@ tests/golden/.
 
 The fixture runs exclude `capacity` and `--exact-chi`: their output
 depends on search budgets and timing on graphs that large. One run adds
-`--exact-chi` on Hall-Janko alone: n = 100 = 10 * floor(theta), so
-chi = 10 is decided by an exact cover of the vertices by independent
-10-sets, in a fraction of a second at the default budget. The
+`--exact-chi` on Hall-Janko: n = 100 = 10 * floor(theta), so chi = 10
+is decided by an exact cover of the vertices by independent 10-sets, in
+a fraction of a second at the default budget. Another adds it on Gosset:
+theta = 5.6 gives only chi >= 10, but alpha = 4 is exact in milliseconds
+and n = 56 = 14 * alpha, so the same cover decides chi = 14 at the
+bound ceil(n / alpha), whatever the machine. The
 all-task runs on frucht and cycle:7 include `capacity`, whose exact
 searches finish on 12 and 7 vertices far inside the default budget. So
 does the `theta,capacity` run on the 231-vertex Cameron fixture: its first
@@ -43,6 +46,9 @@ CASES["analyze-cameron-capacity"] = [
     "analyze", "--gen", "cameron", "--json", "--tasks", "theta,capacity"]
 CASES["analyze-hall_janko-chi"] = [
     "analyze", "--gen", "hall_janko", "--tasks", "chromatic-bounds",
+    "--exact-chi", "--json"]
+CASES["analyze-gosset-chi"] = [
+    "analyze", "--gen", "gosset", "--tasks", "chromatic-bounds",
     "--exact-chi", "--json"]
 CASES["power-petersen-k2-materialize"] = [
     "power", "--gen", "petersen", "-k", "2", "--materialize", "--json"]

@@ -1,5 +1,7 @@
-"""Generators and the Graph container."""
+"""Generators, the Graph container and the BLAS thread policy."""
 
+import contextlib
+import io
 import tracemalloc
 
 import networkx as nx
@@ -264,3 +266,37 @@ def test_random_regular_pairing_is_refused_over_the_budget(d, monkeypatch):
     assert peak < 500_000
     # a sparse pairing on the same vertices still fits
     assert random_regular(200, 3, seed=0).degree() == 3
+
+
+# -- small dense solves on one OpenBLAS thread ---------------------------
+
+
+def numpy_reports_openblas():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        np.show_config()
+    return "openblas" in buf.getvalue().lower()
+
+
+def test_one_blas_thread_finds_numpys_openblas():
+    # a numpy built on OpenBLAS must expose a thread setter the helper
+    # knows, or small solves would silently keep every thread
+    calls = graphs._openblas_threads()
+    if numpy_reports_openblas():
+        assert calls
+
+    def threads():
+        return [get() for get, _ in calls]
+
+    before = threads()
+    with graphs._one_blas_thread(graphs.ONE_THREAD_ORDER - 1):
+        assert threads() == [1] * len(calls)
+        vals = np.linalg.eigvalsh(petersen().adj.astype(float))
+    assert threads() == before
+    assert vals[0] == pytest.approx(-2.0) and vals[-1] == pytest.approx(3.0)
+    with graphs._one_blas_thread(graphs.ONE_THREAD_ORDER):
+        assert threads() == before
+    with pytest.raises(np.linalg.LinAlgError):
+        with graphs._one_blas_thread(2):
+            np.linalg.cholesky(-np.eye(2))
+    assert threads() == before

@@ -1,15 +1,18 @@
 """Per-graph invariants are computed once: the spectrum, the strong-regularity
-parameters and theta are stored on the graph by the functions that compute
-them, reused by every later caller, and never carried over to a derived
-graph."""
+parameters, theta and an exact independence number are stored on the graph
+by the functions that compute them, reused by every later caller, and never
+carried over to a derived graph."""
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
-from thetakit import cli, spectra, srg, theta
-from thetakit.graphs import cycle, petersen
+from thetakit import cli, exact, spectra, srg, theta
+from thetakit.catalog import load_fixture
+from thetakit.exact import independence_number
+from thetakit.graphs import cycle, frucht, paley, petersen
 from thetakit.spectra import eigenvalues
 from thetakit.srg import srg_check
 from thetakit.theta import theta_best
@@ -80,3 +83,64 @@ def test_derived_graphs_start_without_cached_values():
         assert h._memo == {}
     assert srg_check(g.subgraph(range(9))) is None
     assert eigenvalues(g.subgraph(range(9))).n == 9
+
+
+def complement_searches(monkeypatch, g):
+    """Count the clique searches on the complement of g: one per alpha
+    search that the memo does not answer."""
+    searches = []
+    search = exact.clique_number
+    want = g.complement().adj
+
+    def spy(h, budget, target=None):
+        if np.array_equal(h.adj, want):
+            searches.append(target)
+        return search(h, budget, target=target)
+
+    monkeypatch.setattr(exact, "clique_number", spy)
+    return searches
+
+
+@pytest.mark.parametrize("spec,g", [("paley:29", paley(29)), ("frucht", frucht())],
+                         ids=["paley29", "frucht"])
+def test_analyze_searches_alpha_once(spec, g, monkeypatch):
+    # the capacity task and chi's alpha step share one search
+    searches = complement_searches(monkeypatch, g)
+    rc = run_quiet(["analyze", "--gen", spec, "--json", "--exact-chi",
+                    "--tasks", ",".join(cli.TASKS)])
+    assert rc == cli.EXIT_OK
+    assert len(searches) == 1
+
+
+def test_alpha_timeout_is_not_stored(monkeypatch):
+    # without a target, proving alpha(Cameron) = 21 is out of reach of
+    # 0.05 s; with floor(theta) = 21 as the target the first 21-set ends
+    # the search, so the second call searches again and stores alpha
+    g = load_fixture("cameron")
+    searches = complement_searches(monkeypatch, g)
+    first = independence_number(g, 0.05)
+    assert first.status == "timeout" and "alpha" not in g._memo
+    second = independence_number(g, 5.0, target=21)
+    assert second.status == "exact" and second.value == 21
+    assert searches == [None, 21]
+    assert g._memo["alpha"] is second
+    assert independence_number(g, 0.0) is second
+    assert searches == [None, 21]
+
+
+def test_alpha_is_stored_whatever_the_target():
+    g = petersen()
+    res = independence_number(g, target=4)
+    assert res.status == "exact" and res.value == 4
+    assert independence_number(g) is res
+    assert independence_number(g, 0.0, target=10) is res
+
+
+def test_derived_graphs_start_without_alpha():
+    g = petersen()
+    assert independence_number(g).value == 4
+    assert "alpha" in g._memo
+    for h in (g.complement(), g.with_meta(name="relabelled"),
+              g.relabel(list(range(9, -1, -1))), g.subgraph(range(9))):
+        assert "alpha" not in h._memo
+    assert independence_number(g.complement()).value == 2
