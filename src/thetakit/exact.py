@@ -222,17 +222,21 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
     on the non-neighbours of vertex 0; a false flag yields a wrong
     "exact" answer, as in `clique_number`.
 
-    An exact result is stored on g and returned by every later call,
-    whatever its target or budget, so the capacity certificate and the
-    chromatic search share one alpha search. A timeout is not stored: a
-    later call searches again on its own budget.
+    An exact result is stored on g, so the capacity certificate and the
+    chromatic search share one alpha search. A result below its target was
+    proven by the search alone and is returned to every later call,
+    whatever its target or budget; one that reached its target is exact
+    only if that target is, so it is returned only to calls with the same
+    target. A timeout is not stored: a later call searches again on its
+    own budget.
     """
     hit = g._memo.get("alpha")
-    if hit is not None:
-        return hit
+    if hit is not None and hit[1] in (None, target):
+        return hit[0]
     res = clique_number(g.complement(), budget, target=target)
     if res.status == "exact":
-        g._memo["alpha"] = res
+        reached = target is not None and res.value >= target
+        g._memo["alpha"] = (res, target if reached else None)
     return res
 
 
@@ -397,12 +401,15 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     (for instance floor(theta)); a value below it yields a wrong "exact"
     answer as well.
 
-    When the DSATUR coloring is not already known to be optimal, the
-    independence number is searched first (target alpha_upper, at most
-    min(5 s, budget / 4, the budget left), and shared with other callers
-    through `independence_number`'s memo). Every color class is
-    independent, so an exact alpha raises `lower` to ceil(n / alpha) and
-    replaces `alpha_upper`; a timeout leaves both as given.
+    When `alpha_upper` is given and the DSATUR coloring is not already
+    known to be optimal, the independence number is searched first (target
+    alpha_upper, at most min(5 s, budget / 4, the budget left), and shared
+    with other callers through `independence_number`'s memo). Every color
+    class is independent, so an exact alpha raises `lower` to
+    ceil(n / alpha) and replaces `alpha_upper`; a timeout leaves both as
+    given. Without `alpha_upper` there is no such step: on a graph too
+    large for a theta value, an untargeted alpha search costs seconds
+    where the coloring search may take milliseconds.
 
     When n = lower * alpha_upper, every color class of a `lower`-coloring
     is an independent set of exactly alpha_upper vertices, so k = lower is
@@ -425,7 +432,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
         # a side search gets at most what is left of the budget
         return min(5.0, budget / 4.0, max(0.0, budget - b.elapsed()))
 
-    if lower < ub:
+    if alpha_upper is not None and lower < ub:
         alpha = independence_number(g, side_budget(), target=alpha_upper)
         if alpha.status == "exact":
             lower = max(lower, -(-n // alpha.value))

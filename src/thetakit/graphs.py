@@ -26,12 +26,16 @@ def check_budget(nbytes: int, what: str) -> None:
         raise ValueError(f"{what} exceeds the dense budget of {DENSE_BYTE_BUDGET} bytes")
 
 
-# Dense solves below this matrix order run on one OpenBLAS thread. With
-# OpenBLAS at 2 threads on 2 vCPUs, eigvalsh on a random symmetric matrix
-# ties with 1 thread near n = 500 (15-16 ms) and 2 threads win above it
-# (1.3-1.9x at n >= 1000); below it a second thread saves at most a few
-# ms, yet an eigvalsh on Cameron's adjacency (n = 231) took 290-310 ms at
-# 2 threads in 1 of 4 fresh processes against 2 ms at 1.
+# Dense solves below this matrix order run on one OpenBLAS thread. On 2
+# vCPUs with OpenBLAS at 2 threads, a second thread saves at most a few ms
+# below it, yet now and then a 2-thread call stalls for 15-25 ms or more:
+# an eigvalsh on Cameron's adjacency (n = 231) took 290-310 ms at 2
+# threads in 1 of 4 fresh processes against 2 ms at 1. Mean ms a call over
+# 8 fresh processes, 1 thread / 2 threads, at orders 231, 400, 500, 700:
+#   eigvalsh         3.0/3.0   9.3/9.1   14.9/18.9  37.9/237
+#   A @ A            0.7/2.4   2.9/4.6    5.1/4.9   13.7/7.6
+# and the theta IPM at Schur order m + 1 = 300, 500, 700: 79/88, 175/332,
+# 283/268. At 700 and above 2 threads win in the median for all three.
 ONE_THREAD_ORDER = 500
 
 
@@ -127,8 +131,9 @@ class Graph:
     The adjacency matrix is a symmetric boolean array with zero diagonal,
     frozen after construction. Instances are immutable; all operations
     return new graphs. Each instance keeps a private memo of its derived
-    invariants (spectrum, strong-regularity parameters, theta), filled by
-    the functions that compute them; a new graph starts with an empty one.
+    invariants (spectrum, strong-regularity parameters, theta, an exact
+    independence number), filled by the functions that compute them; a new
+    graph starts with an empty one.
     """
 
     __slots__ = ("n", "adj", "meta", "_memo")

@@ -264,10 +264,11 @@ def test_greedy_descent_is_naive_dsatur(g):
 @pytest.mark.parametrize("g,target", [(cycle(5), 2), (paley(29), 5)],
                          ids=["c5", "paley29"])
 def test_alpha_with_target_matches_untargeted(g, target):
-    # paley29 has alpha 4 < 5, so the targeted search must still finish
-    res = independence_number(g, target=target)
+    # paley29 has alpha 4 < 5, so the targeted search must still finish;
+    # each call gets a copy of g with an empty memo, so each one searches
+    res = independence_number(g.with_meta(), target=target)
     assert res.status == "exact"
-    assert res.value == independence_number(g).value
+    assert res.value == independence_number(g.with_meta()).value
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -280,7 +281,8 @@ def test_alpha_with_target_matches_brute_force(seed, monkeypatch):
             # branch and bound alone must then reach the target
             monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n, budget: ())
         for target in (alpha, alpha + 1):
-            res = independence_number(g, target=target)
+            # a copy with an empty memo, so that every call searches
+            res = independence_number(g.with_meta(), target=target)
             assert res.status == "exact"
             assert res.value == alpha == len(res.witness)
             assert not any(g.adj[u, v]
@@ -585,8 +587,8 @@ def test_cover_sets_are_budgeted(monkeypatch):
 
 
 def test_no_alpha_upper_keeps_the_search(monkeypatch):
-    # without alpha_upper, and without an exact alpha to take its place
-    alpha_times_out(monkeypatch)
+    # without alpha_upper there is neither an alpha step nor a cover
+    monkeypatch.setattr(exact, "independence_number", no_search)
     monkeypatch.setattr(exact, "_cliques_of_size", no_search)
     res = chromatic_number(kneser(6, 2), lower=3)
     assert res.status == "exact" and res.value == 4
@@ -614,12 +616,16 @@ SWEEP_GRAPHS = ([(f"gnp{seed}", lambda seed=seed: gnp(
 @pytest.mark.parametrize("name,make", SWEEP_GRAPHS,
                          ids=[n for n, _ in SWEEP_GRAPHS])
 def test_alpha_step_matches_the_plain_search(name, make, monkeypatch):
+    # alpha_upper = n is a proven bound that leaves the alpha search
+    # untargeted; each bound gets a copy of g with an empty memo, so its
+    # own alpha search runs
     g = make()
-    bounds = [(0, None)]
+    bounds = [(0, g.n)]
     if theta_best(g).value is not None:
         bounds.append(theta_tight_bounds(g))
     for lower, alpha_upper in bounds:
-        res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
+        res = chromatic_number(g.with_meta(), lower=lower,
+                               alpha_upper=alpha_upper)
         assert res.status == "exact"
         assert_proper(g, res.witness, res.value)
         with monkeypatch.context() as m:
@@ -638,7 +644,7 @@ def test_paley29_needs_no_refutation(monkeypatch):
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
     assert res.status == "exact" and res.value == 8
     assert_proper(g, res.witness, 8)
-    assert g._memo["alpha"].value == 4
+    assert g._memo["alpha"][0].value == 4
 
 
 def test_alpha_step_decides_gosset_by_the_cover(monkeypatch):
@@ -668,8 +674,17 @@ def _spy_alpha_budgets(monkeypatch):
 
 def test_alpha_step_gets_a_quarter_of_the_budget(monkeypatch):
     budgets = _spy_alpha_budgets(monkeypatch)
-    assert chromatic_number(paley(29), budget=1.0).value == 8
+    assert chromatic_number(paley(29), budget=1.0, alpha_upper=5).value == 8
     assert len(budgets) == 1 and 0.0 < budgets[0] <= 0.25
+
+
+def test_no_alpha_step_without_alpha_upper(monkeypatch):
+    # without a proven bound to target, alpha is not searched: the
+    # k-search refutes 6 and 7 on its own
+    budgets = _spy_alpha_budgets(monkeypatch)
+    res = chromatic_number(paley(29), lower=6)
+    assert res.status == "exact" and res.value == 8
+    assert budgets == []
 
 
 def test_alpha_step_gets_only_the_budget_left(monkeypatch):
@@ -684,15 +699,16 @@ def test_alpha_step_gets_only_the_budget_left(monkeypatch):
         return k_colorable(masks, n, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", slow_descent)
-    res = chromatic_number(paley(29), budget=1.0)
+    res = chromatic_number(paley(29), budget=1.0, alpha_upper=5)
     assert len(budgets) == 1 and 0.0 <= budgets[0] <= 0.1
     assert res.lower <= 8 <= res.upper
 
 
 def test_alpha_timeout_keeps_the_interval(monkeypatch):
-    # without a target, proving alpha(Cameron) = 21 is out of reach, so
-    # the alpha step times out, stores nothing, and the k = 11 search
-    # ends at the interval it reaches without the alpha step
+    # 22 is a proven bound on alpha(Cameron) = 21, but proving that no
+    # 22-set exists is out of reach, so the alpha step times out, stores
+    # nothing, and the k = 11 search ends at the interval it reaches
+    # without the alpha step
     g = load_fixture("cameron")
     statuses = []
     search = exact.independence_number
@@ -703,11 +719,11 @@ def test_alpha_timeout_keeps_the_interval(monkeypatch):
         return res
 
     monkeypatch.setattr(exact, "independence_number", spy)
-    res = chromatic_number(g, budget=0.5, lower=11)
+    res = chromatic_number(g, budget=0.5, lower=11, alpha_upper=22)
     assert statuses == ["timeout"] and "alpha" not in g._memo
     with monkeypatch.context() as m:
         alpha_times_out(m)
-        plain = chromatic_number(g, budget=0.5, lower=11)
+        plain = chromatic_number(g, budget=0.5, lower=11, alpha_upper=22)
     assert res.status == plain.status == "timeout"
     assert (res.lower, res.upper) == (plain.lower, plain.upper) == (11, 17)
     assert_proper(g, res.witness, 17)
@@ -743,7 +759,7 @@ def test_exact_cover_matches_brute_force(seed):
         assert all(not a & b for a, b in itertools.combinations(chosen, 2))
 
 
-def test_cover_matches_the_search_on_random_graphs():
+def test_cover_matches_the_search_on_random_graphs(monkeypatch):
     # every graph whose alpha divides n, with lower = n / alpha: the cover
     # must agree with the backtracking search, refuted or not
     rng = np.random.default_rng(5)
@@ -756,7 +772,11 @@ def test_cover_matches_the_search_on_random_graphs():
             continue
         res = chromatic_number(g, lower=n // alpha, alpha_upper=alpha)
         assert res.status == "exact"
-        assert res.value == chromatic_number(g).value
+        with monkeypatch.context() as m:
+            # the reference is the plain backtracking search
+            alpha_times_out(m)
+            ref = chromatic_number(g)
+        assert res.value == ref.value
         assert_proper(g, res.witness, res.value)
         checked += 1
     assert checked >= 50
@@ -843,7 +863,8 @@ def test_vertex_transitive_target_stops_the_search(monkeypatch):
     counts = []
     for target in (None, 10):
         calls = 0
-        res = independence_number(g, target=target)
+        # a copy with an empty memo, so that the targeted call searches
+        res = independence_number(g.with_meta(), target=target)
         assert res.status == "exact" and res.value == 10
         counts.append(calls)
     assert counts[1] < counts[0] / 10

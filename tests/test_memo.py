@@ -11,7 +11,7 @@ import pytest
 
 from thetakit import cli, exact, spectra, srg, theta
 from thetakit.catalog import load_fixture
-from thetakit.exact import independence_number
+from thetakit.exact import chromatic_number, independence_number
 from thetakit.graphs import cycle, frucht, paley, petersen
 from thetakit.spectra import eigenvalues
 from thetakit.srg import srg_check
@@ -123,17 +123,45 @@ def test_alpha_timeout_is_not_stored(monkeypatch):
     second = independence_number(g, 5.0, target=21)
     assert second.status == "exact" and second.value == 21
     assert searches == [None, 21]
-    assert g._memo["alpha"] is second
-    assert independence_number(g, 0.0) is second
+    assert independence_number(g, 0.0, target=21) is second
     assert searches == [None, 21]
 
 
-def test_alpha_is_stored_whatever_the_target():
+def test_alpha_below_its_target_serves_every_call():
+    # alpha(Petersen) = 4 < 5: the search proved it without the target
     g = petersen()
-    res = independence_number(g, target=4)
+    res = independence_number(g, target=5)
     assert res.status == "exact" and res.value == 4
     assert independence_number(g) is res
     assert independence_number(g, 0.0, target=10) is res
+
+
+def test_alpha_at_its_target_serves_only_that_target(monkeypatch):
+    # 21 ends Cameron's search only because 21 is a proven bound: a call
+    # that does not assert it searches on its own budget, and its timeout
+    # leaves the stored result as it was
+    g = load_fixture("cameron")
+    searches = complement_searches(monkeypatch, g)
+    res = independence_number(g, 5.0, target=21)
+    assert res.status == "exact" and res.value == 21
+    assert independence_number(g, 0.0, target=21) is res
+    untargeted = independence_number(g, 0.0)
+    assert untargeted.status == "timeout"
+    assert searches == [21, None]
+    assert independence_number(g, 0.0, target=21) is res
+    assert searches == [21, None]
+
+
+def test_chi_does_not_reuse_an_alpha_resting_on_another_target(monkeypatch):
+    # a call with target 3 (wrong: alpha(Petersen) = 4) stops at its
+    # greedy 4-set, a result that rests on its target; chi's alpha step,
+    # which targets 4, and an untargeted call each search again
+    g = petersen()
+    searches = complement_searches(monkeypatch, g)
+    independence_number(g, target=3)
+    assert chromatic_number(g, alpha_upper=4).value == 3
+    assert independence_number(g).value == 4
+    assert searches == [3, 4, None]
 
 
 def test_derived_graphs_start_without_alpha():
