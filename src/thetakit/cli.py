@@ -10,6 +10,7 @@ violated (that signals an implementation bug, so it is loud).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,8 +32,8 @@ from .bounds import (
 from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
 from .graphs import Graph, within_budget
 from .io import read_edge_list, read_graph6
-from .products import power_spectrum, product_degree, strong_power
-from .spectra import eigensolve_bytes, eigenvalues, is_ramanujan, ramanujan_verdict_from_values
+from .products import power_extremes, power_spectrum, product_degree, strong_power
+from .spectra import eigensolve_bytes, eigenvalues, is_ramanujan, ramanujan_verdict
 from .srg import srg_check, srg_params_feasible
 from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
 
@@ -209,12 +210,11 @@ def _task_product_bounds(g, args):
     if not 0 < d:
         return {"applicable": False, "reason": "empty graph"}, []
     s = eigenvalues(g)
-    ps = power_spectrum(s, k)
+    l2p, lminp, _ = power_extremes(s, k)
     est = theta_best(g)
     if est.value is None:
         return {"applicable": False,
                 "reason": "theta not determined for factor"}, []
-    l2p, lminp = ps.second_largest(), ps.smallest()
     reports = []
     if d < n - 1:
         reports = product_bound_reports([_factor_data(g, s, est)] * k,
@@ -377,17 +377,17 @@ def cmd_power(args) -> int:
     rows = []
     all_reports = []
     for k in range(1, args.k + 1):
-        ps = power_spectrum(s, k)
+        l2, lmin, lam = power_extremes(s, k)
         dk = product_degree([d] * k)
         row = {
             "k": k,
             "order": n ** k,
             "degree": dk,
-            "lambda2": ps.second_largest(),
-            "lambda_min": ps.smallest(),
+            "lambda2": l2,
+            "lambda_min": lmin,
             "alon_boppana": alon_boppana(dk),
         }
-        verdict = ramanujan_verdict_from_values(ps, dk)
+        verdict = ramanujan_verdict(lam, dk)
         row["is_ramanujan"] = verdict.is_ramanujan
         row["lambda_nontrivial"] = verdict.lam
         if factor is not None:
@@ -515,9 +515,11 @@ def _examples_spec():
 
     def power_table():
         s = eigenvalues(cycle(5))
-        got = [power_spectrum(s, k).second_largest() for k in range(1, 6)]
+        got = [power_extremes(s, k)[0] for k in range(1, 6)]
+        oracle = [power_spectrum(s, k).second_largest() for k in range(1, 6)]
         want = [0.6180, 3.8541, 13.5623, 42.6869, 130.0608]
-        ok = all(abs(a - b) < 5e-4 for a, b in zip(got, want))
+        ok = all(abs(a - b) < 5e-4 for a, b in zip(got, want)) and all(
+            abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, oracle))
         return [round(x, 4) for x in got], want, ok
     cases.append(("second eigenvalue of C5 strong powers", power_table))
 
@@ -595,7 +597,10 @@ def _add_common(p):
                    help="time budget in seconds for exact solvers")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: `parse_args` returns a fresh
+    namespace on every call, so no parsed state is kept between calls."""
     ap = argparse.ArgumentParser(
         prog="thetakit",
         description="Spectral bounds, theta values, and capacity "

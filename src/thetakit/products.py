@@ -9,10 +9,11 @@ from itertools import combinations_with_replacement, product as iproduct
 import numpy as np
 
 from .graphs import Graph, GraphMeta, check_budget
-from .spectra import Spectrum, spectrum_from_groups
+from .spectra import Spectrum, lambda_nontrivial, spectrum_from_groups
 
-# Peak bytes per group combination of `product_spectrum` / `power_spectrum`:
-# tracemalloc read 160-260 B from 9e3 to 2.6e6 combinations.
+# Peak bytes per group combination of the library oracles `product_spectrum`
+# and `power_spectrum`: tracemalloc read 160-260 B from 9e3 to 2.6e6
+# combinations. The CLI reads powers through `power_extremes` instead.
 COMBO_BYTES = 300
 
 
@@ -94,3 +95,39 @@ def power_spectrum(s: Spectrum, k: int, rtol: float = 1e-6) -> Spectrum:
             m //= math.factorial(c)
         out.append((v - 1.0, m))
     return spectrum_from_groups(out, rtol)
+
+
+def power_extremes(s: Spectrum, k: int) -> tuple:
+    """(lambda2, lambda_min, lambda_nontrivial) of the k-th strong power of a
+    graph with spectrum s, in closed form from the factor's groups.
+
+    Every eigenvalue of the power is prod(1+v_i) - 1. With top = 1+lambda_max,
+    a = 1 + the largest value below it and b = 1+lambda_min, every other
+    factor 1+v has |1+v| < top (Perron-Frobenius) and a >= 0, so for k >= 2
+    the largest product that is not top^k is max(top^(k-1) a, top^(k-2) b^2)
+    and the smallest is top^(k-1) b if b < 0, else b^k. lambda2 is top^k - 1
+    when the top group repeats (a disconnected graph). lambda_nontrivial is
+    the larger |.| of those two non-top values, as -(top^k - 1) cannot occur
+    for k >= 2; k = 1 takes the factor's `lambda_nontrivial` with
+    d = lambda_max. It is None when every eigenvalue is +-d (an edgeless
+    graph; a perfect matching at k = 1). `power_spectrum` is the multiset
+    oracle.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if k == 1:
+        try:
+            lam = lambda_nontrivial(s, s.largest())
+        except ValueError:
+            lam = None
+        return s.second_largest(), s.smallest(), lam
+    groups = s.groups
+    top, b = 1.0 + groups[0][0], 1.0 + groups[-1][0]
+    lo = top ** (k - 1) * b if b < 0 else b ** k
+    if len(groups) < 2:
+        if groups[0][1] < 2:
+            raise ValueError("need at least 2 eigenvalues")
+        return top ** k - 1.0, lo - 1.0, None
+    hi = max(top ** (k - 1) * (1.0 + groups[1][0]), top ** (k - 2) * b * b)
+    l2 = top ** k if groups[0][1] > 1 else hi
+    return l2 - 1.0, lo - 1.0, max(abs(hi - 1.0), abs(lo - 1.0))

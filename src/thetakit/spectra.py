@@ -176,12 +176,19 @@ class RamanujanVerdict:
         return self.is_ramanujan
 
 
+def ramanujan_verdict(lam: float, d: int) -> RamanujanVerdict:
+    """Verdict for a d-regular graph whose largest nontrivial |eigenvalue| is
+    lam: Ramanujan when lam <= 2 sqrt(d-1), up to 1e-9."""
+    if d < 2:
+        raise ValueError("need degree >= 2")
+    thr = 2.0 * math.sqrt(d - 1.0)
+    return RamanujanVerdict(lam <= thr + 1e-9, lam, thr, thr - lam)
+
+
 def ramanujan_verdict_from_values(s: Spectrum, d: int) -> RamanujanVerdict:
     if d < 2:
         raise ValueError("need degree >= 2")
-    lam = lambda_nontrivial(s, d)
-    thr = 2.0 * math.sqrt(d - 1.0)
-    return RamanujanVerdict(lam <= thr + 1e-9, lam, thr, thr - lam)
+    return ramanujan_verdict(lambda_nontrivial(s, d), d)
 
 
 def is_ramanujan(g) -> RamanujanVerdict:

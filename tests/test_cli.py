@@ -243,6 +243,48 @@ def test_power_plain_table_no_ansi(capsys):
     assert "alon_boppana" in out
 
 
+@pytest.mark.parametrize("spec, k", [
+    ("random_regular:60:7:1", 5),     # C(64, 5) = 7.6e6 group multisets
+    ("frucht", 12),                   # C(23, 12) = 1.4e6
+], ids=["rr60-k5", "frucht-k12"])
+def test_power_table_with_many_distinct_eigenvalues(spec, k, capsys):
+    rc, out, err = run(["power", "--gen", spec, "-k", str(k)], capsys)
+    assert rc == 0 and err == ""
+    rows = out.splitlines()[2:]
+    assert [int(r.split()[0]) for r in rows] == list(range(1, k + 1))
+
+
+def test_power_table_at_k100(capsys):
+    rc, out, _ = run(["power", "--gen", "random_regular:60:7:1", "-k", "100",
+                      "--json"], capsys)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [r["k"] for r in rows] == list(range(1, 101))
+    last = rows[-1]
+    assert last["degree"] == 8 ** 100 - 1 and last["is_ramanujan"] is False
+    assert last["lambda_nontrivial"] == max(last["lambda2"], -last["lambda_min"])
+    assert last["eig2_lower"] <= last["lambda2"]
+
+
+def test_product_bounds_with_many_distinct_eigenvalues(capsys):
+    rc, out, _ = run(["analyze", "--gen", "random_regular:60:7:1", "--tasks",
+                      "product-bounds", "--power", "5", "--json"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    payload = doc["tasks"]["product-bounds"]
+    assert payload["k"] == 5 and payload["product_degree"] == 32767
+    assert len(payload["reports"]) == 4 and doc["violations"] == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["power", "--gen", "petersen", "-k", "2"]
+    rc, out, _ = run([*argv, "--json"], capsys)
+    assert rc == 0 and json.loads(out)["rows"][1]["k"] == 2
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0 and out.startswith("k ") and "{" not in out
+
+
 def test_catalog_listing(capsys):
     rc, out, _ = run(["catalog", "--json"], capsys)
     assert rc == 0

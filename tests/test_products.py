@@ -8,21 +8,26 @@ import pytest
 from thetakit.graphs import (
     Graph,
     complete,
+    complete_bipartite,
     cycle,
+    disjoint_union,
     empty,
+    frucht,
+    hypercube,
     path,
     petersen,
     random_regular,
     within_budget,
 )
 from thetakit.products import (
+    power_extremes,
     power_spectrum,
     product_degree,
     product_spectrum,
     strong_power,
     strong_product,
 )
-from thetakit.spectra import eigenvalues
+from thetakit.spectra import eigenvalues, lambda_nontrivial
 
 
 def test_small_identities():
@@ -123,6 +128,52 @@ def test_power_spectrum_handles_huge_powers():
     big = power_spectrum(s, 40)          # 10^40 vertices, 3 groups per factor
     assert big.n == 10 ** 40
     assert big.largest() == pytest.approx(4.0 ** 40 - 1.0, rel=1e-12)
+
+
+EXTREME_CASES = {
+    **{f"rr{n}_{d}_{seed}": random_regular(n, d, seed=seed)
+       for n, d in ((8, 3), (10, 4), (12, 5), (14, 3)) for seed in (1, 2)},
+    "petersen": petersen(),
+    "frucht": frucht(),
+    "C6": cycle(6),                      # bipartite: -d in the factor
+    "Q3": hypercube(3),
+    "K3,3": complete_bipartite(3, 3),
+    "C5+C5": disjoint_union(cycle(5), cycle(5)),   # the top group repeats
+    "2K4": disjoint_union(complete(4), complete(4)),  # lambda_min = -1
+    "K5": complete(5),
+    "empty4": empty(4),
+    "P5": path(5),                       # not regular
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_CASES))
+def test_power_extremes_match_the_multiset_oracle(name):
+    s = eigenvalues(EXTREME_CASES[name])
+    for k in range(1, 7):
+        ps = power_spectrum(s, k, rtol=1e-10)
+        l2, lmin, lam = power_extremes(s, k)
+        scale = 1e-12 * (1.0 + s.largest()) ** k
+        assert l2 == pytest.approx(ps.second_largest(), abs=scale)
+        assert lmin == pytest.approx(ps.smallest(), abs=scale)
+        if name == "empty4":
+            assert lam is None
+            with pytest.raises(ValueError, match="no nontrivial"):
+                lambda_nontrivial(ps, ps.largest())
+        else:
+            assert lam == pytest.approx(lambda_nontrivial(ps, ps.largest()), abs=scale)
+
+
+def test_power_extremes_at_any_k():
+    s = eigenvalues(random_regular(60, 7, seed=1))   # 60 distinct values
+    assert power_extremes(s, 1)[:2] == (s.second_largest(), s.smallest())
+    l2, lmin, lam = power_extremes(s, 100)
+    assert l2 == pytest.approx(8.0 ** 99 * (1.0 + s.second_largest()), rel=1e-12)
+    assert lmin == pytest.approx(8.0 ** 99 * (1.0 + s.smallest()), rel=1e-12)
+    assert lam == max(abs(l2), abs(lmin))
+    with pytest.raises(ValueError):
+        power_extremes(s, 0)
+    with pytest.raises(ValueError):
+        power_extremes(eigenvalues(empty(1)), 2)   # one vertex: no lambda2
 
 
 def test_spectrum_caps():

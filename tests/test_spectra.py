@@ -28,6 +28,7 @@ from thetakit.spectra import (
     is_ramanujan,
     jacobi_eigenvalues,
     lambda_nontrivial,
+    ramanujan_verdict,
     ramanujan_verdict_from_values,
     spectrum_from_groups,
     spectrum_from_values,
@@ -164,6 +165,11 @@ def test_ramanujan_verdicts():
     assert v.margin == pytest.approx(v.threshold - 2.0)
     with pytest.raises(ValueError):
         ramanujan_verdict_from_values([1.0, 0.0, -1.0], 1)
+    # one threshold, 2 sqrt(d-1) + 1e-9, for spectra and for bare values
+    assert ramanujan_verdict(v.lam, 3) == v
+    assert ramanujan_verdict(2.0 + 1e-10, 2) and not ramanujan_verdict(2.0 + 1e-8, 2)
+    with pytest.raises(ValueError, match="degree"):
+        ramanujan_verdict(0.0, 1)
 
 
 def test_spectrum_iter_and_expanded_order():
