@@ -12,7 +12,7 @@ import numpy as np
 from .graphs import Graph
 from .spectra import complement_spectrum, eigenvalues, group_values
 from .srg import SrgParams
-from .theta import theta_srg
+from .theta import theta_upper_regular
 
 EQUALITY_TOL = 1e-6
 
@@ -65,10 +65,6 @@ def make_report(name: str, lhs: float, rhs: float, relation: str,
 def _ceil(x: float) -> int:
     # guard against float noise pushing an exact integer up a step
     return math.ceil(x - 1e-9)
-
-
-def _floor(x: float) -> int:
-    return math.floor(x + 1e-9)
 
 
 # -- eigenvalue inequality and the derived sequence -------------------
@@ -148,40 +144,15 @@ def self_complementary_eig_bounds(n: int):
 # -- clique bounds ----------------------------------------------------
 
 
-def haemers_clique_upper(n: int, d: int, l2: float) -> float:
-    """Clique upper bound n(1+l2)/(n-d+l2) for a d-regular graph."""
-    denom = n - d + l2
-    if denom <= 0:
-        raise ValueError("degenerate parameters")
-    return n * (1.0 + l2) / denom
-
-
 def haemers_clique_upper_maxdeg(n: int, avg_d: float, l1: float, l2: float,
                                 dmax: int) -> float:
     """Clique upper bound n(d+l1*l2)/(dn - dmax^2 + l1*l2) for an arbitrary
-    graph, with d the average degree 2|E|/n; reduces to the regular form
-    when the graph is regular."""
+    graph, with d the average degree 2|E|/n; on a regular graph it reduces
+    to n(1+l2)/(n-d+l2), the upper end of theta.theta_bounds_complement."""
     denom = avg_d * n - dmax ** 2 + l1 * l2
     if denom <= 0:
         raise ValueError("degenerate parameters")
     return n * (avg_d + l1 * l2) / denom
-
-
-@dataclass(frozen=True)
-class RamanujanBounds:
-    clique_upper: int
-    theta_lower: float
-    chromatic_complement_lower: int
-    clique_upper_raw: float
-
-
-def ramanujan_bounds(n: int, d: int) -> RamanujanBounds:
-    """Bounds valid for any d-regular Ramanujan graph, using only (n, d):
-    replace the nontrivial eigenvalues by +-2 sqrt(d-1)."""
-    s = 2.0 * math.sqrt(d - 1.0)
-    raw = n * (1.0 + s) / (n - d + s)
-    theta_lower = (n - d + s) / (1.0 + s)
-    return RamanujanBounds(_floor(raw), theta_lower, _ceil(theta_lower), raw)
 
 
 def wei_bounds(degrees):
@@ -212,14 +183,6 @@ def eig2_lower_product(factors) -> float:
     return (math.prod(ns) - math.prod(1 + d for d in ds)) / denom - 1.0
 
 
-def eig2_lower_product_lmin(factors) -> float:
-    """Weakened form of eig2_lower_product with theta replaced by the
-    spectral upper bound -n*lmin/(d-lmin) per factor (n, d, lmin); equals
-    the theta form when each factor is edge-transitive or strongly regular."""
-    subs = [(n, d, -n * lm / (d - lm)) for n, d, lm in factors]
-    return eig2_lower_product(subs)
-
-
 def eigmin_upper_product(factors) -> float:
     """Upper bound on lmin of a strong product from per-factor (n, d, theta).
 
@@ -233,17 +196,6 @@ def eigmin_upper_product(factors) -> float:
     denom = math.prod(n / t for n, t in zip(ns, thetas)) - 1.0
     if denom <= 0:
         raise ValueError("need prod(n/theta) > 1")
-    return -(math.prod(1 + d for d in ds) - 1.0) / denom
-
-
-def eigmin_upper_product_lmin(factors) -> float:
-    """Equivalent form of eigmin_upper_product taking (n, d, lmin) factors;
-    only valid when each factor is edge-transitive or strongly regular
-    (then 1 - d/lmin equals n/theta)."""
-    ds = [f[1] for f in factors]
-    denom = math.prod(1.0 - d / lm for _, d, lm in factors) - 1.0
-    if denom <= 0:
-        raise ValueError("degenerate factors")
     return -(math.prod(1 + d for d in ds) - 1.0) / denom
 
 
@@ -291,59 +243,6 @@ def chromatic_lb_strong_product(factors):
         ratio *= n / t
         prod_theta *= t
     return _ceil(ratio), _ceil(prod_theta)
-
-
-def chromatic_lb_regular(factors) -> int:
-    """ceil(prod (1 - d/lmin)) lower bound on chi of the strong product of
-    regular factors (n, d, lmin); matches the n/theta form when each factor
-    is edge-transitive or strongly regular."""
-    prod = 1.0
-    for _, d, lm in factors:
-        if lm >= 0:
-            raise ValueError("need lmin < 0")
-        prod *= 1.0 - d / lm
-    return _ceil(prod)
-
-
-def chromatic_lb_complement_product(factors) -> int:
-    """ceil(prod (-n*lmin/(d-lmin))) lower bound on chi of the complement of
-    the strong product; requires each (n, d, lmin) factor edge-transitive or
-    strongly regular (caller gates on that metadata)."""
-    prod = 1.0
-    for n, d, lm in factors:
-        if lm >= 0:
-            raise ValueError("need lmin < 0")
-        prod *= -n * lm / (d - lm)
-    return _ceil(prod)
-
-
-def chromatic_lb_self_complementary(orders) -> int:
-    """ceil(sqrt(prod n)) lower bound on chi of a strong product (and of its
-    complement) whose factors are self-complementary and each vertex-transitive
-    or strongly regular."""
-    return _ceil(math.sqrt(math.prod(orders)))
-
-
-def srg_product_chromatic_bounds(params_list, chis=None):
-    """Chromatic bounds for a strong product of strongly regular factors.
-
-    Lower: ceil(prod (1 + 2d/(t+mu-lam))) from the closed-form theta of each
-    complement factor. Upper: prod of factor chromatic numbers when given.
-    """
-    prod = 1.0
-    for p in params_list:
-        prod *= srg_chromatic_factor(p)
-    upper = None
-    if chis is not None:
-        upper = math.prod(chis)
-    return _ceil(prod), upper
-
-
-def srg_chromatic_factor(p: SrgParams) -> float:
-    """The per-factor value 1 + 2d/(t+mu-lam) (theta of the complement)."""
-    if not isinstance(p, SrgParams):
-        p = SrgParams(*p)
-    return float(theta_srg(p)[1])
 
 
 # -- affine polar graph parameters ------------------------------------
@@ -395,22 +294,24 @@ def product_bound_reports(factors_data, product_l2: float,
                           product_lmin: float) -> list[BoundReport]:
     """Reports for the strong-product eigenvalue bounds against realized
     product eigenvalues; factors_data is a list of dicts with keys n, d,
-    theta and optionally lmin, tight (edge-transitive or SRG)."""
-    reports = []
-    triples = [(f["n"], f["d"], f["theta"]) for f in factors_data]
-    reports.append(make_report("eig2-product-lower",
-                               eig2_lower_product(triples), product_l2, "<="))
-    reports.append(make_report("eigmin-product-upper",
-                               product_lmin, eigmin_upper_product(triples), "<="))
-    if all("lmin" in f for f in factors_data):
-        lmin_triples = [(f["n"], f["d"], f["lmin"]) for f in factors_data]
-        reports.append(make_report("eig2-product-lower-lmin",
-                                   eig2_lower_product_lmin(lmin_triples),
-                                   product_l2, "<="))
-        tight = all(f.get("tight") for f in factors_data)
-        reports.append(make_report(
-            "eigmin-product-upper-lmin", product_lmin,
-            eigmin_upper_product_lmin(lmin_triples), "<=",
-            applicable=tight,
-            reason=None if tight else "factors not all edge-transitive or SRG"))
-    return reports
+    theta, lmin and tight (edge-transitive or SRG).
+
+    The "-lmin" reports feed the same bounds theta_upper_regular(n, d, lmin)
+    in place of theta. That weakens the l2 bound, which stays valid; the
+    lmin bound holds only when the spectral value is theta itself, so it
+    applies only to tight factors."""
+    exact = [(f["n"], f["d"], f["theta"]) for f in factors_data]
+    spectral = [(f["n"], f["d"], theta_upper_regular(f["n"], f["d"], f["lmin"]))
+                for f in factors_data]
+    tight = all(f["tight"] for f in factors_data)
+    return [
+        make_report("eig2-product-lower", eig2_lower_product(exact),
+                    product_l2, "<="),
+        make_report("eigmin-product-upper", product_lmin,
+                    eigmin_upper_product(exact), "<="),
+        make_report("eig2-product-lower-lmin", eig2_lower_product(spectral),
+                    product_l2, "<="),
+        make_report("eigmin-product-upper-lmin", product_lmin,
+                    eigmin_upper_product(spectral), "<=", applicable=tight,
+                    reason=None if tight else "factors not all edge-transitive or SRG"),
+    ]

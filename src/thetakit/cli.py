@@ -20,13 +20,10 @@ from fractions import Fraction
 from . import catalog
 from .bounds import (
     alon_boppana,
-    chromatic_lb_regular,
     chromatic_lb_strong_product,
-    haemers_clique_upper,
     make_report,
     non_ramanujan_k0,
     product_bound_reports,
-    srg_chromatic_factor,
     wei_bounds,
 )
 from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
@@ -249,12 +246,15 @@ def _task_chromatic_bounds(g, args):
         out["chi_complement_lower_from_theta"] = chi_complement_lb
     if g.is_regular() and 0 < g.degree() < n - 1:
         s = eigenvalues(g)
-        d, l2, lmin = g.degree(), s.second_largest(), s.smallest()
-        out["chi_lower_regular"] = chromatic_lb_regular([(n, d, lmin)])
-        out["haemers_clique_upper"] = haemers_clique_upper(n, d, l2)
+        cb = theta_bounds_complement(n, g.degree(), s.second_largest(),
+                                     s.smallest())
+        # chi(G) >= theta(complement) >= 1 - d/lmin (Hoffman), and
+        # omega(G) <= theta(complement) <= n(1+l2)/(n-d+l2)
+        out["chi_lower_regular"] = chromatic_lb_strong_product([(n, cb.lower)])[1]
+        out["haemers_clique_upper"] = cb.upper
     p = srg_check(g)
     if p is not None:
-        out["chromatic_factor_srg"] = srg_chromatic_factor(p)
+        out["chromatic_factor_srg"] = float(theta_srg(p)[1])
     if args.exact_chi:
         alpha_upper = (math.floor(float(est.value) + 1e-6)
                        if est.value is not None else None)
@@ -546,7 +546,7 @@ def _examples_spec():
     cases.append(("affine polar + type theta values", affine))
 
     def factors():
-        got = [round(srg_chromatic_factor(SrgParams(*t)), 6) for t in
+        got = [round(float(theta_srg(SrgParams(*t))[1]), 6) for t in
                [(27, 16, 10, 8), (16, 6, 2, 2), (100, 36, 14, 12),
                 (1782, 416, 100, 96), (28, 12, 6, 4)]]
         want = [9.0, 4.0, 10.0, 27.0, 7.0]
@@ -646,8 +646,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
-        # bad input, or a dense allocation refused by the byte budget
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
+        # bad input, a dense allocation refused by the byte budget, or a
+        # power whose bounds leave float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -46,10 +46,11 @@ def theta_bounds_regular(n: int, d: int, l2: float, lmin: float) -> ThetaBounds:
 
 
 def theta_bounds_complement(n: int, d: int, l2: float, lmin: float) -> ThetaBounds:
-    """Sandwich for the complement of a d-regular graph from the graph's spectrum."""
-    if lmin >= 0:
-        raise ValueError("need lmin < 0")
-    return ThetaBounds(1.0 - d / lmin, n * (1.0 + l2) / (n - d + l2))
+    """Sandwich for the complement of a d-regular graph from the graph's
+    spectrum: the complement is (n-d-1)-regular with l2 = -1-lmin and
+    lmin = -1-l2, so the bounds are 1 - d/lmin (Hoffman's chi(G) bound) and
+    n(1+l2)/(n-d+l2) (the clique bound)."""
+    return theta_bounds_regular(n, n - d - 1, -1.0 - lmin, -1.0 - l2)
 
 
 def theta_srg(p: SrgParams):

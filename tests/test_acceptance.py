@@ -14,14 +14,13 @@ import numpy as np
 from conftest import record_criterion
 
 from thetakit.bounds import (
-    chromatic_lb_regular,
     affine_polar_params,
+    chromatic_lb_strong_product,
     eig2_lower_product,
     eig_inequality_cor0,
     eigmin_upper_product,
     g_sequence,
     k0_self_complementary_vt,
-    srg_chromatic_factor,
 )
 from thetakit.catalog import load_fixture
 from thetakit.exact import (
@@ -46,7 +45,12 @@ from thetakit.graphs import (
 from thetakit.products import power_spectrum, product_spectrum, strong_power, strong_product
 from thetakit.spectra import eigenvalues, ramanujan_verdict_from_values
 from thetakit.srg import SrgParams, srg_check, srg_params_feasible
-from thetakit.theta import theta_exact, theta_exact_result, theta_srg
+from thetakit.theta import (
+    theta_exact,
+    theta_exact_result,
+    theta_srg,
+    theta_upper_regular,
+)
 
 CLOSED_FORM_TABLE = [
     ((10, 3, 0, 1), 4), ((16, 6, 2, 2), 4), ((100, 36, 14, 12), 10),
@@ -214,7 +218,7 @@ def test_chromatic_reproductions():
                     ((100, 36, 14, 12), 10.0), ((1782, 416, 100, 96), 27.0),
                     ((28, 12, 6, 4), 7.0)]
     for tup, want in factor_cases:
-        got = srg_chromatic_factor(SrgParams(*tup))
+        got = float(theta_srg(SrgParams(*tup))[1])
         if abs(got - want) > 1e-9:
             failures.append((tup, got, want))
 
@@ -223,7 +227,8 @@ def test_chromatic_reproductions():
     if abs(lmin - (-3.0)) > 1e-8:
         failures.append(("perkel-lmin", lmin))
     for k in range(1, 5):
-        if chromatic_lb_regular([(57, 6, -3.0)] * k) != 3 ** k:
+        factor = (57, theta_upper_regular(57, 6, -3.0))
+        if chromatic_lb_strong_product([factor] * k)[0] != 3 ** k:
             failures.append(("perkel-power-bound", k))
     chi_perkel = chromatic_number(perkel, budget=120.0)
     if chi_perkel.value != 3:

@@ -9,44 +9,42 @@ from thetakit.bounds import (
     BoundReport,
     affine_polar_params,
     alon_boppana,
-    chromatic_lb_complement_product,
-    chromatic_lb_regular,
-    chromatic_lb_self_complementary,
     chromatic_lb_strong_product,
     eig2_lower_product,
-    eig2_lower_product_lmin,
     eig_inequality_cor0,
     eigmin_upper_product,
-    eigmin_upper_product_lmin,
     g_sequence,
-    haemers_clique_upper,
     haemers_clique_upper_maxdeg,
     k0_self_complementary_vt,
     make_report,
     non_ramanujan_k0,
     product_bound_reports,
-    ramanujan_bounds,
     self_complementary_eig_bounds,
-    srg_chromatic_factor,
-    srg_product_chromatic_bounds,
     wei_bounds,
 )
+from thetakit.catalog import load_fixture
 from thetakit.graphs import (
     complete,
     cycle,
     disjoint_union,
     frucht,
     hypercube,
+    kneser,
     paley,
     path,
     petersen,
     random_regular,
     shrikhande,
 )
-from thetakit.products import power_spectrum
+from thetakit.products import power_extremes, power_spectrum, product_degree
 from thetakit.spectra import eigenvalues
 from thetakit.srg import SrgParams
-from thetakit.theta import theta_srg
+from thetakit.theta import (
+    theta_bounds_complement,
+    theta_bounds_regular,
+    theta_srg,
+    theta_upper_regular,
+)
 
 
 def test_make_report_slack_semantics():
@@ -127,16 +125,17 @@ def test_self_complementary_eig_bounds_tight_on_paley():
 
 
 def test_haemers_clique_upper():
-    assert haemers_clique_upper(10, 3, 1.0) == pytest.approx(2.5)
+    # the clique bound n(1+l2)/(n-d+l2) is the complement sandwich's upper end
+    assert theta_bounds_complement(10, 3, 1.0, -2.0).upper == pytest.approx(2.5)
     # complete bipartite: bound hits omega exactly
-    assert haemers_clique_upper(6, 3, 0.0) == pytest.approx(2.0)
+    assert theta_bounds_complement(6, 3, 0.0, -3.0).upper == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        haemers_clique_upper(5, 6, 0.0)
+        theta_bounds_complement(5, 6, 0.0, -1.0)
 
 
 def test_haemers_maxdeg_reduces_to_regular():
     s = eigenvalues(petersen())
-    reg = haemers_clique_upper(10, 3, s.second_largest())
+    reg = theta_bounds_complement(10, 3, s.second_largest(), s.smallest()).upper
     gen = haemers_clique_upper_maxdeg(10, 3.0, s.largest(),
                                       s.second_largest(), 3)
     assert gen == pytest.approx(reg, abs=1e-9)
@@ -150,12 +149,15 @@ def test_haemers_maxdeg_on_irregular():
 
 
 def test_ramanujan_bounds():
-    rb = ramanujan_bounds(10, 3)
-    assert rb.clique_upper == 3
-    assert rb.theta_lower == pytest.approx((10 - 3 + 2 * math.sqrt(2))
-                                           / (1 + 2 * math.sqrt(2)))
-    assert rb.chromatic_complement_lower == 3
-    assert rb.clique_upper_raw > rb.theta_lower
+    # a Ramanujan graph's nontrivial eigenvalues lie in [-2 sqrt(d-1), 2 sqrt(d-1)]
+    s = 2.0 * math.sqrt(2.0)
+    theta_lower = theta_bounds_regular(10, 3, s, -s).lower
+    clique_upper_raw = theta_bounds_complement(10, 3, s, -s).upper
+    assert math.floor(clique_upper_raw) == 3
+    assert theta_lower == pytest.approx((10 - 3 + 2 * math.sqrt(2))
+                                        / (1 + 2 * math.sqrt(2)))
+    assert chromatic_lb_strong_product([(10, theta_lower)])[1] == 3
+    assert clique_upper_raw > theta_lower
 
 
 def test_wei_bounds():
@@ -171,11 +173,11 @@ def test_product_eig_bounds_pentagon():
                                                   abs=1e-9)
     assert eigmin_upper_product(f) == pytest.approx(-(1 + math.sqrt(5)) / 2,
                                                     abs=1e-9)
-    # the lmin forms agree because C5 is strongly regular
-    fl = [(5, 2, -(1 + math.sqrt(5)) / 2)]
-    assert eig2_lower_product_lmin(fl) == pytest.approx(
+    # the spectral theta agrees because C5 is strongly regular
+    fl = [(5, 2, theta_upper_regular(5, 2, -(1 + math.sqrt(5)) / 2))]
+    assert eig2_lower_product(fl) == pytest.approx(
         eig2_lower_product(f), abs=1e-9)
-    assert eigmin_upper_product_lmin(fl) == pytest.approx(
+    assert eigmin_upper_product(fl) == pytest.approx(
         eigmin_upper_product(f), abs=1e-9)
 
 
@@ -212,23 +214,17 @@ def test_chromatic_lb_forms_agree_on_pentagon():
     sqrt5 = math.sqrt(5.0)
     both = chromatic_lb_strong_product([(5, sqrt5), (5, sqrt5)])
     assert both == (5, 5)
+    # theta(C5) = -n*lmin/(d-lmin) = sqrt(5): C5 is strongly regular
     lmin = -(1 + sqrt5) / 2
-    assert chromatic_lb_regular([(5, 2, lmin)] * 2) == 5
-    assert chromatic_lb_complement_product([(5, 2, lmin)] * 2) == 5
-    assert chromatic_lb_self_complementary([5, 5]) == 5
-
-
-def test_chromatic_lb_guards():
-    with pytest.raises(ValueError):
-        chromatic_lb_regular([(5, 2, 0.5)])
-    with pytest.raises(ValueError):
-        chromatic_lb_complement_product([(5, 2, 0.0)])
+    assert chromatic_lb_strong_product(
+        [(5, theta_upper_regular(5, 2, lmin))] * 2) == (5, 5)
 
 
 def test_srg_product_chromatic_bounds():
-    lo, hi = srg_product_chromatic_bounds(
-        [(16, 6, 2, 2), (28, 12, 6, 4)], chis=(4, 7))
-    assert lo == 28 and hi == 28
+    # n/theta_srg(p) = theta(complement); the product colouring gives chi <= 4*7
+    factors = [(p[0], theta_srg(SrgParams(*p))[0])
+               for p in [(16, 6, 2, 2), (28, 12, 6, 4)]]
+    assert chromatic_lb_strong_product(factors)[0] == 28 == 4 * 7
 
 
 def test_srg_chromatic_factor_values():
@@ -236,11 +232,10 @@ def test_srg_chromatic_factor_values():
              ((100, 36, 14, 12), 10.0), ((1782, 416, 100, 96), 27.0),
              ((28, 12, 6, 4), 7.0)]
     for tup, want in cases:
-        assert srg_chromatic_factor(SrgParams(*tup)) == pytest.approx(
-            want, abs=1e-9)
-        # the factor equals theta of the complement parameter set
-        _, tc = theta_srg(SrgParams(*tup))
+        # the factor is theta of the complement parameter set, n/theta
+        t, tc = theta_srg(SrgParams(*tup))
         assert float(tc) == pytest.approx(want, abs=1e-9)
+        assert tup[0] / float(t) == pytest.approx(want, abs=1e-9)
 
 
 def test_affine_polar_params_structure():
@@ -267,3 +262,39 @@ def test_product_bound_reports_assembly():
     reports2 = product_bound_reports(fd2, ps.second_largest(), ps.smallest())
     assert not reports2[3].applicable
     assert reports2[3].holds()     # not-applicable reports never violate
+
+
+def _sweep_graphs():
+    yield from (random_regular(n, d, seed=seed) for n, d, seed in
+                [(12, 5, 0), (12, 5, 1), (12, 5, 2), (14, 3, 0), (16, 6, 1),
+                 (20, 3, 1), (24, 4, 3), (30, 7, 2), (40, 5, 4)])
+    yield from (petersen(), frucht(), cycle(7), cycle(9), hypercube(4),
+                kneser(7, 2), shrikhande(), paley(13))
+    yield from (load_fixture(name) for name in ("perkel", "gosset"))
+
+
+def test_variant_closed_forms_are_base_form_calls():
+    # each closed form below once had its own function; check it against
+    # the base-form call that now computes it, on G and on its strong powers
+    rel = 1e-12
+    checked = 0
+    for g in _sweep_graphs():
+        n, d = g.n, g.degree()
+        s = eigenvalues(g)
+        lmin = s.smallest()
+        theta_hat = theta_upper_regular(n, d, lmin)
+        for k in range(1, 5):
+            nk, dk = n ** k, product_degree([d] * k)
+            l2k, lmink, _ = power_extremes(s, k)
+            cb = theta_bounds_complement(nk, dk, l2k, lmink)
+            assert cb.lower == pytest.approx(1.0 - dk / lmink, rel=rel)
+            assert cb.upper == pytest.approx(nk * (1.0 + l2k) / (nk - dk + l2k),
+                                             rel=rel)
+            factors = [(n, d, theta_hat)] * k
+            ratio = (1.0 - d / lmin) ** k
+            assert eigmin_upper_product(factors) == pytest.approx(
+                -((1 + d) ** k - 1.0) / (ratio - 1.0), rel=rel)
+            assert chromatic_lb_strong_product([(n, theta_hat)] * k)[0] == \
+                math.ceil(ratio - 1e-9)
+        checked += 1
+    assert checked == 19

@@ -174,6 +174,20 @@ def test_budget_refusal_inside_a_task_is_an_input_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["power", "--gen", "petersen", "-k", "520"],
+    ["analyze", "--gen", "petersen", "--tasks", "product-bounds",
+     "--power", "400"],
+], ids=["power", "analyze"])
+def test_bounds_past_float_range_are_an_input_error(argv):
+    # 10^k leaves float range at k = 309
+    proc = subprocess.run([sys.executable, "-m", "thetakit.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("spec", ["empty:0", "path:0"])
 def test_analyze_the_null_graph(spec):
     # default tasks: the spectrum has no eigenvalues, so no extremes
