@@ -290,20 +290,21 @@ def affine_polar_params(e: int, q: int, sign: str) -> AffinePolarInfo:
 # -- report bundles ---------------------------------------------------
 
 
-def product_bound_reports(factors_data, product_l2: float,
+def product_bound_reports(factors, product_l2: float,
                           product_lmin: float) -> list[BoundReport]:
     """Reports for the strong-product eigenvalue bounds against realized
-    product eigenvalues; factors_data is a list of dicts with keys n, d,
-    theta, lmin and tight (edge-transitive or SRG).
+    product eigenvalues; factors is a list of per-factor (n, d, theta, lmin).
 
     The "-lmin" reports feed the same bounds theta_upper_regular(n, d, lmin)
     in place of theta. That weakens the l2 bound, which stays valid; the
     lmin bound holds only when the spectral value is theta itself, so it
-    applies only to tight factors."""
-    exact = [(f["n"], f["d"], f["theta"]) for f in factors_data]
-    spectral = [(f["n"], f["d"], theta_upper_regular(f["n"], f["d"], f["lmin"]))
-                for f in factors_data]
-    tight = all(f["tight"] for f in factors_data)
+    applies only when every factor is tight: its ratio bound is measured
+    within EQUALITY_TOL of its theta. Edge-transitive and strongly regular
+    factors are always tight (Lovász 1979, Thm 9)."""
+    exact = [(n, d, theta) for n, d, theta, _ in factors]
+    spectral = [(n, d, theta_upper_regular(n, d, lmin)) for n, d, _, lmin in factors]
+    tight = all(theta_upper_regular(n, d, lmin) - theta <= EQUALITY_TOL
+                for n, d, theta, lmin in factors)
     return [
         make_report("eig2-product-lower", eig2_lower_product(exact),
                     product_l2, "<="),

@@ -96,10 +96,7 @@ def load_fixture(name: str) -> Graph:
     ref = resources.files("thetakit") / "fixtures" / entry["file"]
     g = from_graph6(ref.read_text().strip())
     flags = entry.get("flags", {})
-    return g.with_meta(name=name,
-                       vertex_transitive=flags.get("vertex_transitive"),
-                       edge_transitive=flags.get("edge_transitive"),
-                       self_complementary=flags.get("self_complementary"))
+    return g.with_meta(name=name, vertex_transitive=flags.get("vertex_transitive"))
 
 
 def load(spec: str) -> Graph:

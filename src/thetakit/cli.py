@@ -192,13 +192,6 @@ def _task_ramanujan(g, _args):
     }, []
 
 
-def _factor_data(g, s, est):
-    """One regular factor's data for the strong-product eigenvalue bounds."""
-    tight = bool(srg_check(g)) or g.meta.edge_transitive is True
-    return {"n": g.n, "d": g.degree(), "theta": float(est.value),
-            "lmin": s.smallest(), "tight": tight}
-
-
 def _task_product_bounds(g, args):
     if not g.is_regular():
         return {"applicable": False, "reason": "graph is not regular"}, []
@@ -207,15 +200,18 @@ def _task_product_bounds(g, args):
     if not 0 < d:
         return {"applicable": False, "reason": "empty graph"}, []
     s = eigenvalues(g)
-    l2p, lminp, _ = power_extremes(s, k)
-    est = theta_best(g)
-    if est.value is None:
-        return {"applicable": False,
-                "reason": "theta not determined for factor"}, []
-    reports = []
-    if d < n - 1:
-        reports = product_bound_reports([_factor_data(g, s, est)] * k,
-                                        l2p, lminp)
+    try:
+        l2p, lminp, _ = power_extremes(s, k)
+        est = theta_best(g)
+        if est.value is None:
+            return {"applicable": False,
+                    "reason": "theta not determined for factor"}, []
+        reports = []
+        if d < n - 1:
+            factor = (n, d, float(est.value), s.smallest())
+            reports = product_bound_reports([factor] * k, l2p, lminp)
+    except OverflowError as exc:
+        raise ValueError(f"--power {k} leaves float range") from exc
     out = {
         "k": k,
         "product_order": n ** k,
@@ -357,6 +353,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_power(args) -> int:
+    if args.k < 1:
+        raise ValueError("need k >= 1")
     g = _load_source(args)
     if not g.is_regular():
         print("error: power tables need a regular graph", file=sys.stderr)
@@ -373,34 +371,39 @@ def cmd_power(args) -> int:
         return EXIT_OK
     s = eigenvalues(g)
     est = theta_best(g)
-    factor = _factor_data(g, s, est) if est.value is not None else None
+    factor = (n, d, float(est.value), s.smallest()) if est.value is not None else None
     rows = []
     all_reports = []
-    for k in range(1, args.k + 1):
-        l2, lmin, lam = power_extremes(s, k)
-        dk = product_degree([d] * k)
-        row = {
-            "k": k,
-            "order": n ** k,
-            "degree": dk,
-            "lambda2": l2,
-            "lambda_min": lmin,
-            "alon_boppana": alon_boppana(dk),
-        }
-        verdict = ramanujan_verdict(lam, dk)
-        row["is_ramanujan"] = verdict.is_ramanujan
-        row["lambda_nontrivial"] = verdict.lam
-        if factor is not None:
-            reports = product_bound_reports([factor] * k, row["lambda2"],
-                                            row["lambda_min"])
-            row["eig2_lower"] = reports[0].lhs
-            row["eigmin_upper"] = reports[1].rhs
-            all_reports.extend(reports)
-        if args.materialize and within_budget(eigensolve_bytes(n ** k)):
-            dense = eigenvalues(strong_power(g, k))
-            row["lambda2_dense"] = dense.second_largest()
-            row["lambda_min_dense"] = dense.smallest()
-        rows.append(row)
+    try:
+        for k in range(1, args.k + 1):
+            l2, lmin, lam = power_extremes(s, k)
+            dk = product_degree([d] * k)
+            row = {
+                "k": k,
+                "order": n ** k,
+                "degree": dk,
+                "lambda2": l2,
+                "lambda_min": lmin,
+                "alon_boppana": alon_boppana(dk),
+            }
+            verdict = ramanujan_verdict(lam, dk)
+            row["is_ramanujan"] = verdict.is_ramanujan
+            row["lambda_nontrivial"] = verdict.lam
+            if factor is not None:
+                reports = product_bound_reports([factor] * k, row["lambda2"],
+                                                row["lambda_min"])
+                row["eig2_lower"] = reports[0].lhs
+                row["eigmin_upper"] = reports[1].rhs
+                all_reports.extend(reports)
+            if args.materialize and within_budget(eigensolve_bytes(n ** k)):
+                dense = eigenvalues(strong_power(g, k))
+                row["lambda2_dense"] = dense.second_largest()
+                row["lambda_min_dense"] = dense.smallest()
+            rows.append(row)
+    except OverflowError as exc:
+        # the rows grow with k, so the first that overflows ends the ones that fit
+        raise ValueError(f"row k = {k} leaves float range; "
+                         f"-k {k - 1} is the largest power that fits") from exc
     viol = _violations(all_reports)
     result = {
         "graph": {"name": g.meta.name or None, "n": n, "degree": d},
@@ -647,8 +650,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError, OverflowError) as exc:
-        # bad input, a dense allocation refused by the byte budget, or a
-        # power whose bounds leave float range
+        # bad input, a dense allocation refused by the byte budget, or, as a
+        # backstop behind the power commands' own messages, float overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -105,24 +105,24 @@ def _adjacency(n: int, fill: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphMeta:
-    """Asserted structural facts about a graph.
+    """A graph's name and its one asserted structural fact.
 
-    Flags are catalog/user assertions, never checked by the library, just
-    as a solver's `target` is not: a false flag gives wrong answers, for
-    instance a wrong "exact" clique or independence number from a false
-    vertex_transitive. None means "unknown"; code gated on a flag treats
-    None as not applicable.
+    vertex_transitive is a catalog/user assertion, never checked by the
+    library, just as a solver's `target` is not: the clique and
+    independence searches trust it, and a false flag gives a wrong "exact"
+    answer. None means "unknown" and is treated as not applicable. It is
+    the only flag: the lmin and complement-chi forms of the product bounds
+    apply when Lovász's ratio bound is measured equal to theta (edge-
+    transitive and strongly regular graphs are the paper's sufficient
+    conditions for that equality), not when a flag says so.
 
-    The one flag the library infers is vertex_transitive on a strong
-    product, set when every factor asserts it: the product of the
-    factors' automorphisms acts transitively on the product's vertices.
-    `Graph.complement()` keeps vertex_transitive and self_complementary.
+    The library infers the flag on a strong product, setting it when every
+    factor asserts it: the product of the factors' automorphisms acts
+    transitively on the product's vertices. `Graph.complement()` keeps it.
     """
 
     name: str = ""
     vertex_transitive: Optional[bool] = None
-    edge_transitive: Optional[bool] = None
-    self_complementary: Optional[bool] = None
 
 
 class Graph:
@@ -231,15 +231,11 @@ class Graph:
         return bool(seen.all())
 
     def complement(self) -> "Graph":
-        """The complement, keeping the flags that complementation always
-        preserves: vertex_transitive (same automorphisms) and
-        self_complementary. edge_transitive is dropped: the complement of
-        C6 is the triangular prism, which is not edge-transitive."""
+        """The complement, keeping vertex_transitive (same automorphisms)."""
         a = ~self.adj
         np.fill_diagonal(a, False)
         name = self.meta.name
-        meta = replace(self.meta, name=f"complement({name})" if name else "",
-                       edge_transitive=None)
+        meta = replace(self.meta, name=f"complement({name})" if name else "")
         return Graph._derived(a, meta)
 
     def subgraph(self, vertices) -> "Graph":
@@ -270,8 +266,7 @@ class Graph:
 def complete(n: int) -> Graph:
     a = _adjacency(n, True)
     np.fill_diagonal(a, False)
-    return Graph(a, GraphMeta(name=f"K{n}", vertex_transitive=True,
-                              edge_transitive=True))
+    return Graph(a, GraphMeta(name=f"K{n}", vertex_transitive=True))
 
 
 def empty(n: int) -> Graph:
@@ -282,9 +277,8 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    meta = GraphMeta(name=f"C{n}", vertex_transitive=True, edge_transitive=True,
-                     self_complementary=(n == 5))
-    return Graph.from_edge_list(n, edges, meta)
+    return Graph.from_edge_list(n, edges,
+                                GraphMeta(name=f"C{n}", vertex_transitive=True))
 
 
 def path(n: int) -> Graph:
@@ -299,9 +293,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     m = _adjacency(n)
     m[:a, a:] = True
     m[a:, :a] = True
-    meta = GraphMeta(name=f"K{a},{b}", vertex_transitive=(a == b),
-                     edge_transitive=True)
-    return Graph(m, meta)
+    return Graph(m, GraphMeta(name=f"K{a},{b}", vertex_transitive=(a == b)))
 
 
 def kneser(m: int, r: int) -> Graph:
@@ -317,8 +309,7 @@ def kneser(m: int, r: int) -> Graph:
         for j in range(i + 1, n):
             if not subsets[i] & subsets[j]:
                 a[i, j] = a[j, i] = True
-    return Graph(a, GraphMeta(name=f"kneser({m},{r})", vertex_transitive=True,
-                              edge_transitive=True))
+    return Graph(a, GraphMeta(name=f"kneser({m},{r})", vertex_transitive=True))
 
 
 def petersen() -> Graph:
@@ -342,8 +333,7 @@ def paley(q: int) -> Graph:
         for j in range(i + 1, q):
             if (i - j) % q in squares:
                 a[i, j] = a[j, i] = True
-    return Graph(a, GraphMeta(name=f"paley({q})", vertex_transitive=True,
-                              edge_transitive=True, self_complementary=True))
+    return Graph(a, GraphMeta(name=f"paley({q})", vertex_transitive=True))
 
 
 def shrikhande() -> Graph:
@@ -365,8 +355,7 @@ def hypercube(k: int) -> Graph:
     u = np.arange(n)
     for b in range(k):
         a[u, u ^ (1 << b)] = True
-    return Graph(a, GraphMeta(name=f"Q{k}", vertex_transitive=True,
-                              edge_transitive=True))
+    return Graph(a, GraphMeta(name=f"Q{k}", vertex_transitive=True))
 
 
 def frucht() -> Graph:
@@ -465,5 +454,4 @@ def self_complementary_extend(g: Graph) -> Graph:
     a[:n, v2] = a[v2, :n] = True
     a[:n, v3] = a[v3, :n] = True
     name = g.meta.name
-    return Graph(a, GraphMeta(name=f"scx({name})" if name else "",
-                              self_complementary=g.meta.self_complementary))
+    return Graph(a, GraphMeta(name=f"scx({name})" if name else ""))

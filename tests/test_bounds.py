@@ -249,19 +249,24 @@ def test_affine_polar_params_structure():
 
 
 def test_product_bound_reports_assembly():
+    # Petersen: (n, d, theta, lmin), whose ratio bound -n lmin/(d - lmin) = 4 is theta
     s = eigenvalues(petersen())
     ps = power_spectrum(s, 2)
-    fd = [{"n": 10, "d": 3, "theta": 4.0, "lmin": -2.0, "tight": True}] * 2
-    reports = product_bound_reports(fd, ps.second_largest(), ps.smallest())
-    assert len(reports) == 4
-    assert all(r.holds(1e-6) for r in reports)
-    names = [r.name for r in reports]
-    assert "eig2-product-lower" in names and "eigmin-product-upper" in names
-    # untagged factors disable only the lmin-form upper bound
-    fd2 = [{"n": 10, "d": 3, "theta": 4.0, "lmin": -2.0, "tight": False}] * 2
-    reports2 = product_bound_reports(fd2, ps.second_largest(), ps.smallest())
-    assert not reports2[3].applicable
-    assert reports2[3].holds()     # not-applicable reports never violate
+    reports = product_bound_reports([(10, 3, 4.0, -2.0)] * 2,
+                                    ps.second_largest(), ps.smallest())
+    assert [r.name for r in reports] == [
+        "eig2-product-lower", "eigmin-product-upper",
+        "eig2-product-lower-lmin", "eigmin-product-upper-lmin"]
+    assert all(r.applicable and r.holds(1e-6) for r in reports)
+    # a factor is tight when its ratio bound is within EQUALITY_TOL of theta;
+    # one that is not disables only the lmin-form upper bound
+    for below, tight in [(5e-7, True), (2e-6, False)]:
+        factors = [(10, 3, 4.0 - below, -2.0), (10, 3, 4.0, -2.0)]
+        got = product_bound_reports(factors, ps.second_largest(), ps.smallest())
+        assert [r.applicable for r in got] == [True, True, True, tight]
+        assert got[3].reason == (None if tight else
+                                 "factors not all edge-transitive or SRG")
+        assert got[3].holds()     # not-applicable reports never violate
 
 
 def _sweep_graphs():

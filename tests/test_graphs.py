@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import tracemalloc
 
 import networkx as nx
@@ -40,7 +41,7 @@ def test_complete():
     assert g.n == 5
     assert g.edge_count() == 10
     assert g.is_regular() and g.degree() == 4
-    assert g.meta.vertex_transitive and g.meta.edge_transitive
+    assert g.meta.vertex_transitive
 
 
 def test_empty():
@@ -79,7 +80,7 @@ def test_paley():
     g = paley(13)
     assert g.degree() == 6
     assert srg_check(g).as_tuple() == (13, 6, 2, 3)
-    assert g.meta.self_complementary
+    assert isomorphic(g, g.complement())
     with pytest.raises(ValueError):
         paley(7)       # 3 mod 4
     with pytest.raises(ValueError):
@@ -156,12 +157,84 @@ def test_complement_involution():
 
 
 def test_complement_keeps_only_the_flags_it_preserves():
-    # the complement of C6 is the triangular prism: vertex-transitive,
-    # but not edge-transitive
-    c = cycle(6).complement()
-    assert c.meta.edge_transitive is None
-    assert c.meta.vertex_transitive is True
-    assert paley(13).complement().meta.self_complementary is True
+    # a complement has the same automorphisms, so vertex_transitive stays
+    assert cycle(6).complement().meta.vertex_transitive is True
+    assert frucht().complement().meta.vertex_transitive is None
+
+
+def _rotation(n):
+    return [(i + 1) % n for i in range(n)]
+
+
+def _on_subsets(m, r, sigma):
+    """sigma, a permutation of range(m), acting on kneser(m, r)'s vertices."""
+    subsets = [frozenset(c) for c in itertools.combinations(range(m), r)]
+    index = {s: i for i, s in enumerate(subsets)}
+    return [index[frozenset(sigma[x] for x in s)] for s in subsets]
+
+
+def _kneser_generators(m, r):
+    swap = [1, 0, *range(2, m)]
+    return [_on_subsets(m, r, _rotation(m)), _on_subsets(m, r, swap)]
+
+
+def _side_generators(a):
+    """K_{a,a}: swap the sides, and rotate the first side."""
+    return [[(i + a) % (2 * a) for i in range(2 * a)],
+            [*_rotation(a), *range(a, 2 * a)]]
+
+
+def _shrikhande_generators():
+    # vertex 4x + y is (x, y) in Z4 x Z4
+    return [[4 * ((v // 4 + 1) % 4) + v % 4 for v in range(16)],
+            [4 * (v // 4) + (v + 1) % 4 for v in range(16)]]
+
+
+def _product_generators(g, gens_g, h, gens_h):
+    """Each factor's generators times the identity on the other, on the
+    strong product's vertices (i, j) at i * h.n + j."""
+    out = [[p[i] * h.n + j for i in range(g.n) for j in range(h.n)] for p in gens_g]
+    out += [[i * h.n + q[j] for i in range(g.n) for j in range(h.n)] for q in gens_h]
+    return out
+
+
+_VT_CASES = [
+    *[(f"cycle:{n}", cycle(n), [_rotation(n)]) for n in (3, 5, 6, 7, 12)],
+    *[(f"complete:{n}", complete(n), [_rotation(n)]) for n in (1, 2, 5)],
+    *[(f"empty:{n}", empty(n), [_rotation(n)]) for n in (1, 4)],
+    *[(f"kneser:{m}:{r}", kneser(m, r), _kneser_generators(m, r))
+      for m, r in [(5, 2), (6, 2), (7, 2), (7, 3), (4, 4)]],
+    ("petersen", petersen(), _kneser_generators(5, 2)),
+    *[(f"paley:{q}", paley(q), [_rotation(q)]) for q in (5, 13, 29)],
+    *[(f"hypercube:{k}", hypercube(k), [[u ^ (1 << b) for u in range(1 << k)]
+                                        for b in range(k)]) for k in (1, 3, 4)],
+    *[(f"complete_bipartite:{a}:{a}", complete_bipartite(a, a), _side_generators(a))
+      for a in (1, 3, 4)],
+    ("shrikhande", shrikhande(), _shrikhande_generators()),
+    ("cycle:5*petersen", strong_product(cycle(5), petersen()),
+     _product_generators(cycle(5), [_rotation(5)], petersen(),
+                         _kneser_generators(5, 2))),
+]
+
+
+@pytest.mark.parametrize("g, gens", [case[1:] for case in _VT_CASES],
+                         ids=[case[0] for case in _VT_CASES])
+def test_vertex_transitive_flag_is_certified(g, gens):
+    # the flag is asserted, and the alpha/omega searches trust it: each
+    # generator must be an automorphism, and together they must move
+    # vertex 0 to every vertex
+    assert g.meta.vertex_transitive is True
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        assert np.array_equal(g.adj[np.ix_(p, p)], g.adj)
+    orbit, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for p in gens:
+            if p[v] not in orbit:
+                orbit.add(p[v])
+                frontier.append(p[v])
+    assert len(orbit) == g.n
 
 
 def test_from_edge_list_and_relabel():
