@@ -361,12 +361,21 @@ def cmd_power(args) -> int:
         return EXIT_INPUT
     n, d = g.n, g.degree()
     if d == 0 or d == n - 1:
-        # complete/empty factors stay complete/empty under strong powers
+        # complete/empty factors stay complete/empty under strong powers.
+        # Python 3.11+ refuses to print an int of more digits than its limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        too_long = 10 ** digits if digits else math.inf
+        rows = []
+        for k in range(1, args.k + 1):
+            order = n ** k
+            if order >= too_long:
+                raise ValueError(f"row k = {k} has an order of more than "
+                                 f"{digits} digits; -k {k - 1} is the "
+                                 "largest power that fits")
+            rows.append({"k": k, "order": order})
         result = {"graph": {"name": g.meta.name or None, "n": n},
                   "trivial": "complete" if d == n - 1 else "empty",
-                  "rows": [{"k": k, "order": n ** k} for k in
-                           range(1, args.k + 1)],
-                  "violations": []}
+                  "rows": rows, "violations": []}
         _emit(result, args)
         return EXIT_OK
     s = eigenvalues(g)

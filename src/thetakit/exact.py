@@ -126,53 +126,50 @@ def _color_bound(masks, cand):
     return order_out, bounds
 
 
-def _max_clique_masks(adj, budget: _Budget, initial=(), target=None):
-    """Branch and bound maximum clique of a bool adjacency matrix.
+def _clique_search(adj, budget: _Budget, floor, ceiling, take):
+    """Branch and bound over the cliques of a bool adjacency matrix.
 
     The bitsets are relabelled in degeneracy order (better coloring order).
     Candidates are greedily colored at every node; branches whose clique
-    size plus color bound cannot beat the incumbent are cut. A target is
-    a proven upper bound on the clique number: the search ends, complete,
-    as soon as the incumbent reaches it. Returns (best clique, sorted, in
-    adj's labels as `initial` is, root upper bound, complete flag).
+    size plus color bound falls short of `floor` are cut, and no clique
+    grows past `ceiling` vertices. Each clique that reaches `floor` is
+    passed to `take` as a bitset in adj's labels; `take` returns the new
+    floor, or None to give up. The search ends once the floor passes the
+    ceiling. Returns (root color bound, complete flag: False after a
+    timeout or a give-up).
     """
-    n = len(adj)
-    stop_at = n if target is None else target
     order = _degeneracy_order(adj)
     masks = _pack(adj[np.ix_(order, order)])
-    best_size = len(initial)
-    best_clique = tuple(initial)
     complete = True
 
     def expand(size, mask, cand):
-        nonlocal best_size, best_clique, complete
+        nonlocal floor, complete
         if budget.check():
             complete = False
             return
         order_out, bounds = _color_bound(masks, cand)
         for i in range(len(order_out) - 1, -1, -1):
-            if size + bounds[i] <= best_size:
+            if size + bounds[i] < floor:
                 return
             v = order_out[i]
             new_mask = mask | (1 << v)
             new_cand = cand & masks[v]
-            if size + 1 > best_size:
-                best_size = size + 1
-                best_clique = tuple(order[w] for w in _bits(new_mask))
-                if best_size >= stop_at:
+            if size + 1 >= floor:
+                floor = take(sum(1 << order[w] for w in _bits(new_mask)))
+                complete = floor is not None
+                if not complete or floor > ceiling:
                     return
-            if new_cand:
+            if new_cand and size + 1 < ceiling:
                 expand(size + 1, new_mask, new_cand)
-                if not complete or best_size >= stop_at:
+                if not complete or floor > ceiling:
                     return
             cand &= ~(1 << v)
 
-    full = (1 << n) - 1
+    full = (1 << len(adj)) - 1
     _, root_bounds = _color_bound(masks, full)
-    root_bound = max(root_bounds) if root_bounds else 0
-    if best_size < stop_at:
+    if floor <= ceiling:
         expand(0, 0, full)
-    return tuple(sorted(best_clique)), root_bound, complete
+    return max(root_bounds, default=0), complete
 
 
 def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
@@ -203,12 +200,20 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
         return SolveResult(value, res.lower + 1, res.upper + 1, witness,
                            res.status, res.elapsed)
     b = _Budget(budget)
-    initial = _greedy_clique(_pack(g.adj), n, b)
-    clique, root_bound, complete = _max_clique_masks(g.adj, b, initial, target)
+    clique = tuple(sorted(_greedy_clique(_pack(g.adj), n, b)))
+    ceiling = n if target is None else target
+
+    def take(found):
+        nonlocal clique
+        clique = tuple(_bits(found))
+        return len(clique) + 1
+
+    root_bound, complete = _clique_search(g.adj, b, len(clique) + 1,
+                                          ceiling, take)
     size = len(clique)
     if complete:
         return SolveResult(size, size, size, clique, "exact", b.elapsed())
-    upper = min(max(root_bound, size), n if target is None else target)
+    upper = min(max(root_bound, size), ceiling)
     return SolveResult(None, size, upper, clique, "timeout", b.elapsed())
 
 
@@ -318,38 +323,19 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
 def _cliques_of_size(adj, size, budget: _Budget):
     """Every clique of exactly `size` vertices of a bool adjacency, as
     bitsets in adj's labels; None once the budget expires or the list
-    would pass the dense byte budget.
-
-    The same branch and bound as `_max_clique_masks`, in degeneracy order,
-    but it cuts a branch only when its clique plus the color bound falls
-    short of `size`, and it lists every clique that reaches it.
+    would pass the dense byte budget. It is `_clique_search` with floor
+    and ceiling both `size`.
     """
-    order = _degeneracy_order(adj)
-    masks = _pack(adj[np.ix_(order, order)])
     # an int of len(adj) bits plus its list slot
     set_bytes = 40 + len(adj) // 7
     found = []
 
-    def expand(depth, mask, cand):
-        if budget.check():
-            return False
-        order_out, bounds = _color_bound(masks, cand)
-        for i in range(len(order_out) - 1, -1, -1):
-            if depth + bounds[i] < size:
-                return True
-            v = order_out[i]
-            if depth + 1 == size:
-                found.append(mask | (1 << v))
-                if not within_budget(len(found) * set_bytes):
-                    return False
-            elif not expand(depth + 1, mask | (1 << v), cand & masks[v]):
-                return False
-            cand &= ~(1 << v)
-        return True
+    def take(clique):
+        found.append(clique)
+        return size if within_budget(len(found) * set_bytes) else None
 
-    if not expand(0, 0, (1 << len(adj)) - 1):
-        return None
-    return [sum(1 << order[w] for w in _bits(m)) for m in found]
+    _, complete = _clique_search(adj, budget, size, size, take)
+    return found if complete else None
 
 
 def _exact_cover(sets, n, budget: _Budget):

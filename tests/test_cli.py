@@ -190,6 +190,27 @@ def test_bounds_past_float_range_are_an_input_error(argv, named):
         assert words in proc.stderr
 
 
+def test_trivial_power_rows_stop_at_the_int_digit_limit(capsys):
+    # Python 3.11+ prints no int past its digit limit, so the first row of
+    # a longer order is an input error that names the row
+    argv = ["power", "--gen", "complete:4", "-k", "1100", "--json"]
+    if not hasattr(sys, "get_int_max_str_digits"):
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        assert len(json.loads(out)["rows"]) == 1100
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out, err = run(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # 4^1063 has 640 digits and 4^1064 has 641
+    assert rc == 1 and out == ""
+    assert "k = 1064" in err and "-k 1063" in err
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("spec", ["petersen", "complete:4", "empty:3"])
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_power_needs_k_at_least_one(spec, k, capsys):

@@ -231,6 +231,18 @@ def test_degeneracy_order_matches_naive_reference(seed):
     assert exact._degeneracy_order(g.adj) == naive_degeneracy_order(g)
 
 
+@pytest.mark.parametrize("args,lower,upper", [((30, 0.5, 0), 5, 11),
+                                              ((50, 0.7, 3), 11, 19)])
+def test_timeout_upper_is_the_degeneracy_ordered_color_bound(args, lower,
+                                                             upper):
+    # a budget of zero stops the search at the root: the interval runs from
+    # the greedy clique to the root coloring in degeneracy order, which
+    # reads 9 and 17 on these graphs in input order
+    res = clique_number(gnp(*args), 0.0)
+    assert res.status == "timeout"
+    assert (res.lower, res.upper) == (lower, upper)
+
+
 def naive_dsatur(g):
     colors = [-1] * g.n
     for _ in range(g.n):
@@ -383,7 +395,7 @@ def test_chi_lower_at_dsatur_bound_skips_search(monkeypatch):
         raise AssertionError("search ran")
 
     only_greedy_descent(monkeypatch)
-    monkeypatch.setattr(exact, "_max_clique_masks", no_search)
+    monkeypatch.setattr(exact, "_clique_search", no_search)
     # ceil(n / theta) = 3 on both, and DSATUR colors both with 3 colors
     for g in (petersen(), frucht()):
         res = chromatic_number(g, lower=3)
@@ -835,13 +847,13 @@ def test_vertex_transitive_timeout_interval_is_shifted():
 
 def test_vertex_transitive_search_runs_on_the_neighbourhood(monkeypatch):
     sizes = []
-    search = exact._max_clique_masks
+    search = exact._clique_search
 
     def spy(adj, *args):
         sizes.append(len(adj))
         return search(adj, *args)
 
-    monkeypatch.setattr(exact, "_max_clique_masks", spy)
+    monkeypatch.setattr(exact, "_clique_search", spy)
     g = strong_power(cycle(5), 3)
     assert independence_number(g).value == 10
     assert clique_number(g).value == 8
