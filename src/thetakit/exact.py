@@ -74,25 +74,33 @@ def _degeneracy_order(adj):
     return order
 
 
-def _greedy_clique(adj_masks, n, budget: _Budget):
+def _greedy_descent(adj_masks, seed):
+    """Greedy clique from `seed`: add the candidate with the most
+    candidate neighbours (the lowest index on ties) until none is left."""
+    clique = [seed]
+    cand = adj_masks[seed]
+    while cand:
+        v = max(_bits(cand), key=lambda u: ((adj_masks[u] & cand).bit_count(), -u))
+        clique.append(v)
+        cand &= adj_masks[v]
+    return tuple(clique)
+
+
+def _greedy_clique(adj_masks, n, budget: _Budget, ceiling=math.inf):
     """Deterministic greedy clique, used as the initial bound: the largest
     of the greedy descents from the 8 vertices of highest degree. The first
-    descent always runs, the others only while the budget lasts: a descent
-    costs O(clique size * n) big-int operations, seconds on a large dense
+    descent always runs, the others only while the budget lasts and no
+    descent has reached `ceiling`, the search's own: a descent costs
+    O(clique size * n) big-int operations, seconds on a large dense
     graph."""
     best: tuple = ()
     for seed in sorted(range(n), key=lambda v: -adj_masks[v].bit_count())[:8]:
+        if best and len(best) >= ceiling:
+            break
         if best and time.monotonic() > budget.deadline:
             budget.expired = True
             break
-        clique = [seed]
-        cand = adj_masks[seed]
-        while cand:
-            v = max(_bits(cand), key=lambda u: ((adj_masks[u] & cand).bit_count(), -u))
-            clique.append(v)
-            cand &= adj_masks[v]
-        if len(clique) > len(best):
-            best = tuple(clique)
+        best = max(best, _greedy_descent(adj_masks, seed), key=len)
     return best
 
 
@@ -200,8 +208,8 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
         return SolveResult(value, res.lower + 1, res.upper + 1, witness,
                            res.status, res.elapsed)
     b = _Budget(budget)
-    clique = tuple(sorted(_greedy_clique(_pack(g.adj), n, b)))
     ceiling = n if target is None else target
+    clique = tuple(sorted(_greedy_clique(_pack(g.adj), n, b, ceiling=ceiling)))
 
     def take(found):
         nonlocal clique
@@ -248,8 +256,14 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
 # -- chromatic number -------------------------------------------------
 
 
-def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
-    """Backtracking k-coloring in DSATUR order with symmetry breaking.
+def _neighbor_lists(adj):
+    """Each vertex's neighbours of a bool adjacency, as an ascending tuple."""
+    return [tuple(_bits(m)) for m in _pack(adj)]
+
+
+def _k_colorable(nbrs, k, budget: _Budget, clique_seed):
+    """Backtracking k-coloring in DSATUR order with symmetry breaking, on
+    the neighbour tuples `nbrs` of `_neighbor_lists`.
 
     The search runs over an explicit stack, one frame per colored vertex,
     so its depth is not limited. With k = n it never backtracks, and its
@@ -257,13 +271,14 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
 
     Returns (verdict, coloring or None); verdict None means budget expired.
     """
+    n = len(nbrs)
     colors = [-1] * n
     neighbor_colors = [0] * n
     # the next vertex is the uncolored one of least (-saturation, -degree,
     # index), kept as one int: its rank by (-degree, index) minus n for
     # each color among its neighbors
     pick_key = [0] * n
-    by_degree = sorted(range(n), key=lambda u: -masks[u].bit_count())
+    by_degree = sorted(range(n), key=lambda u: -len(nbrs[u]))
     for rank, u in enumerate(by_degree):
         pick_key[u] = rank
     # pre-color a clique: its vertices must all differ anyway
@@ -271,7 +286,7 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         return False, None
     for i, v in enumerate(clique_seed):
         colors[v] = i
-        for w in _bits(masks[v]):
+        for w in nbrs[v]:
             neighbor_colors[w] |= 1 << i
             pick_key[w] -= n
     full = (1 << k) - 1
@@ -296,7 +311,7 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
             bit = 1 << c
             touched = []
             dead = False
-            for w in _bits(masks[v]):
+            for w in nbrs[v]:
                 if colors[w] < 0 and not neighbor_colors[w] & bit:
                     neighbor_colors[w] |= bit
                     pick_key[w] -= n
@@ -320,55 +335,74 @@ def _k_colorable(masks, n, k, budget: _Budget, clique_seed):
         c += 1
 
 
-def _cliques_of_size(adj, size, budget: _Budget):
+def _set_bytes(n):
+    """Bytes held by one n-bit int bitset plus its list slot."""
+    return 40 + n // 7
+
+
+def _cliques_of_size(adj, size, budget: _Budget, held=0):
     """Every clique of exactly `size` vertices of a bool adjacency, as
-    bitsets in adj's labels; None once the budget expires or the list
-    would pass the dense byte budget. It is `_clique_search` with floor
-    and ceiling both `size`.
+    bitsets in adj's labels; None once the budget expires or the list,
+    with the `held` bytes of lists kept elsewhere, would pass the dense
+    byte budget. It is `_clique_search` with floor and ceiling both `size`.
     """
-    # an int of len(adj) bits plus its list slot
-    set_bytes = 40 + len(adj) // 7
+    set_bytes = _set_bytes(len(adj))
     found = []
 
     def take(clique):
         found.append(clique)
-        return size if within_budget(len(found) * set_bytes) else None
+        return size if within_budget(held + len(found) * set_bytes) else None
 
     _, complete = _clique_search(adj, budget, size, size, take)
     return found if complete else None
 
 
-def _exact_cover(sets, n, budget: _Budget):
-    """Algorithm X over bitsets: disjoint `sets` whose union is all n
-    vertices, branching on the uncovered vertex in the fewest sets that
-    are still disjoint from the chosen ones.
+def _clique_cover(adj, size, budget: _Budget):
+    """Partition of the vertices of a bool adjacency into cliques of
+    exactly `size` >= 2 vertices.
 
-    Returns (verdict, chosen sets or None); verdict None means the budget
-    expired, False that no such cover exists.
+    Each step branches on the uncovered vertex with the fewest uncovered
+    neighbours (the lowest index on ties), over the cliques through it
+    among its uncovered neighbours. A step lists all of its cliques before
+    the next one starts, and the steps run over an explicit stack, so the
+    Python recursion is only a listing's, about `size` frames deep. The
+    cliques held by all open steps are checked against the dense byte
+    budget, like a timeout.
+
+    Returns (verdict, the chosen cliques as bitsets or None); verdict None
+    means the budget expired, False that no such partition exists.
     """
-    chosen = []
-
-    def solve(uncovered, live):
+    n = len(adj)
+    masks = _pack(adj)
+    uncovered = (1 << n) - 1
+    chosen = []     # the clique taken at each open step
+    steps = []      # each open step's untried cliques and their bytes
+    held = 0
+    while True:
         if budget.check():
-            return None
+            return None, None
         if not uncovered:
-            return True
-        counts = dict.fromkeys(_bits(uncovered), 0)
-        for s in live:
-            for v in _bits(s):
-                counts[v] += 1
-        bit = 1 << min(counts, key=counts.get)
-        for s in live:
-            if s & bit:
-                chosen.append(s)
-                res = solve(uncovered & ~s, [t for t in live if not t & s])
-                if res is not False:
-                    return res
-                chosen.pop()
-        return False
-
-    res = solve((1 << n) - 1, sets)
-    return res, (chosen if res else None)
+            return True, chosen
+        v = min(_bits(uncovered),
+                key=lambda u: (masks[u] & uncovered).bit_count())
+        cand = list(_bits(masks[v] & uncovered))
+        found = _cliques_of_size(adj[np.ix_(cand, cand)], size - 1, budget,
+                                 held)
+        if found is None:
+            return None, None
+        cost = len(found) * _set_bytes(n)
+        held += cost
+        # reversed, so that pop() takes them in the listing's order
+        steps.append(([sum((1 << cand[w] for w in _bits(s)), 1 << v)
+                       for s in reversed(found)], cost))
+        while not steps[-1][0]:
+            held -= steps.pop()[1]
+            if not steps:
+                return False, None
+            uncovered |= chosen.pop()
+        clique = steps[-1][0].pop()
+        chosen.append(clique)
+        uncovered &= ~clique
 
 
 def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
@@ -399,18 +433,19 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
 
     When n = lower * alpha_upper, every color class of a `lower`-coloring
     is an independent set of exactly alpha_upper vertices, so k = lower is
-    decided first as an exact cover of the vertices by such sets: a cover
-    is the coloring, and no cover refutes k.
+    decided first as an exact cover of the vertices by such sets, built by
+    `_clique_cover` on the complement: a cover is the coloring, and no
+    cover refutes k.
     """
     n = g.n
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
-    masks = _pack(g.adj)
-    if not any(masks):
+    nbrs = _neighbor_lists(g.adj)
+    if not any(nbrs):
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
     # the k = n descent never backtracks, so it completes on any budget
-    _, greedy_cols = _k_colorable(masks, n, n, _Budget(math.inf), ())
+    _, greedy_cols = _k_colorable(nbrs, n, _Budget(math.inf), ())
     ub = max(greedy_cols) + 1
     best_cols = tuple(greedy_cols)
 
@@ -424,8 +459,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
             lower = max(lower, -(-n // alpha.value))
             alpha_upper = alpha.value
     if lower < ub and alpha_upper and n == lower * alpha_upper:
-        sets = _cliques_of_size(g.complement().adj, alpha_upper, b)
-        verdict, classes = (None, None) if sets is None else _exact_cover(sets, n, b)
+        verdict, classes = _clique_cover(g.complement().adj, alpha_upper, b)
         if verdict is None:
             return SolveResult(None, lower, ub, best_cols, "timeout",
                                b.elapsed())
@@ -443,7 +477,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     clique = clique_number(g, side_budget()).witness
     k = max(len(clique), lower)
     while k < ub:
-        verdict, cols = _k_colorable(masks, n, k, b, clique)
+        verdict, cols = _k_colorable(nbrs, k, b, clique)
         if verdict is None:
             return SolveResult(None, k, ub, best_cols, "timeout", b.elapsed())
         if verdict:

@@ -3,6 +3,7 @@ brute-force enumeration on small graphs and known values on named ones."""
 
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
@@ -267,7 +268,7 @@ DSATUR_NAMED = [("petersen", petersen), ("frucht", frucht),
 def test_greedy_descent_is_naive_dsatur(g):
     # with k = n the backtracking search never backtracks: its first
     # coloring is the DSATUR coloring
-    verdict, cols = exact._k_colorable(exact._pack(g.adj), g.n, g.n,
+    verdict, cols = exact._k_colorable(exact._neighbor_lists(g.adj), g.n,
                                        exact._Budget(math.inf), ())
     assert verdict is True
     assert cols == naive_dsatur(g)
@@ -291,7 +292,7 @@ def test_alpha_with_target_matches_brute_force(seed, monkeypatch):
         if not greedy_start:
             # the greedy start finds alpha on graphs this small, so the
             # branch and bound alone must then reach the target
-            monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n, budget: ())
+            monkeypatch.setattr(exact, "_greedy_clique", lambda masks, n, budget, ceiling: ())
         for target in (alpha, alpha + 1):
             # a copy with an empty memo, so that every call searches
             res = independence_number(g.with_meta(), target=target)
@@ -314,6 +315,43 @@ def test_greedy_start_runs_one_descent_past_the_deadline():
     assert all(g.adj[u, v] for u, v in itertools.combinations(first, 2))
     res = clique_number(g, 0.0)
     assert res.status == "timeout" and res.lower == 5 <= res.upper
+
+
+def test_greedy_start_stops_at_the_ceiling(monkeypatch):
+    # alpha(Cameron) = 21 = floor(theta): the search runs on the 210
+    # non-neighbours of vertex 0 with ceiling 20, and the first greedy
+    # descent already reaches it, so the other seven do not run
+    descents = []
+    descent = exact._greedy_descent
+
+    def spy(masks, seed):
+        clique = descent(masks, seed)
+        descents.append(len(clique))
+        return clique
+
+    monkeypatch.setattr(exact, "_greedy_descent", spy)
+    res = independence_number(load_fixture("cameron"), target=21)
+    assert res.status == "exact" and res.value == 21
+    assert descents == [20]
+
+
+def test_dsatur_is_node_for_node_unchanged():
+    # m22 at k = 4 is refuted after exactly as many search nodes (budget
+    # polls) as before the search read neighbour tuples
+    g = load_fixture("m22")
+    b = exact._Budget(60.0)
+    verdict, cols = exact._k_colorable(exact._neighbor_lists(g.adj), 4, b,
+                                       clique_number(g).witness)
+    assert (verdict, cols) == (False, None)
+    assert b._tick == 1864
+    # the greedy k = n descent: one node per vertex and one to finish
+    for seed in range(30):
+        h = gnp(5 + seed % 20, (0.2, 0.4, 0.6)[seed % 3], 100 + seed)
+        b = exact._Budget(60.0)
+        verdict, cols = exact._k_colorable(exact._neighbor_lists(h.adj), h.n,
+                                           b, ())
+        assert verdict is True and cols == naive_dsatur(h)
+        assert b._tick == h.n + 1
 
 
 CHI_LOWER = [("petersen", petersen), ("shrikhande", shrikhande),
@@ -367,12 +405,12 @@ def test_k_colorable_matches_the_plain_dsatur_rule(seed):
     # the same verdicts and the same first colorings, with and without a
     # clique seed, on every k from 1 to one past the chromatic number
     g = gnp(7 + seed % 8, (0.25, 0.45, 0.65, 0.85)[seed % 4], seed)
-    masks = exact._pack(g.adj)
+    nbrs = exact._neighbor_lists(g.adj)
     clique = clique_number(g).witness
     chi = chromatic_number(g).value
     for k in range(1, chi + 2):
         for clique_seed in ((), clique):
-            got = exact._k_colorable(masks, g.n, k, exact._Budget(60.0),
+            got = exact._k_colorable(nbrs, k, exact._Budget(60.0),
                                      clique_seed)
             assert got == naive_k_colorable(g, k, clique_seed)
 
@@ -382,10 +420,10 @@ def only_greedy_descent(monkeypatch):
     any refutation search (k < n) fails the test."""
     k_colorable = exact._k_colorable
 
-    def spy(masks, n, k, budget, clique_seed):
-        if k < n:
+    def spy(nbrs, k, budget, clique_seed):
+        if k < len(nbrs):
             raise AssertionError("search ran")
-        return k_colorable(masks, n, k, budget, clique_seed)
+        return k_colorable(nbrs, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", spy)
 
@@ -477,7 +515,7 @@ def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):
     # alpha step is bypassed: alpha(C5) = 2 would raise lower to 3 = chi
     # and skip both the cover and the seed
     alpha_times_out(monkeypatch)
-    cover, search = exact._exact_cover, exact.clique_number
+    cover, search = exact._clique_cover, exact.clique_number
     budgets = []
 
     def slow_cover(*args):
@@ -488,7 +526,7 @@ def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):
         budgets.append(budget)
         return search(g, budget, target=target)
 
-    monkeypatch.setattr(exact, "_exact_cover", slow_cover)
+    monkeypatch.setattr(exact, "_clique_cover", slow_cover)
     monkeypatch.setattr(exact, "clique_number", spy)
     res = chromatic_number(cycle(5), 1.0, lower=1, alpha_upper=5)
     # C5 is vertex-transitive: the seed search recurses once, same budget
@@ -549,13 +587,14 @@ def test_cover_refutes_kneser62(monkeypatch):
     sets = exact._cliques_of_size(g.complement().adj, 5,
                                   exact._Budget(60.0))
     assert len(sets) == 6
-    assert exact._exact_cover(sets, g.n, exact._Budget(60.0)) == (False, None)
+    assert exact._clique_cover(g.complement().adj, 5,
+                               exact._Budget(60.0)) == (False, None)
     tried = []
     k_colorable = exact._k_colorable
 
-    def spy(masks, n, k, budget, clique_seed):
+    def spy(nbrs, k, budget, clique_seed):
         tried.append(k)
-        return k_colorable(masks, n, k, budget, clique_seed)
+        return k_colorable(nbrs, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", spy)
     res = chromatic_number(g, lower=3, alpha_upper=5)
@@ -596,6 +635,45 @@ def test_cover_sets_are_budgeted(monkeypatch):
     res = chromatic_number(g, lower=10, alpha_upper=10)
     assert res.status == "timeout"
     assert (res.lower, res.upper) == (10, 16)
+
+
+def test_cover_lists_only_the_sets_through_the_branching_vertex(monkeypatch):
+    # Hall-Janko is srg(100, 36, 14, 12): the first step lists the 9-sets
+    # among the 63 non-neighbours of its vertex, and all steps together
+    # list fewer than the graph's 280 independent 10-sets
+    g = load_fixture("hall_janko")
+    alpha_from_the_memo(g, 10)
+    listings = []
+    listing = exact._cliques_of_size
+
+    def spy(adj, size, budget, held=0):
+        found = listing(adj, size, budget, held)
+        listings.append((len(adj), size, len(found)))
+        return found
+
+    monkeypatch.setattr(exact, "_cliques_of_size", spy)
+    res = chromatic_number(g, lower=10, alpha_upper=10)
+    assert res.status == "exact" and res.value == 10
+    assert listings[0][:2] == (63, 9)
+    assert sum(count for _, _, count in listings) < 280
+
+
+def test_cover_needs_little_recursion():
+    # the steps keep their own stack: Python's recursion goes no deeper
+    # than one listing, so 100 frames past the caller's depth suffice
+    g = load_fixture("hall_janko")
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = chromatic_number(g, lower=10, alpha_upper=10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.status == "exact" and res.value == 10
+    assert_proper(g, res.witness, 10)
 
 
 def test_no_alpha_upper_keeps_the_search(monkeypatch):
@@ -705,10 +783,10 @@ def test_alpha_step_gets_only_the_budget_left(monkeypatch):
     budgets = _spy_alpha_budgets(monkeypatch)
     k_colorable = exact._k_colorable
 
-    def slow_descent(masks, n, k, budget, clique_seed):
-        if k == n:
+    def slow_descent(nbrs, k, budget, clique_seed):
+        if k == len(nbrs):
             time.sleep(0.9)
-        return k_colorable(masks, n, k, budget, clique_seed)
+        return k_colorable(nbrs, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", slow_descent)
     res = chromatic_number(paley(29), budget=1.0, alpha_upper=5)
@@ -753,22 +831,43 @@ def test_cliques_of_size_match_brute_force(seed):
         assert sorted(got) == want
 
 
+def brute_partition(g, size):
+    """Whether g's vertices split into independent sets of `size` vertices:
+    the lowest uncovered vertex goes with every independent choice of the
+    rest of its set among the uncovered vertices."""
+    def solve(left):
+        if not left:
+            return True
+        v, rest = left[0], left[1:]
+        return any(solve([u for u in rest if u not in sub])
+                   for sub in itertools.combinations(rest, size - 1)
+                   if not any(g.adj[a, b] for a, b in
+                              itertools.combinations((v,) + sub, 2)))
+
+    return solve(list(range(g.n)))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_cover_matches_brute_force(seed):
+    # a partition of a random graph into independent a-sets, a dividing n:
+    # the cover runs on the complement, where they are cliques
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 9))
-    sets = sorted({int(rng.integers(1, 1 << n))
-                   for _ in range(int(rng.integers(3, 12)))})
-    full = (1 << n) - 1
-    covers = [sub for r in range(1, len(sets) + 1)
-              for sub in itertools.combinations(sets, r)
-              if sum(sub) == full
-              and all(not a & b for a, b in itertools.combinations(sub, 2))]
-    verdict, chosen = exact._exact_cover(sets, n, exact._Budget(60.0))
-    assert verdict == bool(covers)
+    n = int(rng.choice([4, 6, 8, 9]))
+    size = int(rng.choice([a for a in range(2, n // 2 + 1) if n % a == 0]))
+    g = gnp(n, float(rng.uniform(0.1, 0.6)), seed)
+    verdict, chosen = exact._clique_cover(g.complement().adj, size,
+                                          exact._Budget(60.0))
+    assert verdict == brute_partition(g, size)
     if verdict:
-        assert sum(chosen) == full and len(set(chosen)) == len(chosen)
+        assert sum(chosen) == (1 << n) - 1
         assert all(not a & b for a, b in itertools.combinations(chosen, 2))
+        for block in chosen:
+            members = list(exact._bits(block))
+            assert len(members) == size
+            assert not any(g.adj[u, v]
+                           for u, v in itertools.combinations(members, 2))
+    else:
+        assert chosen is None
 
 
 def test_cover_matches_the_search_on_random_graphs(monkeypatch):
