@@ -129,14 +129,17 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 with dense adjacency.
 
     The adjacency matrix is a symmetric boolean array with zero diagonal,
-    frozen after construction. Instances are immutable; all operations
-    return new graphs. Each instance keeps a private memo of its derived
+    read-only. Instances are immutable; all operations return new graphs.
+    A strong product records its factors in `factors` and builds its
+    adjacency, (A_1+I) kron ... kron (A_k+I) - I, the first time `adj` is
+    read; its degrees come from the factors' in O(n) memory. Any other
+    graph has no factors. Each instance keeps a private memo of its derived
     invariants (spectrum, strong-regularity parameters, theta, an exact
     independence number), filled by the functions that compute them; a new
     graph starts with an empty one.
     """
 
-    __slots__ = ("n", "adj", "meta", "_memo")
+    __slots__ = ("n", "factors", "meta", "_adj", "_memo")
 
     def __init__(self, adj: np.ndarray, meta: GraphMeta | None = None):
         a = np.asarray(adj, dtype=bool)
@@ -148,20 +151,41 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         self._fill(a.copy(), meta)
 
-    def _fill(self, a: np.ndarray, meta: GraphMeta | None) -> None:
-        a.setflags(write=False)
-        object.__setattr__(self, "n", a.shape[0])
-        object.__setattr__(self, "adj", a)
+    def _fill(self, a: np.ndarray | None, meta: GraphMeta | None,
+              factors: tuple = ()) -> None:
+        if a is None:
+            n = math.prod(f.n for f in factors)
+        else:
+            a.setflags(write=False)
+            n = a.shape[0]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "meta", meta or GraphMeta())
+        object.__setattr__(self, "_adj", a)
         object.__setattr__(self, "_memo", {})
 
     @classmethod
-    def _derived(cls, adj: np.ndarray, meta: GraphMeta | None = None) -> "Graph":
+    def _derived(cls, adj: np.ndarray | None, meta: GraphMeta | None = None,
+                 factors: tuple = ()) -> "Graph":
         """A graph on an adjacency valid by construction (derived from a
-        valid one, or decoded from graph6); no checks, no copy."""
+        valid one, or decoded from graph6), or with none yet and the
+        factors of a strong product; no checks, no copy."""
         g = object.__new__(cls)
-        g._fill(adj, meta)
+        g._fill(adj, meta, factors)
         return g
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The read-only n-by-n bool adjacency; a strong product builds it
+        from its factors on first read and keeps it."""
+        if self._adj is None:
+            a = np.ones((1, 1), dtype=bool)
+            for f in self.factors:
+                a = np.kron(a, f.adj | np.eye(f.n, dtype=bool))
+            np.fill_diagonal(a, False)
+            a.setflags(write=False)
+            object.__setattr__(self, "_adj", a)
+        return self._adj
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -187,11 +211,18 @@ class Graph:
         return cls(a, meta)
 
     def with_meta(self, **kwargs) -> "Graph":
-        return Graph._derived(self.adj, replace(self.meta, **kwargs))
+        return Graph._derived(self._adj, replace(self.meta, **kwargs), self.factors)
 
     # -- basic queries ------------------------------------------------
 
     def degrees(self) -> np.ndarray:
+        if self.factors:
+            # vertex (i_1, ..., i_k) is adjacent to every tuple that agrees
+            # or is adjacent in each coordinate, itself excluded
+            d = np.ones(1, dtype=np.int64)
+            for f in self.factors:
+                d = np.kron(d, f.degrees() + 1)
+            return d - 1
         return self.adj.sum(axis=1).astype(np.int64)
 
     def is_regular(self) -> bool:
@@ -206,7 +237,7 @@ class Graph:
         return int(d[0]) if self.n else 0
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return int(self.degrees().sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         iu, iv = np.nonzero(np.triu(self.adj, 1))

@@ -1,12 +1,18 @@
-"""Strong graph products and their spectra without materialization."""
+"""Strong graph products and their spectra without materialization.
+
+`power_extremes` is all that the commands read of a power's spectrum. The
+group-wise `product_spectrum` and `power_spectrum`, with their byte
+estimate `COMBO_BYTES`, stay as oracles: they list every eigenvalue, with no
+closed form in common with `power_extremes`. `power_spectrum` checks the
+`--paper-examples` row on C5's strong powers, and the tests check both
+against dense eigensolves and `power_extremes` against them.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from itertools import combinations_with_replacement, product as iproduct
-
-import numpy as np
 
 from .graphs import Graph, GraphMeta, check_budget
 from .spectra import Spectrum, lambda_nontrivial, spectrum_from_groups
@@ -21,22 +27,21 @@ def strong_product(*factors: Graph) -> Graph:
     """Strong product (A_1+I) kron ... kron (A_k+I) - I of one or more graphs.
 
     Vertices are factor-vertex tuples in row-major order (for two factors,
-    (i, j) sits at i*h.n + j). Raises ValueError, before allocating, when
-    the n^2-byte adjacency exceeds the dense budget.
+    (i, j) sits at i*h.n + j). The product records its factors (those of
+    a factor that is itself a product, in its place) and builds its
+    adjacency only when `adj` is first read. Raises ValueError when that
+    n^2-byte adjacency would exceed the dense budget.
     """
     if not factors:
         raise ValueError("need at least one factor")
     n = math.prod(f.n for f in factors)
     check_budget(n * n, f"a {n}-vertex product adjacency")
-    a = np.ones((1, 1), dtype=bool)
-    for f in factors:
-        a = np.kron(a, f.adj | np.eye(f.n, dtype=bool))
-    np.fill_diagonal(a, False)
     names = [f.meta.name for f in factors]
     # a product of automorphisms is an automorphism of the product
     vt = True if all(f.meta.vertex_transitive for f in factors) else None
-    return Graph._derived(a, GraphMeta(name="*".join(names) if all(names) else "",
-                                       vertex_transitive=vt))
+    flat = tuple(x for f in factors for x in (f.factors or (f,)))
+    return Graph._derived(None, GraphMeta(name="*".join(names) if all(names) else "",
+                                          vertex_transitive=vt), flat)
 
 
 def strong_power(g: Graph, k: int) -> Graph:

@@ -321,7 +321,7 @@ class ThetaEstimate:
 
     value: Optional[float]          # None when only an interval is known
     exact: Optional[Fraction]       # set when a closed form gave a rational
-    method: str                     # "closed-form" | "optimizer" | "interval"
+    method: str                     # "closed-form" | "product" | "optimizer" | "interval"
     bounds: Optional[ThetaBounds] = None
     lower: Optional[float] = None   # certified lower end of theta, set with value
 
@@ -335,14 +335,39 @@ def theta_best(g: Graph, tol: float = 1e-6,
                exact_cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaEstimate:
     """Dispatch to the sharpest applicable theta computation.
 
-    Order: closed form (edgeless, complete, strongly regular), then the
-    certified optimizer for n <= exact_cap, else an interval; a regular
-    graph's estimate carries its spectral sandwich in `bounds`. The
-    sandwich meets only on strongly regular graphs, which the closed form
-    has answered. Computed once per graph, tolerance and cap, then reused.
+    Order: closed form (edgeless, complete), then the product of the
+    factors' theta on a strong product, then the strongly regular closed
+    form, then the certified optimizer for n <= exact_cap, else an
+    interval; a regular graph's estimate from the last two carries its
+    spectral sandwich in `bounds`. The sandwich meets only on strongly
+    regular graphs, which the closed form has answered. Computed once per
+    graph, tolerance and cap, then reused.
     """
     return g._cached(("theta_best", tol, exact_cap),
                      lambda: _theta_dispatch(g, tol, exact_cap))
+
+
+def _theta_product(factors, tol: float, exact_cap: int) -> Optional[ThetaEstimate]:
+    """theta of a strong product as the product of its factors' (Lovasz
+    1979, Thm 7), built from no adjacency; None when a factor's theta is
+    only an interval.
+
+    Exact when every factor's value is a Fraction. Otherwise each float
+    step rounds outward, the value up and the lower end down, so both stay
+    certified when the factors' are: the factors' feasible matrices
+    B_1 kron B_2 and witnesses X_1 kron X_2 certify the products.
+    """
+    ests = [theta_best(f, tol, exact_cap) for f in factors]
+    if any(e.value is None for e in ests):
+        return None
+    if all(e.exact is not None for e in ests):
+        t = math.prod(e.exact for e in ests)
+        return ThetaEstimate(float(t), t, "product", lower=float(t))
+    value = lower = 1.0
+    for e in ests:
+        value = math.nextafter(value * e.value, math.inf)
+        lower = math.nextafter(lower * e.lower, -math.inf)
+    return ThetaEstimate(value, None, "product", lower=lower)
 
 
 def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
@@ -354,6 +379,10 @@ def _theta_dispatch(g: Graph, tol: float, exact_cap: int) -> ThetaEstimate:
         return ThetaEstimate(float(n), Fraction(n), "closed-form", lower=float(n))
     if m == n * (n - 1) // 2:
         return ThetaEstimate(1.0, Fraction(1), "closed-form", lower=1.0)
+    if g.factors:
+        est = _theta_product(g.factors, tol, exact_cap)
+        if est is not None:
+            return est
     params = srg_check(g)
     if params is not None:
         t, _ = theta_srg(params)

@@ -40,6 +40,44 @@ from thetakit.products import strong_power, strong_product
 from thetakit.theta import theta_best, theta_exact
 
 
+def inertia_bound(g):
+    """Cvetkovic's inertia bound: alpha <= min(n - n_plus, n - n_minus),
+    counting the eigenvalues above 1e-9 and below -1e-9."""
+    w = np.linalg.eigvalsh(g.adj.astype(np.float64))
+    return g.n - max(int((w > 1e-9).sum()), int((w < -1e-9).sum()))
+
+
+@pytest.fixture(autouse=True)
+def inertia_oracle(monkeypatch):
+    """Check every exact alpha a test here computes, directly or through
+    chromatic_number and the capacity functions, against the inertia
+    bound once the test has run (outside any timed search)."""
+    found = {}
+    search = exact.independence_number
+
+    def checked(g, *args, **kwargs):
+        res = search(g, *args, **kwargs)
+        if res.status == "exact":
+            found[id(g)] = (g, res.value)
+        return res
+
+    monkeypatch.setattr(exact, "independence_number", checked)
+    monkeypatch.setitem(globals(), "independence_number", checked)
+    yield
+    for g, alpha in found.values():
+        assert alpha <= inertia_bound(g)
+
+
+def test_inertia_bound_on_known_spectra():
+    # the oracle itself, where alpha meets it: Petersen 3, 1^5, (-2)^4
+    # gives 10 - 6 = 4; C5 2, 0.618^2, (-1.618)^2 gives 5 - 3 = 2; K6
+    # 5, (-1)^5 gives 6 - 5 = 1; an edgeless graph has only zeros
+    assert inertia_bound(petersen()) == 4
+    assert inertia_bound(cycle(5)) == 2
+    assert inertia_bound(complete(6)) == 1
+    assert inertia_bound(empty(4)) == 4
+
+
 def brute_clique(g):
     best = 0
     for r in range(g.n, 0, -1):

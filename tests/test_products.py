@@ -27,7 +27,9 @@ from thetakit.products import (
     strong_power,
     strong_product,
 )
+from thetakit.io import write_graph6
 from thetakit.spectra import eigenvalues, lambda_nontrivial
+from thetakit.theta import theta_best
 
 
 def test_small_identities():
@@ -216,3 +218,96 @@ def test_budget_refuses_before_allocating():
 def test_budget_admits_the_largest_old_product():
     assert within_budget(20000 ** 2)
     assert not within_budget(20001 ** 2)
+
+
+# -- products carry their factors and build the adjacency on first read --
+
+
+def _eager(factors):
+    """The product adjacency as one np.kron chain over the factor matrices."""
+    a = np.ones((1, 1), dtype=bool)
+    for f in factors:
+        a = np.kron(a, f.adj | np.eye(f.n, dtype=bool))
+    np.fill_diagonal(a, False)
+    return a
+
+
+LAZY_CASES = {
+    "C5xC5": lambda: ([cycle(5)] * 2, strong_product(cycle(5), cycle(5))),
+    "petersenxK2": lambda: ([petersen(), complete(2)],
+                            strong_product(petersen(), complete(2))),
+    "C5^3": lambda: ([cycle(5)] * 3, strong_product(cycle(5), cycle(5), cycle(5))),
+    "C5xempty3": lambda: ([cycle(5), empty(3)], strong_product(cycle(5), empty(3))),
+    "K3xpetersen": lambda: ([complete(3), petersen()],
+                            strong_product(complete(3), petersen())),
+    "P3xC4^2-meta": lambda: ([path(3), cycle(4), path(3), cycle(4)],
+                             strong_power(strong_product(path(3), cycle(4)), 2)
+                             .with_meta(name="x")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES))
+def test_lazy_product_matches_the_eager_kron(name, tmp_path):
+    factors, g = LAZY_CASES[name]()
+    want = _eager(factors)
+    n = want.shape[0]
+    assert g.n == n
+    # degrees and edge count come from the factors, with no adjacency built
+    assert np.array_equal(g.degrees(), want.sum(axis=1))
+    assert g.edge_count() == int(want.sum()) // 2
+    assert g.is_regular() == (len(set(want.sum(axis=1).tolist())) <= 1)
+    assert g._adj is None
+    assert g.adj.dtype == bool and g.adj.shape == (n, n)
+    assert g.adj.tobytes() == want.tobytes()
+    assert not g.adj.flags.writeable
+    assert g.adj is g.adj                   # built once, then kept
+    eager = Graph(want, g.meta)
+    assert g == eager and hash(g) == hash(eager)
+    assert g.complement() == eager.complement()
+    assert g.complement().meta == eager.complement().meta
+    pick = [0, n - 1, n // 2, 1]
+    assert g.subgraph(pick) == eager.subgraph(pick)
+    perm = np.random.default_rng(n).permutation(n)
+    assert g.relabel(perm) == eager.relabel(perm)
+    write_graph6(g, tmp_path / "lazy.g6")
+    write_graph6(eager, tmp_path / "eager.g6")
+    assert (tmp_path / "lazy.g6").read_bytes() == (tmp_path / "eager.g6").read_bytes()
+
+
+def test_with_meta_keeps_the_factors_and_builds_nothing():
+    p = strong_power(petersen(), 3)
+    assert p._adj is None and len(p.factors) == 3
+    q = p.with_meta(name="q")
+    assert q._adj is None and q.factors == p.factors and q.meta.name == "q"
+    assert q.adj is not None and p._adj is None   # each builds its own
+    r = q.with_meta(name="r")
+    assert r.adj is q.adj                         # once built, shared
+
+
+def test_nested_products_record_the_innermost_factors():
+    c5, k2 = cycle(5), complete(2)
+    g = strong_product(strong_product(c5, k2), c5)
+    assert g.factors == (c5, k2, c5)
+    assert g.meta.name == "C5*K2*C5"
+    assert g._adj is None
+    assert np.array_equal(g.adj, _eager([c5, k2, c5]))
+    # a plain graph has no factors, so a one-factor product records it
+    assert c5.factors == () and strong_product(c5).factors == (c5,)
+    assert strong_product(c5) == c5
+
+
+def test_petersen_fourth_power_needs_no_adjacency():
+    pet = petersen()
+    tracemalloc.start()
+    try:
+        g = strong_power(pet, 4)
+        degrees = g.degrees()
+        edges = g.edge_count()
+        est = theta_best(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10 ** 4 and g._adj is None
+    assert degrees.min() == degrees.max() == 255 and edges == 10 ** 4 * 255 // 2
+    assert est.method == "product" and est.exact == 256 and est.value == 256.0
+    assert peak < 1 << 20

@@ -26,7 +26,7 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
-from thetakit.products import strong_product
+from thetakit.products import strong_power, strong_product
 from thetakit.spectra import eigenvalues
 from thetakit.srg import SrgParams, srg_check
 from thetakit.theta import (
@@ -400,3 +400,78 @@ def test_ratio_pair_falls_through_to_the_ipm(name, monkeypatch):
     assert res.iterations == len(calls) == iterations
     assert res.value == pytest.approx(value, rel=0, abs=1e-12)
     assert res.lower == pytest.approx(lower, rel=0, abs=1e-12)
+
+
+# -- theta of strong products from their factors ----------------------
+
+
+PRODUCT_ORACLE = {
+    "C5xC5": lambda: strong_product(cycle(5), cycle(5)),
+    "C5xK2": lambda: strong_product(cycle(5), complete(2)),
+    "petersenxK2": lambda: strong_product(petersen(), complete(2)),
+    "C5xpetersen": lambda: strong_product(cycle(5), petersen()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_ORACLE))
+def test_product_theta_matches_the_solver_on_the_materialized_graph(name):
+    g = PRODUCT_ORACLE[name]()
+    est = theta_best(g)
+    assert est.method == "product" and g._adj is None
+    assert est.lower <= est.value
+    res = theta_exact_result(Graph(g.adj))
+    assert res.converged
+    assert est.value == pytest.approx(res.value, abs=1e-6)
+    assert est.lower == pytest.approx(res.lower, abs=1e-6)
+
+
+def test_product_theta_is_exact_or_rounded_outward():
+    est = theta_best(strong_product(petersen(), complete(3), empty(2)))
+    assert est.method == "product"
+    assert est.exact == Fraction(8) and est.value == est.lower == 8.0
+    # sqrt 5 is a float closed form: each step rounds outward
+    c5 = theta_best(cycle(5))
+    assert c5.exact is None
+    est = theta_best(strong_power(cycle(5), 3))
+    assert est.method == "product" and est.exact is None
+    assert est.value > c5.value * c5.value * c5.value > est.lower
+    assert est.value == pytest.approx(5 ** 1.5, rel=1e-12)
+    # a mixed product is a float product too
+    est = theta_best(strong_product(cycle(5), petersen()))
+    assert est.exact is None and est.value > 4 * c5.value > est.lower
+
+
+def test_product_theta_of_an_interval_factor_takes_the_graph_path():
+    # frucht is over the cap, so its theta is an interval; the product's
+    # own dispatch runs, and it too is over the cap
+    g = strong_product(frucht(), cycle(5))
+    est = theta_best(g, exact_cap=10)
+    assert theta_best(frucht(), exact_cap=10).method == "interval"
+    assert est.method == "interval" and est.value is None
+    # frucht and C5 are regular, so the product carries its sandwich
+    assert est.bounds is not None and est.bounds.lower <= est.bounds.upper
+
+
+def random_circulant(seed):
+    """A circulant on 9 to 17 vertices with a seeded connection set,
+    neither empty nor complete."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(9, 18))
+    while True:
+        jumps = [j for j in range(1, n // 2 + 1) if rng.random() < 0.5]
+        if 0 < len(jumps) < n // 2:
+            break
+    edges = [(i, (i + j) % n) for i in range(n) for j in jumps]
+    return Graph.from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_theta_times_complement_theta_is_n_on_circulants(seed):
+    # circulants are vertex-transitive, so theta(G) theta(complement) = n
+    # (Lovasz 1979, Thm 8); most are not distance-regular, so the ratio
+    # pair does not pinch and the IPM runs on both sides
+    g = random_circulant(seed)
+    t, tc = theta_exact_result(g), theta_exact_result(g.complement())
+    assert t.converged and tc.converged
+    assert t.value * tc.value == pytest.approx(g.n, abs=1e-5)
+    assert t.lower * tc.lower <= g.n <= t.value * tc.value
