@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .graphs import Graph, _one_blas_thread, check_budget
+from .graphs import Graph, _one_blas_thread, check_budget, within_budget
 from .spectra import eigenvalues, group_values
 from .srg import SrgParams, srg_check
 
@@ -103,6 +103,29 @@ def theta_kneser(m: int, r: int) -> int:
 # predictor-corrector, sigma = (mu_aff/mu)^3 (Helmberg, Rendl, Vanderbei &
 # Wolkowicz, SIAM J. Optim. 1996). It stops when the best bounds pinch to
 # tol, or when a Cholesky factorisation breaks down near the optimum.
+#
+# The IPM runs over the edge classes of G's coherent closure, the stable
+# colouring of vertex pairs under Weisfeiler & Leman's 2-dimensional
+# refinement (1968); an edge's class is the unordered pair of the colours
+# of (i, j) and (j, i). The span W of the colour classes' 0/1 matrices
+# holds I, J and every class matrix A_P, and is closed under transposes
+# and products, so under inverses too. Hence from X = I/n every HKM
+# iterate stays in W: when X, Z and the right-hand side R lie in W, M maps
+# the class-constant vectors into themselves (M S u is tr(E_e X dZ W) with
+# dZ = sum_P u_P A_P), and since M is invertible the Newton system's
+# unique solution dy is constant on each class. It is S u, with u the
+# solution of the order-(r+1) system S^T M S u = S^T rhs, where S maps the
+# r classes (and the trace constraint) to the m edges (de Klerk, Pasechnik
+# & Schrijver, "Reduction of symmetric semidefinite programs using the
+# regular *-representation", Math. Program. 2007). So the reduced IPM
+# follows the same iterates with one y per class, B = J - sum_P y_P A_P,
+# and _certificate still scores the dense B and X. Rounding pushes W =
+# Z^-1 out of the algebra by about cond(Z) eps near the optimum, enough to
+# make the reduced complement indefinite, so each step first projects X
+# and W back onto it (the mean over each colour class). A graph whose
+# vertex pre-pass (_vertex_colours) is discrete has a discrete closure,
+# each edge its own class and an identity projection, and runs the same
+# code with r = m, bit for bit as an unreduced IPM would.
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,7 @@ class ThetaResult:
     converged: bool
     iterations: int
     gap: float
+    classes: int = 0        # edge classes the IPM ran over; 0 when none ran
 
     def __float__(self):
         return self.value
@@ -137,31 +161,51 @@ _STEP = 0.95            # share of the step to the boundary of the PSD cone
 _BLOCK = 64             # block order of the triangular substitutions
 
 
-def _schur(x, w, edges_u, edges_v):
-    """HKM Schur complement M_kl = tr(A_k X A_l W), A_0 = I, A_e = E_e.
+def _class_sums(a, starts, out=None):
+    """Sums of a's entries along its last axis over the classes starting
+    at starts; a itself when every class is one entry, where reduceat
+    would give the same values far more slowly."""
+    if len(starts) == a.shape[-1]:
+        return a
+    return np.add.reduceat(a, starts, axis=-1, out=out)
+
+
+def _schur(x, w, edges_u, edges_v, starts):
+    """Reduced HKM Schur complement S^T M S, M_kl = tr(A_k X A_l W) with
+    A_0 = I and A_e = E_e, for edges sorted by class, class P starting at
+    starts[P]; S sums the edges of each class.
 
     With e = ij and f = kl: M_00 = tr(XW), M_0e = (XW)_ij + (XW)_ji and
-    M_ef = W_ik X_jl + W_il X_jk + W_jk X_il + W_jl X_ik, summed into M in
-    place through two m x m scratch arrays.
+    M_ef = W_ik X_jl + W_il X_jk + W_jk X_il + W_jl X_ik. For X and W in
+    the coherent algebra the columns of M S are constant on each class, so
+    row P of S^T M S is |P| times the class sums of the row of M at P's
+    first edge. The four terms of those r rows are summed into the result
+    in place through two r x m scratch arrays; with single-edge classes
+    this is M itself, bit for bit.
     """
-    m = len(edges_u)
+    m, r = len(edges_u), len(starts)
     xw = x @ w
-    out = np.empty((m + 1, m + 1))
+    out = np.empty((r + 1, r + 1))
     out[0, 0] = np.trace(xw)
-    out[0, 1:] = out[1:, 0] = xw[edges_u, edges_v] + xw[edges_v, edges_u]
+    m0 = xw[edges_u, edges_v] + xw[edges_v, edges_u]
+    out[0, 1:] = _class_sums(m0, starts)
+    out[1:, 0] = m0[starts]
     mef = out[1:, 1:]
     mef.fill(0.0)
-    t1, t2 = np.empty((m, m)), np.empty((m, m))
+    t1, t2 = np.empty((r, m)), np.empty((r, m))
     ends = ((edges_u, edges_v), (edges_v, edges_u))
+    first = ((edges_u[starts], edges_v[starts]), (edges_v[starts], edges_u[starts]))
     # mode="clip" lets take write straight into out (the default mode
-    # buffers it); every index is in range
+    # buffers it); every index is in range. take's column gathers are
+    # C-contiguous, where w[:, wc] is not, so the row takes stay fast
     for wc, xc in ends:
-        wcols, xcols = w[:, wc], x[:, xc]
-        for wr, xr in ends:
+        wcols, xcols = np.take(w, wc, axis=1), np.take(x, xc, axis=1)
+        for wr, xr in first:
             np.take(wcols, wr, axis=0, out=t1, mode="clip")
             np.take(xcols, xr, axis=0, out=t2, mode="clip")
             t1 *= t2
-            mef += t1
+            mef += _class_sums(t1, starts, out=t2[:, :r])
+    out[1:] *= np.diff(starts, append=m)[:, None]
     return out
 
 
@@ -196,24 +240,28 @@ def _on_edges(v, edges_u, edges_v, n):
     return e
 
 
-def _hkm_step(x, t, y, edges_u, edges_v):
+def _hkm_step(x, t, y, cls):
     """One Mehrotra predictor-corrector step in the HKM direction from the
-    feasible point (X, t, y); LinAlgError when a factorisation fails."""
+    feasible point (X, t, y), y one value per edge class of cls, with X and
+    W = Z^-1 projected onto the coherent algebra; LinAlgError when a
+    factorisation fails."""
     n = len(x)
     eye = np.eye(n)
-    z = t * eye + _on_edges(y, edges_u, edges_v, n) - 1.0
+    edges_u, edges_v, starts = cls.u, cls.v, cls.starts
+    x = cls.project(x)
+    z = t * eye + _on_edges(y[cls.of_edge], edges_u, edges_v, n) - 1.0
     inv_lx = np.linalg.inv(np.linalg.cholesky(x))
     inv_lz = np.linalg.inv(np.linalg.cholesky(z))
-    w = inv_lz.T @ inv_lz
-    chol = np.linalg.cholesky(_schur(x, w, edges_u, edges_v))
+    w = cls.project(inv_lz.T @ inv_lz)
+    chol = np.linalg.cholesky(_schur(x, w, edges_u, edges_v, starts))
     mu = float(np.sum(x * z)) / n
 
     def direction(r):
-        # dX = R - X - X dZ W; the rhs A(R) - b keeps A(X + dX) = b
-        rhs = np.concatenate(([np.trace(r) - 1.0],
-                              r[edges_u, edges_v] + r[edges_v, edges_u]))
+        # dX = R - X - X dZ W; the rhs S^T (A(R) - b) keeps A(X + dX) = b
+        on_edges = r[edges_u, edges_v] + r[edges_v, edges_u]
+        rhs = np.concatenate(([np.trace(r) - 1.0], _class_sums(on_edges, starts)))
         dy = _cho_solve(chol, rhs)
-        dz = dy[0] * eye + _on_edges(dy[1:], edges_u, edges_v, n)
+        dz = dy[0] * eye + _on_edges(dy[1:][cls.of_edge], edges_u, edges_v, n)
         dx = r - x - x @ dz @ w
         return dy, dz, (dx + dx.T) / 2.0
 
@@ -247,18 +295,156 @@ def _ratio_pair(g, edges_u, edges_v):
     return b, x
 
 
+def _unique_rows(a):
+    """Ids 0..k-1 of the rows of a 2-d integer array, equal rows alike,
+    and k: the rows are sorted as blocks of bytes, and a row starts a new
+    id where it differs from the one before."""
+    a = np.ascontiguousarray(a)
+    perm = np.argsort(a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel())
+    srt = a[perm]
+    new = np.empty(len(a), dtype=bool)
+    new[0] = True
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    ranks = np.cumsum(new) - 1
+    ids = np.empty(len(a), dtype=np.int64)
+    ids[perm] = ranks
+    return ids, int(ranks[-1]) + 1
+
+
+def _vertex_colours(adj):
+    """Colour refinement of the vertices, seeded with each vertex's sorted
+    row of common-neighbour counts (one A @ A): ids 0..k-1.
+
+    The diagonal of the coherent closure refines it, so when it gives
+    every vertex its own colour, the closure puts every pair in its own
+    class. A vertex-transitive graph has one colour.
+    """
+    n = len(adj)
+    a = adj.astype(np.float64)
+    col, k = _unique_rows(np.sort((a @ a).astype(np.int64), axis=1))
+    while k < n:
+        counts = (a @ np.eye(k)[col]).astype(np.int64)
+        new, k_new = _unique_rows(np.column_stack((col, counts)))
+        if k_new == k:
+            break
+        col, k = new, k_new
+    return col
+
+
+def wl_bytes(n: int) -> int:
+    """Peak bytes of the 2-dimensional refinement on n vertices: the
+    n x n x (n+1) codes, their sorted copy and a one-byte mask over them,
+    and n^2 index arrays. The codes of r colours take the smallest of
+    uint16, uint32 and uint64 that holds r^2; this counts the one that
+    holds n^4, as r <= n^2. tracemalloc read 9.1-9.5 bytes per code cell
+    for uint32 codes at n = 60 to 200, 0.91-0.95 of this."""
+    item = 2 if n <= 16 else 4 if n <= 256 else 8
+    return (2 * item + 1) * n * n * (n + 1) + 64 * n * n
+
+
+def _coherent_closure(adj):
+    """The stable 2-dimensional Weisfeiler-Leman colouring of the vertex
+    pairs (_refine_pairs), as an n x n array of ids; None when the vertex
+    pre-pass is already discrete, so the closure is too."""
+    vcol = _vertex_colours(adj)
+    if vcol.max() == len(adj) - 1:
+        return None
+    return _refine_pairs(adj, vcol)
+
+
+def _refine_pairs(adj, vcol):
+    """2-dimensional refinement from I, A and the non-edges, with the
+    diagonal split by the vertex colours vcol.
+
+    Each round recolours (i, j) by its colour and the sorted multiset of
+    the codes colour(i, k) * r + colour(k, j) over all k, for r colours,
+    and stops when no class splits. The stable colouring of the diagonal
+    refines the pre-pass, so seeding the diagonal with it ends at the same
+    colouring.
+    """
+    n = len(adj)
+    seed = adj.astype(np.int64)
+    seed[np.diag_indices(n)] = 2 + vcol
+    ids, r = _unique_rows(seed.reshape(n * n, 1))
+    while True:
+        col = ids.reshape(n, n)
+        # short codes make the rows' sort and compares short
+        dtype = next(t for t in (np.uint16, np.uint32, np.uint64)
+                     if r * r <= np.iinfo(t).max + 1)
+        short = col.astype(dtype)
+        codes = np.empty((n, n, n + 1), dtype)
+        codes[:, :, 0] = short
+        np.add((short * dtype(r))[:, None, :], np.ascontiguousarray(short.T)[None],
+               out=codes[:, :, 1:])
+        codes[:, :, 1:].sort(axis=2)
+        ids, r_new = _unique_rows(codes.reshape(n * n, n + 1))
+        if r_new == r:
+            return col
+        r = r_new
+
+
+def _closure(g):
+    """g's coherent closure, memoised on g; None when it is discrete or
+    its refinement would exceed the dense budget."""
+    if not within_budget(wl_bytes(g.n)):
+        return None
+    return g._cached(("coherent_closure",), lambda: _coherent_closure(g.adj))
+
+
+class _Classes(NamedTuple):
+    """The edges sorted by class (endpoints u, v), the position of each
+    class's first edge, each edge's class, and the projection onto the
+    coherent algebra, the mean over each colour class."""
+
+    u: np.ndarray
+    v: np.ndarray
+    starts: np.ndarray
+    of_edge: np.ndarray
+    project: Callable
+
+
+def _edge_classes(g, edges_u, edges_v) -> _Classes:
+    """The edges of g in the classes of its coherent closure: an edge's
+    class is the unordered pair of the colours of (i, j) and (j, i), and
+    classes are numbered in order of their first edge. Every edge is its
+    own class, in the given order, when the closure is discrete or not
+    computed."""
+    col = _closure(g)
+    if col is None:
+        m = len(edges_u)
+        return _Classes(edges_u, edges_v, np.arange(m), np.arange(m), lambda a: a)
+    a, b = col[edges_u, edges_v], col[edges_v, edges_u]
+    key = np.minimum(a, b) * col.size + np.maximum(a, b)
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    classes = np.argsort(np.argsort(first))[ids.reshape(-1)]
+    order = np.argsort(classes, kind="stable")
+    of_edge = classes[order]
+    starts = np.flatnonzero(np.diff(of_edge, prepend=-1))
+    flat = col.ravel()
+    counts = np.bincount(flat)
+
+    def project(x):
+        return (np.bincount(flat, x.ravel(), len(counts)) / counts)[col]
+
+    return _Classes(edges_u[order], edges_v[order], starts, of_edge, project)
+
+
 # Peak bytes per n^2 cell of the ratio pair and its certificate (or of an
 # edgeless graph's B = J): tracemalloc read 4.0-4.2 doubles at n = 200 to
 # 1000.
 RATIO_PAIR_CELL_BYTES = 34
 
 
-def ipm_bytes(n: int, m: int) -> int:
-    """Peak bytes of the IPM on n vertices and m edges. tracemalloc read
-    3.15-3.3 doubles per cell of the (m+1)^2 Schur complement at m >= 1000;
-    the n x n iterates add 12-18 doubles per n^2 cell on sparse graphs of
-    120 to 300 vertices, and up to 37 on the 5- to 64-vertex test graphs."""
-    return 27 * (m + 1) ** 2 + 320 * n * n
+def ipm_bytes(n: int, m: int, r: Optional[int] = None) -> int:
+    """Peak bytes of the IPM on n vertices and m edges in r classes (m by
+    default): the (r+1)^2 Schur complement and its factor, two r x m
+    scratch rows and two n x m column gathers while it is built, and the
+    n x n iterates. tracemalloc read 3.15-3.3 doubles per cell of the
+    (m+1)^2 complement at m >= 1000 and r = m, 0.94 of this estimate on
+    C5^3 in 3 classes, and 12-18 doubles per n^2 cell on sparse graphs of
+    120 to 300 vertices, up to 37 on the 5- to 64-vertex test graphs."""
+    r = m if r is None else r
+    return 11 * (r + 1) ** 2 + 16 * (r + n) * m + 320 * n * n
 
 
 def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
@@ -280,29 +466,33 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
         if ub - lb <= tol:
             return ThetaResult(ub, lb, b, True, 0, ub - lb)
 
-    check_budget(ipm_bytes(n, m), f"theta's IPM on {n} vertices and {m} edges")
+    with _one_blas_thread(n):
+        cls = _edge_classes(g, edges_u, edges_v)
+    r = len(cls.starts)
+    check_budget(ipm_bytes(n, m, r),
+                 f"theta's IPM on {n} vertices and {m} edges in {r} classes")
     # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1
-    x, t, y = np.eye(n) / n, n + 1.0, np.zeros(m)
+    x, t, y = np.eye(n) / n, n + 1.0, np.zeros(r)
     best_ub, best_lb, best_b = math.inf, -math.inf, None
     iterations = 0
-    # the Schur complement is the largest matrix, of order m + 1
-    with _one_blas_thread(max(n, m + 1)):
+    # the Schur complement is the largest matrix, of order r + 1
+    with _one_blas_thread(max(n, r + 1)):
         while True:
-            b = 1.0 - _on_edges(y, edges_u, edges_v, n)
+            b = 1.0 - _on_edges(y[cls.of_edge], cls.u, cls.v, n)
             # _certificate reads X at trace 1; the division drops rounding drift
-            ub, lb = _certificate(b, x / np.trace(x), edges_u, edges_v)
+            ub, lb = _certificate(b, x / np.trace(x), cls.u, cls.v)
             if ub < best_ub:
                 best_ub, best_b = ub, b
             best_lb = max(best_lb, lb)
             if best_ub - best_lb <= tol or iterations == _MAX_ITERATIONS:
                 break
             try:
-                x, t, y = _hkm_step(x, t, y, edges_u, edges_v)
+                x, t, y = _hkm_step(x, t, y, cls)
             except np.linalg.LinAlgError:
                 break
             iterations += 1
     gap = best_ub - best_lb
-    return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap)
+    return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap, r)
 
 
 def theta_exact(g: Graph, tol: float = 1e-6) -> float:

@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from thetakit import graphs
+from thetakit import catalog, graphs, theta
 from thetakit.graphs import (
     Graph,
     complete,
@@ -235,6 +235,28 @@ def test_vertex_transitive_flag_is_certified(g, gens):
                 orbit.add(p[v])
                 frontier.append(p[v])
     assert len(orbit) == g.n
+
+
+# every catalog fixture flagged vertex_transitive, beside the library
+# generators of _VT_CASES
+_VT_FIXTURES = [(name, catalog.load_fixture(name)) for name in catalog.fixture_names()
+                if catalog.load_fixture(name).meta.vertex_transitive]
+
+
+@pytest.mark.parametrize("g", [case[1] for case in _VT_CASES + _VT_FIXTURES],
+                         ids=[case[0] for case in _VT_CASES + _VT_FIXTURES])
+def test_vertex_transitive_flag_passes_the_colour_pre_pass(g):
+    # a necessary check on the flag: automorphisms preserve the colour
+    # refinement, so a vertex-transitive graph has one vertex colour. It
+    # is the theta solver's pre-pass, O(n^3) for one A @ A, with no
+    # refinement of pairs
+    assert g.meta.vertex_transitive is True
+    assert not theta._vertex_colours(g.adj).any()
+
+
+def test_the_colour_pre_pass_sees_an_asymmetric_graph():
+    # Frucht's graph is 3-regular with no automorphism but the identity
+    assert len(set(theta._vertex_colours(frucht().adj))) == 12
 
 
 def test_from_edge_list_and_relabel():

@@ -26,6 +26,7 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
+from thetakit.io import from_graph6, to_graph6
 from thetakit.products import strong_power, strong_product
 from thetakit.spectra import eigenvalues
 from thetakit.srg import SrgParams, srg_check
@@ -291,20 +292,52 @@ def test_theta_exact_breakdown_returns_best_pair():
     assert res.converged == (res.gap <= 0.0)
 
 
+def _schur_by_definition(x, w, edges_u, edges_v):
+    """M_kl = tr(A_k X A_l W) with A_0 = I and A_e = E_e, from dense matrices."""
+    n = len(x)
+    mats = [np.eye(n)]
+    for i, j in zip(edges_u, edges_v):
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0
+        mats.append(e)
+    # tr(A X B W) = sum(A * (X B W)^T)
+    right = [(x @ b @ w).T for b in mats]
+    return np.array([[np.sum(a * xbw) for xbw in right] for a in mats])
+
+
 def test_schur_complement_matches_its_definition():
-    # M_kl = tr(A_k X A_l W) with A_0 = I and A_e = E_e, from dense matrices
+    # one class per edge: M itself, for any X and W
     g = frucht()
     eu, ev = np.nonzero(np.triu(g.adj, 1))
     rng = np.random.default_rng(0)
     n = g.n
     x, w = (q @ q.T + np.eye(n) for q in rng.standard_normal((2, n, n)))
-    mats = [np.eye(n)]
-    for i, j in zip(eu, ev):
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 1.0
-        mats.append(e)
-    want = np.array([[np.trace(a @ x @ b @ w) for b in mats] for a in mats])
-    assert np.allclose(theta._schur(x, w, eu, ev), want, rtol=1e-12, atol=1e-12)
+    want = _schur_by_definition(x, w, eu, ev)
+    got = theta._schur(x, w, eu, ev, np.arange(len(eu)))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["c5xc5", "circulant"])
+def test_reduced_schur_complement_is_the_compressed_definition(name):
+    # for X and W in the coherent algebra, here squares of random
+    # polynomials in A plus I, the reduced complement is S^T M S, with S
+    # summing the edges of each class
+    g = relabelled({"c5xc5": strong_product(cycle(5), cycle(5)),
+                    "circulant": random_circulant(3)}[name], seed=5)
+    cls = theta._edge_classes(g, *np.nonzero(np.triu(g.adj, 1)))
+    m, r = len(cls.u), len(cls.starts)
+    assert 1 < r < m
+    a = g.adj.astype(np.float64)
+    rng = np.random.default_rng(1)
+    x, w = (np.eye(g.n) + p @ p for p in
+            (sum(c * np.linalg.matrix_power(a, k)
+                 for k, c in enumerate(rng.standard_normal(4))) for _ in range(2)))
+    s = np.zeros((m + 1, r + 1))
+    s[0, 0] = 1.0
+    s[np.arange(1, m + 1), cls.of_edge + 1] = 1.0
+    want = s.T @ _schur_by_definition(x, w, cls.u, cls.v) @ s
+    got = theta._schur(x, w, cls.u, cls.v, cls.starts)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.abs(want).max())
 
 
 def test_schur_complement_memory():
@@ -314,9 +347,10 @@ def test_schur_complement_memory():
     eu, ev = np.nonzero(np.triu(g.adj, 1))
     m = len(eu)
     x = w = np.eye(g.n)
+    starts = np.arange(m)
     tracemalloc.start()
     try:
-        theta._schur(x, w, eu, ev)
+        theta._schur(x, w, eu, ev, starts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,3 +509,117 @@ def test_theta_times_complement_theta_is_n_on_circulants(seed):
     assert t.converged and tc.converged
     assert t.value * tc.value == pytest.approx(g.n, abs=1e-5)
     assert t.lower * tc.lower <= g.n <= t.value * tc.value
+
+
+# -- the IPM over the coherent closure's edge classes -------------------
+
+
+def relabelled(g, seed):
+    """g under a seeded vertex permutation, with no factors or flags."""
+    p = np.random.default_rng(seed).permutation(g.n)
+    return Graph(g.adj[np.ix_(p, p)])
+
+
+COHERENT = {
+    "petersenxK2": lambda: strong_product(petersen(), complete(2)),
+    "c5xc5": lambda: strong_product(cycle(5), cycle(5)),
+    "shrikhande": shrikhande,
+    "circulant": lambda: random_circulant(4),
+    "frucht": frucht,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENT))
+def test_pair_colouring_is_coherent(name):
+    # the closure's colour classes R_a partition the pairs, refine I, A and
+    # the non-edges, are closed under transposes, and every R_a @ R_b is
+    # constant on every class; Frucht's pre-pass is discrete, so its
+    # closure is run from a one-colour seed to show it is discrete too
+    g = COHERENT[name]()
+    n = g.n
+    col = theta._coherent_closure(g.adj)
+    if name == "frucht":
+        assert col is None
+        col = theta._refine_pairs(g.adj, np.zeros(n, dtype=np.int64))
+        assert len(np.unique(col)) == n * n
+    r = int(col.max()) + 1
+    assert sorted(np.unique(col)) == list(range(r))
+    kinds = np.where(np.eye(n, dtype=bool), 2, g.adj.astype(int))
+    flat, kinds = col.ravel(), kinds.ravel()
+    for c in range(r):
+        assert len(np.unique(kinds[flat == c])) == 1
+        assert len(np.unique(col.T.ravel()[flat == c])) == 1
+    onehot = (col[None] == np.arange(r)[:, None, None]).astype(np.float64)
+    for a in range(r):
+        counts = np.einsum("ik,bkj->bij", onehot[a], onehot).reshape(r, n * n)
+        for c in range(r):
+            block = counts[:, flat == c]
+            assert np.all(block == block[:, :1])
+
+
+@pytest.mark.parametrize("name", ["c5xc5", "c5xpetersen", "c5+c7", "circulant"])
+def test_class_counts_survive_relabelling(name):
+    g = {"c5xc5": strong_product(cycle(5), cycle(5)),
+         "c5xpetersen": strong_product(cycle(5), petersen()),
+         "c5+c7": disjoint_union(cycle(5), cycle(7)),
+         "circulant": random_circulant(7)}[name]
+    counts = []
+    for h in (Graph(g.adj), relabelled(g, 11)):
+        col = theta._coherent_closure(h.adj)
+        cls = theta._edge_classes(h, *np.nonzero(np.triu(h.adj, 1)))
+        counts.append((len(np.unique(col)), len(cls.starts)))
+    assert counts[0] == counts[1]
+
+
+# relabelled, so no factors and no closed form: m edges in r classes
+SYMMETRIC = {
+    "c5xpetersen": (lambda: strong_product(cycle(5), petersen()), 275, 3),
+    "c5xc5": (lambda: strong_product(cycle(5), cycle(5)), 100, 2),
+    "c5+c7": (lambda: disjoint_union(cycle(5), cycle(7)), 12, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_reduced_ipm_follows_the_unreduced_one(name, monkeypatch):
+    make, m, r = SYMMETRIC[name]
+    g = relabelled(make(), seed=3)
+    res = theta_exact_result(g)
+    assert res.converged and res.classes == r
+    monkeypatch.setattr(theta, "_closure", lambda g: None)
+    one = theta_exact_result(relabelled(make(), seed=3))
+    assert one.converged and one.classes == m
+    assert res.iterations == one.iterations
+    assert res.value == pytest.approx(one.value, rel=0, abs=1e-9)
+    assert res.lower == pytest.approx(one.lower, rel=0, abs=1e-9)
+
+
+def test_classes_field():
+    # m classes on an asymmetric graph, 0 when no IPM ran
+    assert theta_exact_result(frucht()).classes == 18
+    assert theta_exact_result(petersen()).classes == 0      # the ratio pair
+    assert theta_exact_result(empty(4)).classes == 0
+
+
+def test_asymmetric_graph_is_not_refined_in_pairs(monkeypatch):
+    # the vertex pre-pass is discrete, so no n^3 refinement runs
+    monkeypatch.setattr(theta, "_refine_pairs", None)
+    assert theta._coherent_closure(frucht().adj) is None
+    assert theta._coherent_closure(HARD["rr32-3"]().adj) is None
+
+
+def test_reduction_fits_where_the_unreduced_ipm_is_refused(monkeypatch):
+    # C5^3 read back from graph6 has no factors: 1625 edges in 3 classes.
+    # The refinement and the reduced IPM fit 40 MB; the unreduced IPM
+    # would not, and is refused when the refinement is
+    g = from_graph6(to_graph6(relabelled(strong_power(cycle(5), 3), seed=2)))
+    assert g.factors == () and g.edge_count() == 1625
+    budget = 40_000_000
+    assert theta.wl_bytes(g.n) <= budget < theta.ipm_bytes(g.n, 1625)
+    assert theta.ipm_bytes(g.n, 1625, 3) <= budget
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", budget)
+    res = theta_exact_result(g)
+    assert res.converged and res.classes == 3 and res.iterations == 8
+    assert res.value == pytest.approx(5 ** 1.5, abs=1e-6)
+    monkeypatch.setattr(theta, "wl_bytes", lambda n: budget + 1)
+    with pytest.raises(ValueError, match="1625 classes"):
+        theta_exact_result(Graph(g.adj))
