@@ -134,26 +134,24 @@ def _color_bound(masks, cand):
     return order_out, bounds
 
 
-def _clique_search(adj, budget: _Budget, floor, ceiling, take):
+def _clique_search(adj, budget: _Budget, floor, ceiling):
     """Branch and bound over the cliques of a bool adjacency matrix.
 
     The bitsets are relabelled in degeneracy order (better coloring order).
     Candidates are greedily colored at every node; branches whose clique
     size plus color bound falls short of `floor` are cut, and no clique
-    grows past `ceiling` vertices. Each clique that reaches `floor` is
-    passed to `take` as a bitset in adj's labels; `take` returns the new
-    floor, or None to give up. The search ends once the floor passes the
-    ceiling. Returns (root color bound, complete flag: False after a
-    timeout or a give-up).
+    grows past `ceiling` vertices. Each clique found below the ceiling
+    raises the floor past it, so with floor = ceiling the search yields
+    every clique of that size. Returns (root color bound, an iterator over
+    the cliques that reach the floor, as bitsets in adj's labels). The
+    iterator ends early once the budget expires; `budget.expired` tells.
     """
     order = _degeneracy_order(adj)
     masks = _pack(adj[np.ix_(order, order)])
-    complete = True
 
     def expand(size, mask, cand):
-        nonlocal floor, complete
+        nonlocal floor
         if budget.check():
-            complete = False
             return
         order_out, bounds = _color_bound(masks, cand)
         for i in range(len(order_out) - 1, -1, -1):
@@ -163,21 +161,18 @@ def _clique_search(adj, budget: _Budget, floor, ceiling, take):
             new_mask = mask | (1 << v)
             new_cand = cand & masks[v]
             if size + 1 >= floor:
-                floor = take(sum(1 << order[w] for w in _bits(new_mask)))
-                complete = floor is not None
-                if not complete or floor > ceiling:
-                    return
+                yield sum(1 << order[w] for w in _bits(new_mask))
+                floor = min(size + 2, ceiling)
             if new_cand and size + 1 < ceiling:
-                expand(size + 1, new_mask, new_cand)
-                if not complete or floor > ceiling:
+                yield from expand(size + 1, new_mask, new_cand)
+                if budget.expired:
                     return
             cand &= ~(1 << v)
 
     full = (1 << len(adj)) - 1
     _, root_bounds = _color_bound(masks, full)
-    if floor <= ceiling:
-        expand(0, 0, full)
-    return max(root_bounds, default=0), complete
+    cliques = expand(0, 0, full) if floor <= ceiling else iter(())
+    return max(root_bounds, default=0), cliques
 
 
 def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
@@ -210,16 +205,13 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
     b = _Budget(budget)
     ceiling = n if target is None else target
     clique = tuple(sorted(_greedy_clique(_pack(g.adj), n, b, ceiling=ceiling)))
-
-    def take(found):
-        nonlocal clique
+    root_bound, cliques = _clique_search(g.adj, b, len(clique) + 1, ceiling)
+    for found in cliques:
         clique = tuple(_bits(found))
-        return len(clique) + 1
-
-    root_bound, complete = _clique_search(g.adj, b, len(clique) + 1,
-                                          ceiling, take)
+        if len(clique) >= ceiling:
+            break
     size = len(clique)
-    if complete:
+    if size >= ceiling or not b.expired:
         return SolveResult(size, size, size, clique, "exact", b.elapsed())
     upper = min(max(root_bound, size), ceiling)
     return SolveResult(None, size, upper, clique, "timeout", b.elapsed())
@@ -340,43 +332,26 @@ def _set_bytes(n):
     return 40 + n // 7
 
 
-def _cliques_of_size(adj, size, budget: _Budget, held=0):
-    """Every clique of exactly `size` vertices of a bool adjacency, as
-    bitsets in adj's labels; None once the budget expires or the list,
-    with the `held` bytes of lists kept elsewhere, would pass the dense
-    byte budget. It is `_clique_search` with floor and ceiling both `size`.
-    """
-    set_bytes = _set_bytes(len(adj))
-    found = []
-
-    def take(clique):
-        found.append(clique)
-        return size if within_budget(held + len(found) * set_bytes) else None
-
-    _, complete = _clique_search(adj, budget, size, size, take)
-    return found if complete else None
-
-
 def _clique_cover(adj, size, budget: _Budget):
     """Partition of the vertices of a bool adjacency into cliques of
     exactly `size` >= 2 vertices.
 
     Each step branches on the uncovered vertex with the fewest uncovered
     neighbours (the lowest index on ties), over the cliques through it
-    among its uncovered neighbours. A step lists all of its cliques before
-    the next one starts, and the steps run over an explicit stack, so the
-    Python recursion is only a listing's, about `size` frames deep. The
-    cliques held by all open steps are checked against the dense byte
-    budget, like a timeout.
+    among its uncovered neighbours. A step holds one suspended
+    `_clique_search` with floor and ceiling at `size` - 1 and draws its
+    next clique only when a deeper step fails. The steps run over an
+    explicit stack, so the Python recursion is only a search's, about
+    `size` frames deep. The packed candidates of all open steps are
+    checked against the dense byte budget, like a timeout.
 
     Returns (verdict, the chosen cliques as bitsets or None); verdict None
     means the budget expired, False that no such partition exists.
     """
-    n = len(adj)
     masks = _pack(adj)
-    uncovered = (1 << n) - 1
+    uncovered = (1 << len(adj)) - 1
     chosen = []     # the clique taken at each open step
-    steps = []      # each open step's untried cliques and their bytes
+    steps = []      # each open step: vertex, candidates, cliques, bytes
     held = 0
     while True:
         if budget.check():
@@ -386,21 +361,22 @@ def _clique_cover(adj, size, budget: _Budget):
         v = min(_bits(uncovered),
                 key=lambda u: (masks[u] & uncovered).bit_count())
         cand = list(_bits(masks[v] & uncovered))
-        found = _cliques_of_size(adj[np.ix_(cand, cand)], size - 1, budget,
-                                 held)
-        if found is None:
-            return None, None
-        cost = len(found) * _set_bytes(n)
+        cost = len(cand) * _set_bytes(len(cand))
         held += cost
-        # reversed, so that pop() takes them in the listing's order
-        steps.append(([sum((1 << cand[w] for w in _bits(s)), 1 << v)
-                       for s in reversed(found)], cost))
-        while not steps[-1][0]:
-            held -= steps.pop()[1]
+        if not within_budget(held):
+            return None, None
+        _, cliques = _clique_search(adj[np.ix_(cand, cand)], budget,
+                                    size - 1, size - 1)
+        steps.append((v, cand, cliques, cost))
+        while (found := next(steps[-1][2], None)) is None:
+            if budget.expired:
+                return None, None
+            held -= steps.pop()[3]
             if not steps:
                 return False, None
             uncovered |= chosen.pop()
-        clique = steps[-1][0].pop()
+        v, cand = steps[-1][:2]
+        clique = sum((1 << cand[w] for w in _bits(found)), 1 << v)
         chosen.append(clique)
         uncovered &= ~clique
 

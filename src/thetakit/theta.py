@@ -464,6 +464,8 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
             b, x = _ratio_pair(g, edges_u, edges_v)
             ub, lb = _certificate(b, x, edges_u, edges_v)
         if ub - lb <= tol:
+            # a lower end above a certified upper end claims nothing more
+            lb = min(lb, ub)
             return ThetaResult(ub, lb, b, True, 0, ub - lb)
 
     with _one_blas_thread(n):
@@ -491,6 +493,7 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
             except np.linalg.LinAlgError:
                 break
             iterations += 1
+    best_lb = min(best_lb, best_ub)
     gap = best_ub - best_lb
     return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap, r)
 

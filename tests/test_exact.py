@@ -622,9 +622,9 @@ def test_cover_refutes_kneser62(monkeypatch):
     # the six stars, and three disjoint stars cannot cover the 15 pairs
     g = kneser(6, 2)
     assert theta_tight_bounds(g) == (3, 5)
-    sets = exact._cliques_of_size(g.complement().adj, 5,
-                                  exact._Budget(60.0))
-    assert len(sets) == 6
+    _, sets = exact._clique_search(g.complement().adj, exact._Budget(60.0),
+                                   5, 5)
+    assert len(list(sets)) == 6
     assert exact._clique_cover(g.complement().adj, 5,
                                exact._Budget(60.0)) == (False, None)
     tried = []
@@ -642,7 +642,8 @@ def test_cover_refutes_kneser62(monkeypatch):
 
 
 @pytest.mark.parametrize("name,chi", [("chang1", 7), ("chang2", 7),
-                                      ("chang3", 7), ("schlafli", 9)])
+                                      ("chang3", 7), ("schlafli", 9),
+                                      ("perkel", 3)])
 def test_cover_on_fixtures(name, chi, monkeypatch):
     g = load_fixture(name)
     lower, alpha_upper = theta_tight_bounds(g)
@@ -675,25 +676,57 @@ def test_cover_sets_are_budgeted(monkeypatch):
     assert (res.lower, res.upper) == (10, 16)
 
 
-def test_cover_lists_only_the_sets_through_the_branching_vertex(monkeypatch):
-    # Hall-Janko is srg(100, 36, 14, 12): the first step lists the 9-sets
-    # among the 63 non-neighbours of its vertex, and all steps together
-    # list fewer than the graph's 280 independent 10-sets
+def spy_cover_steps(monkeypatch):
+    """Record the cover's steps: ("open", order of its candidates, size of
+    its cliques) when a step starts its search, ("draw", step) for each
+    clique a step takes from it."""
+    events = []
+    search = exact._clique_search
+
+    def spy(adj, budget, floor, ceiling):
+        root_bound, cliques = search(adj, budget, floor, ceiling)
+        if floor != ceiling:
+            return root_bound, cliques
+        step = sum(event[0] == "open" for event in events)
+        events.append(("open", len(adj), floor))
+
+        def draws():
+            for clique in cliques:
+                events.append(("draw", step))
+                yield clique
+
+        return root_bound, draws()
+
+    monkeypatch.setattr(exact, "_clique_search", spy)
+    return events
+
+
+def test_cover_draws_only_the_sets_through_the_branching_vertex(monkeypatch):
+    # Hall-Janko is srg(100, 36, 14, 12): the first step searches the
+    # 9-sets among the 63 non-neighbours of its vertex, and no step draws
+    # more than the one set it keeps
     g = load_fixture("hall_janko")
     alpha_from_the_memo(g, 10)
-    listings = []
-    listing = exact._cliques_of_size
-
-    def spy(adj, size, budget, held=0):
-        found = listing(adj, size, budget, held)
-        listings.append((len(adj), size, len(found)))
-        return found
-
-    monkeypatch.setattr(exact, "_cliques_of_size", spy)
+    events = spy_cover_steps(monkeypatch)
     res = chromatic_number(g, lower=10, alpha_upper=10)
     assert res.status == "exact" and res.value == 10
-    assert listings[0][:2] == (63, 9)
-    assert sum(count for _, _, count in listings) < 280
+    assert events[0] == ("open", 63, 9)
+    opened = sum(event[0] == "open" for event in events)
+    drawn = sum(event[0] == "draw" for event in events)
+    assert drawn == opened == 14
+
+
+def test_cover_opens_its_second_step_after_one_draw(monkeypatch):
+    # Cameron's first step searches the 20-sets among the 200
+    # non-neighbours of its vertex and opens the next step as soon as it
+    # draws one; the cover still times out at the DSATUR count
+    g = load_fixture("cameron")
+    alpha_from_the_memo(g, 21)
+    events = spy_cover_steps(monkeypatch)
+    res = chromatic_number(g, budget=1.0, lower=11, alpha_upper=21)
+    assert res.status == "timeout" and (res.lower, res.upper) == (11, 17)
+    assert events[:3] == [("open", 200, 20), ("draw", 0), ("open", 182, 20)]
+    assert_proper(g, res.witness, 17)
 
 
 def test_cover_needs_little_recursion():
@@ -717,7 +750,7 @@ def test_cover_needs_little_recursion():
 def test_no_alpha_upper_keeps_the_search(monkeypatch):
     # without alpha_upper there is neither an alpha step nor a cover
     monkeypatch.setattr(exact, "independence_number", no_search)
-    monkeypatch.setattr(exact, "_cliques_of_size", no_search)
+    monkeypatch.setattr(exact, "_clique_cover", no_search)
     res = chromatic_number(kneser(6, 2), lower=3)
     assert res.status == "exact" and res.value == 4
 
@@ -865,7 +898,7 @@ def test_cliques_of_size_match_brute_force(seed):
                       for sub in itertools.combinations(range(g.n), size)
                       if all(g.adj[u, v]
                              for u, v in itertools.combinations(sub, 2)))
-        got = exact._cliques_of_size(g.adj, size, exact._Budget(60.0))
+        _, got = exact._clique_search(g.adj, exact._Budget(60.0), size, size)
         assert sorted(got) == want
 
 

@@ -292,6 +292,22 @@ def test_theta_exact_breakdown_returns_best_pair():
     assert res.converged == (res.gap <= 0.0)
 
 
+CLAMPED = [("K3", lambda: complete(3)), ("K6", lambda: complete(6)),
+           ("C5", lambda: cycle(5)), ("C7", lambda: cycle(7)),
+           ("C9", lambda: cycle(9)), ("petersen", petersen),
+           ("Q3", lambda: hypercube(3))]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+@pytest.mark.parametrize("name,make", CLAMPED, ids=[n for n, _ in CLAMPED])
+def test_lower_end_never_passes_the_value(name, make, tol):
+    # at tol 0 K6's IPM ends with a witness value 1.0000000000000002, a
+    # rounding error above its certified value 1.0: the lower end is clamped
+    res = theta_exact_result(make(), tol=tol)
+    assert res.lower <= res.value
+    assert res.gap == res.value - res.lower >= 0.0
+
+
 def _schur_by_definition(x, w, edges_u, edges_v):
     """M_kl = tr(A_k X A_l W) with A_0 = I and A_e = E_e, from dense matrices."""
     n = len(x)
