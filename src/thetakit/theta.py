@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -118,10 +118,16 @@ def theta_kneser(m: int, r: int) -> int:
 # r classes (and the trace constraint) to the m edges (de Klerk, Pasechnik
 # & Schrijver, "Reduction of symmetric semidefinite programs using the
 # regular *-representation", Math. Program. 2007). So the reduced IPM
-# follows the same iterates with one y per class, B = J - sum_P y_P A_P,
-# and _certificate still scores the dense B and X. Rounding pushes W =
-# Z^-1 out of the algebra by about cond(Z) eps near the optimum, enough to
-# make the reduced complement indefinite, so each step first projects X
+# follows the same iterates with one y per class, B = J - sum_P y_P A_P.
+#
+# When the closure has d <= n colour classes (every vertex-transitive
+# graph), the iterates are length-d coefficient vectors and every
+# factorisation and eigensolve runs on their d x d regular
+# *-representation (_Regular), so they stay in the algebra by
+# construction; only the final certificate is dense. Otherwise the
+# iterates are dense n x n matrices (_Classes). Rounding pushes W = Z^-1
+# out of the algebra by about cond(Z) eps near the optimum, enough to make
+# the reduced complement indefinite, so each dense step first projects X
 # and W back onto it (the mean over each colour class). A graph whose
 # vertex pre-pass (_vertex_colours) is discrete has a discrete closure,
 # each edge its own class and an identity projection, and runs the same
@@ -142,18 +148,23 @@ class ThetaResult:
         return self.value
 
 
+def _values(b, x, total, n):
+    """lambda_max(B), and the value of the witness X on n vertices (trace
+    1, zero on the edges, entry sum total) repaired to PSD: X + eta I with
+    eta = max(0, -lambda_min(X)), rescaled to trace 1. B and X may be
+    their regular *-representations, which have the same eigenvalues."""
+    ub = float(np.linalg.eigvalsh(b)[-1])
+    eta = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+    return ub, (total + eta * n) / (1.0 + eta * n)
+
+
 def _certificate(b, wmat, edges_u, edges_v):
     """Primal value from B and a repaired dual witness value from W."""
-    ub = float(np.linalg.eigvalsh(b)[-1])
     x = wmat.copy()
     x[edges_u, edges_v] = 0.0
     x[edges_v, edges_u] = 0.0
     x = (x + x.T) / 2.0
-    lmin = float(np.linalg.eigvalsh(x)[0])
-    n = b.shape[0]
-    eta = max(0.0, -lmin)
-    lb = (float(x.sum()) + eta * n) / (1.0 + eta * n)
-    return ub, lb
+    return _values(b, x, float(x.sum()), b.shape[0])
 
 
 _MAX_ITERATIONS = 100
@@ -242,35 +253,30 @@ def _on_edges(v, edges_u, edges_v, n):
 
 def _hkm_step(x, t, y, cls):
     """One Mehrotra predictor-corrector step in the HKM direction from the
-    feasible point (X, t, y), y one value per edge class of cls, with X and
-    W = Z^-1 projected onto the coherent algebra; LinAlgError when a
-    factorisation fails."""
-    n = len(x)
-    eye = np.eye(n)
-    edges_u, edges_v, starts = cls.u, cls.v, cls.starts
+    feasible point (X, t, y), y one value per edge class of cls, in cls's
+    arithmetic (dense and projected, or in the regular *-representation);
+    LinAlgError when a factorisation fails."""
+    n = cls.n
     x = cls.project(x)
-    z = t * eye + _on_edges(y[cls.of_edge], edges_u, edges_v, n) - 1.0
-    inv_lx = np.linalg.inv(np.linalg.cholesky(x))
-    inv_lz = np.linalg.inv(np.linalg.cholesky(z))
-    w = cls.project(inv_lz.T @ inv_lz)
-    chol = np.linalg.cholesky(_schur(x, w, edges_u, edges_v, starts))
-    mu = float(np.sum(x * z)) / n
+    z = cls.adjoint(np.concatenate(([t], y))) - 1.0
+    inv_lx = np.linalg.inv(np.linalg.cholesky(cls.mat(x)))
+    inv_lz = np.linalg.inv(np.linalg.cholesky(cls.mat(z)))
+    w = cls.inverse(inv_lz)
+    chol = np.linalg.cholesky(cls.schur(x, w))
+    mu = cls.inner(x, z) / n
 
     def direction(r):
         # dX = R - X - X dZ W; the rhs S^T (A(R) - b) keeps A(X + dX) = b
-        on_edges = r[edges_u, edges_v] + r[edges_v, edges_u]
-        rhs = np.concatenate(([np.trace(r) - 1.0], _class_sums(on_edges, starts)))
-        dy = _cho_solve(chol, rhs)
-        dz = dy[0] * eye + _on_edges(dy[1:][cls.of_edge], edges_u, edges_v, n)
-        dx = r - x - x @ dz @ w
-        return dy, dz, (dx + dx.T) / 2.0
+        dy = _cho_solve(chol, cls.constraints(r))
+        dz = cls.adjoint(dy)
+        return dy, dz, cls.sym(r - x - cls.mul(cls.mul(x, dz), w))
 
-    _, dz, dx = direction(np.zeros((n, n)))
-    ap, ad = _step(inv_lx, dx), _step(inv_lz, dz)
-    mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / n
+    _, dz, dx = direction(np.zeros_like(x))
+    ap, ad = _step(inv_lx, cls.mat(dx)), _step(inv_lz, cls.mat(dz))
+    mu_aff = cls.inner(x + ap * dx, z + ad * dz) / n
     sigma = min(1.0, (mu_aff / mu) ** 3)
-    dy, dz, dx = direction(sigma * mu * w - dx @ dz @ w)
-    ap, ad = _step(inv_lx, dx), _step(inv_lz, dz)
+    dy, dz, dx = direction(sigma * mu * w - cls.mul(cls.mul(dx, dz), w))
+    ap, ad = _step(inv_lx, cls.mat(dx)), _step(inv_lz, cls.mat(dz))
     return x + ap * dx, t + ad * dy[0], y + ad * dy[1:]
 
 
@@ -391,16 +397,153 @@ def _closure(g):
     return g._cached(("coherent_closure",), lambda: _coherent_closure(g.adj))
 
 
-class _Classes(NamedTuple):
+class _Classes:
     """The edges sorted by class (endpoints u, v), the position of each
-    class's first edge, each edge's class, and the projection onto the
-    coherent algebra, the mean over each colour class."""
+    class's first edge and each edge's class, with the IPM's arithmetic on
+    dense n x n iterates. Given the closure's colouring col, X and W are
+    projected back onto the coherent algebra, the mean over each colour
+    class (of `size` pairs); without it every edge is its own class and
+    the projection is the identity."""
 
-    u: np.ndarray
-    v: np.ndarray
-    starts: np.ndarray
-    of_edge: np.ndarray
-    project: Callable
+    d = None            # colour classes of the representation; none here
+
+    def __init__(self, n, u, v, starts, of_edge, col=None):
+        self.n, self.u, self.v, self.starts, self.of_edge = n, u, v, starts, of_edge
+        self.col, self.eye = col, np.eye(n)
+        if col is not None:
+            self.size = np.bincount(col.ravel())
+
+    def project(self, x):
+        if self.col is None:
+            return x
+        return (np.bincount(self.col.ravel(), x.ravel(), len(self.size)) / self.size)[self.col]
+
+    def feasible(self, y):
+        """B = J - sum_P y_P A_P, dense."""
+        return 1.0 - _on_edges(y[self.of_edge], self.u, self.v, self.n)
+
+    def adjoint(self, dy):
+        """dy_0 I + sum_P dy_P A_P."""
+        return dy[0] * self.eye + _on_edges(dy[1:][self.of_edge], self.u, self.v, self.n)
+
+    def constraints(self, r):
+        """tr R - 1 and <A_P, R> for each class P."""
+        on_edges = r[self.u, self.v] + r[self.v, self.u]
+        return np.concatenate(([np.trace(r) - 1.0], _class_sums(on_edges, self.starts)))
+
+    def mat(self, x):
+        """The matrix that is factored and eigensolved for x."""
+        return x
+
+    def mul(self, a, b):
+        return a @ b
+
+    def sym(self, a):
+        return (a + a.T) / 2.0
+
+    def inner(self, a, b):
+        return float(np.sum(a * b))
+
+    def inverse(self, inv_chol):
+        """Z^-1 from the inverse Cholesky factor of Z."""
+        return self.project(inv_chol.T @ inv_chol)
+
+    def schur(self, x, w):
+        return _schur(x, w, self.u, self.v, self.starts)
+
+    def score(self, x, y):
+        """The certificate's values for the iterate, _certificate's here."""
+        return _certificate(self.feasible(y), x / np.trace(x), self.u, self.v)
+
+    def certify(self, ub, lb, y, x):
+        """The dense certificate's value, lower end and B for the best B
+        (from y, scored ub) and the best witness x (scored lb)."""
+        return ub, lb, self.feasible(y)
+
+
+class _Regular(_Classes):
+    """The edge classes of a closure with d <= n colour classes, and the
+    IPM's arithmetic on the coefficient vectors x of X = x[col], with
+    factorisations and eigensolves on L(X), X's regular *-representation.
+
+    L(X) is the matrix of Y -> XY in the orthonormal basis A_k / sqrt(s_k)
+    of the colour classes' 0/1 matrices A_k, s_k pairs each:
+    L(X)[k, j] = sqrt(s_k / s_j) sum_c x[col(a_k, c)] [col(c, b_k) = j]
+    for a pair (a_k, b_k) of class k, one bincount over d x n indices.
+    L is a faithful *-homomorphism: L(XY) = L(X) L(Y), L(X^T) = L(X)^T,
+    and L(X) has X's eigenvalues, so X is PSD exactly when L(X) is, and
+    step lengths and certificate values are read from L. The iterates stay
+    in the algebra by construction, and only `certify` builds n x n
+    matrices.
+    """
+
+    def __init__(self, n, u, v, starts, of_edge, col):
+        super().__init__(n, u, v, starts, of_edge, col)
+        self.d = d = len(self.size)
+        a, b = np.divmod(np.unique(col.ravel(), return_index=True)[1], n)
+        self.idx = col[a]                                   # col(a_k, c)
+        self.pos = (np.arange(d)[:, None] * d + col[:, b].T).ravel()
+        self.tr = col[b, a]                                 # the transposes' classes
+        self.root = root = np.sqrt(self.size)
+        self.scale = np.outer(root, 1.0 / root)
+        edge_class = np.full(d, -1)
+        edge_class[col[u, v]] = of_edge
+        edge_class[col[v, u]] = of_edge
+        self.edge = edge_class >= 0
+        # the coefficients of I and of each edge class's A_P
+        self.basis = np.zeros((d, len(starts) + 1))
+        self.basis[col.diagonal(), 0] = 1.0
+        self.basis[self.edge, 1 + edge_class[self.edge]] = 1.0
+        self.eye, self.hat = self.basis[:, 0], self.basis * root[:, None]
+
+    def project(self, x):
+        return x
+
+    def left(self, x):
+        """The matrix of Y -> XY on the coefficients of Y."""
+        d = self.d
+        return np.bincount(self.pos, x[self.idx].ravel(), d * d).reshape(d, d)
+
+    def mat(self, x):
+        """L(X)."""
+        return self.left(x) * self.scale
+
+    def adjoint(self, dy):
+        return self.basis @ dy
+
+    def constraints(self, r):
+        rhs = (r * self.size) @ self.basis
+        rhs[0] -= 1.0
+        return rhs
+
+    def mul(self, a, b):
+        return self.left(a) @ b
+
+    def sym(self, a):
+        return (a + a[self.tr]) / 2.0
+
+    def inner(self, a, b):
+        return float((a * b) @ self.size)
+
+    def inverse(self, inv_chol):
+        # L(Z)^-1 = L(W) maps I's orthonormal coordinates to W's
+        return self.sym(inv_chol.T @ (inv_chol @ (self.eye * self.root)) / self.root)
+
+    def schur(self, x, w):
+        """M_PQ = tr(A_P X A_Q W) = <X A_P, (W A_Q)^T>, in orthonormal
+        coordinates, where the transpose permutes the classes."""
+        return (self.mat(x) @ self.hat).T @ (self.mat(w) @ self.hat)[self.tr]
+
+    def score(self, x, y):
+        x = x / self.inner(x, self.eye)         # trace 1
+        x[self.edge] = 0.0
+        x = self.sym(x)
+        b = 1.0 - self.basis[:, 1:] @ y
+        return _values(self.mat(b), self.mat(x), float(x @ self.size), self.n)
+
+    def certify(self, ub, lb, y, x):
+        b, x = self.feasible(y), x[self.col]
+        return (*_certificate(b, x / np.trace(x), self.u, self.v), b)
 
 
 def _edge_classes(g, edges_u, edges_v) -> _Classes:
@@ -408,11 +551,12 @@ def _edge_classes(g, edges_u, edges_v) -> _Classes:
     class is the unordered pair of the colours of (i, j) and (j, i), and
     classes are numbered in order of their first edge. Every edge is its
     own class, in the given order, when the closure is discrete or not
-    computed."""
+    computed; the arithmetic is the regular *-representation's when the
+    closure has at most n colour classes."""
     col = _closure(g)
     if col is None:
         m = len(edges_u)
-        return _Classes(edges_u, edges_v, np.arange(m), np.arange(m), lambda a: a)
+        return _Classes(g.n, edges_u, edges_v, np.arange(m), np.arange(m))
     a, b = col[edges_u, edges_v], col[edges_v, edges_u]
     key = np.minimum(a, b) * col.size + np.maximum(a, b)
     _, first, ids = np.unique(key, return_index=True, return_inverse=True)
@@ -420,13 +564,8 @@ def _edge_classes(g, edges_u, edges_v) -> _Classes:
     order = np.argsort(classes, kind="stable")
     of_edge = classes[order]
     starts = np.flatnonzero(np.diff(of_edge, prepend=-1))
-    flat = col.ravel()
-    counts = np.bincount(flat)
-
-    def project(x):
-        return (np.bincount(flat, x.ravel(), len(counts)) / counts)[col]
-
-    return _Classes(edges_u[order], edges_v[order], starts, of_edge, project)
+    backend = _Regular if col.max() < g.n else _Classes
+    return backend(g.n, edges_u[order], edges_v[order], starts, of_edge, col)
 
 
 # Peak bytes per n^2 cell of the ratio pair and its certificate (or of an
@@ -435,15 +574,28 @@ def _edge_classes(g, edges_u, edges_v) -> _Classes:
 RATIO_PAIR_CELL_BYTES = 34
 
 
-def ipm_bytes(n: int, m: int, r: Optional[int] = None) -> int:
+def ipm_bytes(n: int, m: int, r: Optional[int] = None,
+              d: Optional[int] = None) -> int:
     """Peak bytes of the IPM on n vertices and m edges in r classes (m by
-    default): the (r+1)^2 Schur complement and its factor, two r x m
-    scratch rows and two n x m column gathers while it is built, and the
-    n x n iterates. tracemalloc read 3.15-3.3 doubles per cell of the
-    (m+1)^2 complement at m >= 1000 and r = m, 0.94 of this estimate on
-    C5^3 in 3 classes, and 12-18 doubles per n^2 cell on sparse graphs of
-    120 to 300 vertices, up to 37 on the 5- to 64-vertex test graphs."""
+    default).
+
+    On dense iterates: the (r+1)^2 Schur complement and its factor, two
+    r x m scratch rows and two n x m column gathers while it is built, and
+    the n x n iterates. tracemalloc read 3.15-3.3 doubles per cell of the
+    (m+1)^2 complement at m >= 1000 and r = m, and 12-18 doubles per n^2
+    cell on sparse graphs of 120 to 300 vertices, up to 37 on the 5- to
+    64-vertex test graphs.
+
+    In the regular *-representation of a closure with d colour classes:
+    the complement, the d x n index arrays of the representation, and the
+    final dense certificate, which leads. tracemalloc read 7.7-8.7 doubles
+    per n^2 cell, 0.69-0.90 of this, on symmetric graphs of 48 to 200
+    vertices with d = 7 to 101 (C5^3 0.83, a 200-vertex circulant with
+    d = 101 0.69).
+    """
     r = m if r is None else r
+    if d is not None:
+        return 11 * (r + 1) ** 2 + 32 * d * n + 72 * n * n
     return 11 * (r + 1) ** 2 + 16 * (r + n) * m + 320 * n * n
 
 
@@ -471,31 +623,35 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
     with _one_blas_thread(n):
         cls = _edge_classes(g, edges_u, edges_v)
     r = len(cls.starts)
-    check_budget(ipm_bytes(n, m, r),
+    check_budget(ipm_bytes(n, m, r, cls.d),
                  f"theta's IPM on {n} vertices and {m} edges in {r} classes")
     # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1
-    x, t, y = np.eye(n) / n, n + 1.0, np.zeros(r)
-    best_ub, best_lb, best_b = math.inf, -math.inf, None
+    x, t, y = cls.eye / n, n + 1.0, np.zeros(r)
+    best_ub, best_lb, best_y, best_x = math.inf, -math.inf, None, None
     iterations = 0
     # the Schur complement is the largest matrix, of order r + 1
     with _one_blas_thread(max(n, r + 1)):
         while True:
-            b = 1.0 - _on_edges(y[cls.of_edge], cls.u, cls.v, n)
-            # _certificate reads X at trace 1; the division drops rounding drift
-            ub, lb = _certificate(b, x / np.trace(x), cls.u, cls.v)
+            # the witness is read at trace 1; the division drops rounding drift
+            ub, lb = cls.score(x, y)
             if ub < best_ub:
-                best_ub, best_b = ub, b
-            best_lb = max(best_lb, lb)
-            if best_ub - best_lb <= tol or iterations == _MAX_ITERATIONS:
-                break
+                best_ub, best_y = ub, y
+            if lb > best_lb:
+                best_lb, best_x = lb, x
+            last = iterations == _MAX_ITERATIONS
+            if last or best_ub - best_lb <= tol:
+                value, lower, b = cls.certify(best_ub, best_lb, best_y, best_x)
+                if last or value - lower <= tol:
+                    break
             try:
                 x, t, y = _hkm_step(x, t, y, cls)
             except np.linalg.LinAlgError:
+                value, lower, b = cls.certify(best_ub, best_lb, best_y, best_x)
                 break
             iterations += 1
-    best_lb = min(best_lb, best_ub)
-    gap = best_ub - best_lb
-    return ThetaResult(best_ub, best_lb, best_b, gap <= tol, iterations, gap, r)
+    lower = min(lower, value)
+    gap = value - lower
+    return ThetaResult(value, lower, b, gap <= tol, iterations, gap, r)
 
 
 def theta_exact(g: Graph, tol: float = 1e-6) -> float:

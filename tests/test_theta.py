@@ -22,6 +22,7 @@ from thetakit.graphs import (
     hypercube,
     kneser,
     paley,
+    path,
     petersen,
     random_regular,
     shrikhande,
@@ -354,6 +355,26 @@ def test_reduced_schur_complement_is_the_compressed_definition(name):
     want = s.T @ _schur_by_definition(x, w, cls.u, cls.v) @ s
     got = theta._schur(x, w, cls.u, cls.v, cls.starts)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.abs(want).max())
+    # the regular *-representation's, from X's and W's coefficients
+    assert isinstance(cls, theta._Regular)
+    got = cls.schur(coefficients(cls, x), coefficients(cls, w))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.abs(want).max())
+    # and its step lengths are those of the dense matrices, here short
+    # of 1 along a direction with a large negative part
+    p = sum(c * np.linalg.matrix_power(a, k) for k, c in enumerate(rng.standard_normal(4)))
+    for point in (x, w):
+        move = p - 3.0 * point
+        dense = theta._step(np.linalg.inv(np.linalg.cholesky(point)), move)
+        small = theta._step(np.linalg.inv(np.linalg.cholesky(cls.mat(coefficients(cls, point)))),
+                            cls.mat(coefficients(cls, move)))
+        assert dense < 1.0
+        assert small == pytest.approx(dense, rel=1e-10)
+
+
+def coefficients(cls, a):
+    """The coefficients of a, a dense matrix in the coherent algebra, in
+    the closure's colour classes: the mean over each class."""
+    return np.bincount(cls.col.ravel(), a.ravel(), cls.d) / cls.size
 
 
 def test_schur_complement_memory():
@@ -573,6 +594,72 @@ def test_pair_colouring_is_coherent(name):
             assert np.all(block == block[:, :1])
 
 
+# with two vertex orbits each
+REPRESENTED = dict(COHERENT, **{"c5+c7": lambda: disjoint_union(cycle(5), cycle(7)),
+                                "star5": lambda: star(5)})
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTED))
+def test_representation_is_a_faithful_star_homomorphism(name, monkeypatch):
+    # L(XY) = L(X) L(Y) and L(X^T) = L(X)^T, and a symmetric X has the
+    # eigenvalues of L(X), the extreme ones included. Frucht's discrete
+    # colouring, from a one-colour seed, has n^2 classes: the IPM keeps
+    # its dense arithmetic, but the representation holds all the same
+    g = REPRESENTED[name]()
+    n = g.n
+    if name == "frucht":
+        col = theta._refine_pairs(g.adj, np.zeros(n, dtype=np.int64))
+    else:
+        col = theta._coherent_closure(g.adj)
+    monkeypatch.setattr(theta, "_closure", lambda h: col)
+    cls = theta._edge_classes(g, *np.nonzero(np.triu(g.adj, 1)))
+    assert isinstance(cls, theta._Regular) == (name != "frucht")
+    rep = theta._Regular(n, cls.u, cls.v, cls.starts, cls.of_edge, col)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, rep.d))
+        product = coefficients(rep, x[col] @ y[col])
+        assert np.allclose(rep.mat(product), rep.mat(x) @ rep.mat(y), rtol=0, atol=1e-10)
+        assert np.allclose(rep.mat(coefficients(rep, x[col].T)), rep.mat(x).T,
+                           rtol=0, atol=1e-10)
+        sym = coefficients(rep, x[col] + x[col].T)
+        dense, small = np.linalg.eigvalsh(sym[col]), np.linalg.eigvalsh(rep.mat(sym))
+        assert np.abs(small[:, None] - dense[None]).min(axis=1).max() <= 1e-10
+        assert abs(small[0] - dense[0]) <= 1e-10 and abs(small[-1] - dense[-1]) <= 1e-10
+
+
+def _order_n_calls(monkeypatch, n):
+    """Counts of np.linalg.eigvalsh and np.linalg.inv calls on n x n matrices."""
+    counts = {"eigvalsh": 0, "inv": 0}
+    for fname in counts:
+        real = getattr(np.linalg, fname)
+
+        def spy(a, *args, real=real, fname=fname, **kwargs):
+            counts[fname] += a.shape[-1] == n
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fname, spy)
+    return counts
+
+
+def test_representation_leaves_only_the_certificates_dense(monkeypatch):
+    # the ratio pair's certificate and the final one are the only
+    # eigensolves of order n on C5 x Petersen; Frucht's discrete closure
+    # runs its 8 iterations as before: 4 step lengths and 2 inverse
+    # factors an iteration, and 2 eigensolves in each of 10 certificates,
+    # the ratio pair's and one for each of the 9 iterates
+    g = relabelled(strong_product(cycle(5), petersen()), seed=3)
+    counts = _order_n_calls(monkeypatch, g.n)
+    res = theta_exact_result(g)
+    assert res.converged and res.iterations == 7
+    assert counts["eigvalsh"] <= 4 and counts["inv"] == 0
+    g = frucht()
+    counts = _order_n_calls(monkeypatch, g.n)
+    res = theta_exact_result(g)
+    assert res.iterations == 8
+    assert counts == {"eigvalsh": 8 * 4 + 10 * 2, "inv": 8 * 2}
+
+
 @pytest.mark.parametrize("name", ["c5xc5", "c5xpetersen", "c5+c7", "circulant"])
 def test_class_counts_survive_relabelling(name):
     g = {"c5xc5": strong_product(cycle(5), cycle(5)),
@@ -587,20 +674,40 @@ def test_class_counts_survive_relabelling(name):
     assert counts[0] == counts[1]
 
 
-# relabelled, so no factors and no closed form: m edges in r classes
+def star(k):
+    return complete_bipartite(1, k)
+
+
+def theta_odd_cycle(n):
+    c = math.cos(math.pi / n)
+    return n * c / (1 + c)
+
+
+# relabelled, so no factors and no closed form: m edges in r classes, and
+# theta. The last five closures have two vertex orbits; those of K2,3 and
+# P4 have more than n colour classes, the others at most n
 SYMMETRIC = {
-    "c5xpetersen": (lambda: strong_product(cycle(5), petersen()), 275, 3),
-    "c5xc5": (lambda: strong_product(cycle(5), cycle(5)), 100, 2),
-    "c5+c7": (lambda: disjoint_union(cycle(5), cycle(7)), 12, 2),
+    "c5xpetersen": (lambda: strong_product(cycle(5), petersen()), 275, 3,
+                    4 * math.sqrt(5)),
+    "c5xc5": (lambda: strong_product(cycle(5), cycle(5)), 100, 2, 5.0),
+    "c5+c7": (lambda: disjoint_union(cycle(5), cycle(7)), 12, 2,
+              math.sqrt(5) + theta_odd_cycle(7)),
+    "star5": (lambda: star(5), 5, 1, 5.0),
+    "k23": (lambda: complete_bipartite(2, 3), 6, 1, 3.0),
+    "wheel5": (lambda: disjoint_union(cycle(5), empty(1)).complement(), 10, 2,
+               math.sqrt(5)),
+    "c5+k1": (lambda: disjoint_union(cycle(5), empty(1)), 5, 1, 1 + math.sqrt(5)),
+    "p4": (lambda: path(4), 3, 2, 2.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
 def test_reduced_ipm_follows_the_unreduced_one(name, monkeypatch):
-    make, m, r = SYMMETRIC[name]
+    make, m, r, value = SYMMETRIC[name]
     g = relabelled(make(), seed=3)
     res = theta_exact_result(g)
     assert res.converged and res.classes == r
+    assert res.value == pytest.approx(value, rel=0, abs=1e-6)
     monkeypatch.setattr(theta, "_closure", lambda g: None)
     one = theta_exact_result(relabelled(make(), seed=3))
     assert one.converged and one.classes == m
