@@ -1,7 +1,7 @@
 """Golden CLI outputs: the deterministic JSON of `analyze` on every bundled
 fixture, of `analyze` with every task on two graphs that are regular but
-not strongly regular, and of two `power` tables (one with a dense
-`--materialize` cross-check) must stay byte-identical to the files under
+not strongly regular, and of three `power` tables (one with a dense
+`--materialize` cross-check, one of 60 rows) must stay byte-identical to the files under
 tests/golden/.
 
 The fixture runs exclude `capacity` and `--exact-chi`: their output
@@ -53,6 +53,7 @@ CASES["analyze-gosset-chi"] = [
 CASES["power-petersen-k2-materialize"] = [
     "power", "--gen", "petersen", "-k", "2", "--materialize", "--json"]
 CASES["power-cycle5-k5"] = ["power", "--gen", "cycle:5", "-k", "5", "--json"]
+CASES["power-cycle7-k60"] = ["power", "--gen", "cycle:7", "-k", "60", "--json"]
 
 
 def run_case(argv) -> str:
