@@ -167,20 +167,40 @@ def wei_bounds(degrees):
 # -- strong product eigenvalue bounds ---------------------------------
 
 
+# Both bounds read the factors only through products over them: prod n_i,
+# prod (1 + d_i), and prod theta_i or prod n_i/theta_i. Since
+# 1 <= 1 + d_i <= n_i, every factor is complete exactly when
+# prod (1 + d_i) = prod n_i, and empty exactly when prod (1 + d_i) = 1.
+
+
+def _eig2_lower(order: int, closed: int, theta: float) -> float:
+    """The l2 bound from prod n_i, prod (1 + d_i) and prod theta_i."""
+    if closed == order:
+        raise ValueError("all factors complete")
+    denom = theta - 1.0
+    if denom <= 0:
+        raise ValueError("need prod(theta) > 1")
+    return (order - closed) / denom - 1.0
+
+
+def _eigmin_upper(closed: int, ratio: float) -> float:
+    """The lmin bound from prod (1 + d_i) and prod n_i/theta_i."""
+    if closed == 1:
+        raise ValueError("all factors empty")
+    denom = ratio - 1.0
+    if denom <= 0:
+        raise ValueError("need prod(n/theta) > 1")
+    return -(closed - 1.0) / denom
+
+
 def eig2_lower_product(factors) -> float:
     """Lower bound on l2 of a strong product from per-factor (n, d, theta).
 
     Valid unless every factor is complete.
     """
-    ns = [f[0] for f in factors]
-    ds = [f[1] for f in factors]
-    thetas = [f[2] for f in factors]
-    if all(d == n - 1 for n, d in zip(ns, ds)):
-        raise ValueError("all factors complete")
-    denom = math.prod(float(t) for t in thetas) - 1.0
-    if denom <= 0:
-        raise ValueError("need prod(theta) > 1")
-    return (math.prod(ns) - math.prod(1 + d for d in ds)) / denom - 1.0
+    return _eig2_lower(math.prod(f[0] for f in factors),
+                       math.prod(1 + f[1] for f in factors),
+                       math.prod(float(f[2]) for f in factors))
 
 
 def eigmin_upper_product(factors) -> float:
@@ -188,15 +208,8 @@ def eigmin_upper_product(factors) -> float:
 
     Valid unless every factor is empty.
     """
-    ns = [f[0] for f in factors]
-    ds = [f[1] for f in factors]
-    thetas = [float(f[2]) for f in factors]
-    if all(d == 0 for d in ds):
-        raise ValueError("all factors empty")
-    denom = math.prod(n / t for n, t in zip(ns, thetas)) - 1.0
-    if denom <= 0:
-        raise ValueError("need prod(n/theta) > 1")
-    return -(math.prod(1 + d for d in ds) - 1.0) / denom
+    return _eigmin_upper(math.prod(1 + f[1] for f in factors),
+                         math.prod(f[0] / float(f[2]) for f in factors))
 
 
 def alon_boppana(d: int) -> float:
@@ -290,6 +303,64 @@ def affine_polar_params(e: int, q: int, sign: str) -> AffinePolarInfo:
 # -- report bundles ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FactorProducts:
+    """What the strong-product eigenvalue bounds read of the factors
+    (n_i, d_i, theta_i, lmin_i): prod n_i, prod (1 + d_i), prod theta_i and
+    prod n_i/theta_i, the last two also with the spectral value
+    theta_upper_regular(n_i, d_i, lmin_i) in place of theta_i, and whether
+    every factor is tight (that value within EQUALITY_TOL of theta_i). The
+    defaults are the products over no factor."""
+
+    order: int = 1
+    closed: int = 1
+    theta: float = 1
+    ratio: float = 1
+    theta_lmin: float = 1
+    ratio_lmin: float = 1
+    tight: bool = True
+
+    @classmethod
+    def of(cls, factors) -> "FactorProducts":
+        """The products over a list of factors, each a math.prod in order."""
+        thetas = [float(f[2]) for f in factors]
+        spectral = [theta_upper_regular(n, d, lmin) for n, d, _, lmin in factors]
+        return cls(math.prod(f[0] for f in factors),
+                   math.prod(1 + f[1] for f in factors),
+                   math.prod(thetas),
+                   math.prod(f[0] / t for f, t in zip(factors, thetas)),
+                   math.prod(spectral),
+                   math.prod(f[0] / t for f, t in zip(factors, spectral)),
+                   all(u - t <= EQUALITY_TOL for u, t in zip(spectral, thetas)))
+
+    def __mul__(self, other: "FactorProducts") -> "FactorProducts":
+        """The products over self's factors followed by other's. With other
+        over one factor this is math.prod's next step, so a strong power's
+        products carried row to row are bit for bit those of its list."""
+        return FactorProducts(self.order * other.order, self.closed * other.closed,
+                              self.theta * other.theta, self.ratio * other.ratio,
+                              self.theta_lmin * other.theta_lmin,
+                              self.ratio_lmin * other.ratio_lmin,
+                              self.tight and other.tight)
+
+    def reports(self, product_l2: float, product_lmin: float) -> list[BoundReport]:
+        """The four reports of `product_bound_reports` for these factors."""
+        reason = None if self.tight else "factors not all edge-transitive or SRG"
+        return [
+            make_report("eig2-product-lower",
+                        _eig2_lower(self.order, self.closed, self.theta),
+                        product_l2, "<="),
+            make_report("eigmin-product-upper", product_lmin,
+                        _eigmin_upper(self.closed, self.ratio), "<="),
+            make_report("eig2-product-lower-lmin",
+                        _eig2_lower(self.order, self.closed, self.theta_lmin),
+                        product_l2, "<="),
+            make_report("eigmin-product-upper-lmin", product_lmin,
+                        _eigmin_upper(self.closed, self.ratio_lmin), "<=",
+                        applicable=self.tight, reason=reason),
+        ]
+
+
 def product_bound_reports(factors, product_l2: float,
                           product_lmin: float) -> list[BoundReport]:
     """Reports for the strong-product eigenvalue bounds against realized
@@ -301,18 +372,4 @@ def product_bound_reports(factors, product_l2: float,
     applies only when every factor is tight: its ratio bound is measured
     within EQUALITY_TOL of its theta. Edge-transitive and strongly regular
     factors are always tight (Lovász 1979, Thm 9)."""
-    exact = [(n, d, theta) for n, d, theta, _ in factors]
-    spectral = [(n, d, theta_upper_regular(n, d, lmin)) for n, d, _, lmin in factors]
-    tight = all(theta_upper_regular(n, d, lmin) - theta <= EQUALITY_TOL
-                for n, d, theta, lmin in factors)
-    return [
-        make_report("eig2-product-lower", eig2_lower_product(exact),
-                    product_l2, "<="),
-        make_report("eigmin-product-upper", product_lmin,
-                    eigmin_upper_product(exact), "<="),
-        make_report("eig2-product-lower-lmin", eig2_lower_product(spectral),
-                    product_l2, "<="),
-        make_report("eigmin-product-upper-lmin", product_lmin,
-                    eigmin_upper_product(spectral), "<=", applicable=tight,
-                    reason=None if tight else "factors not all edge-transitive or SRG"),
-    ]
+    return FactorProducts.of(factors).reports(product_l2, product_lmin)

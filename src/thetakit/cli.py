@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import catalog
 from .bounds import (
+    FactorProducts,
     alon_boppana,
     chromatic_lb_strong_product,
     make_report,
@@ -51,18 +52,62 @@ def _f(x):
     return float(f"{float(x):.12g}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else _f(obj)
-    if isinstance(obj, float):
-        return _f(obj)
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return _jsonable(obj.item())
-    return obj
+# json.dumps's text for the floats that repr writes differently
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(obj, out: list, pad: str) -> None:
+    """Append obj's JSON to out, as json.dumps(obj, indent=2) writes it,
+    with pad the newline and indent of obj's line. Floats are rounded by
+    _f, a whole Fraction is an int and any other a rounded float, tuples
+    are lists and numpy scalars their Python values; dict keys are str."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(_f(obj))
+        out.append(_NONFINITE.get(text, text))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, Fraction):
+        _write(int(obj) if obj.denominator == 1 else float(obj), out, pad)
+    elif hasattr(obj, "item"):
+        _write(obj.item(), out, pad)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
 
 
 def _use_color(stream) -> bool:
@@ -380,13 +425,18 @@ def cmd_power(args) -> int:
         return EXIT_OK
     s = eigenvalues(g)
     est = theta_best(g)
-    factor = (n, d, float(est.value), s.smallest()) if est.value is not None else None
+    theta = float(est.value) if est.value is not None else None
+    # the factor's products, multiplied into the running ones once per row
+    one = (FactorProducts.of([(n, d, theta, s.smallest())])
+           if theta is not None else None)
+    products, closed = FactorProducts(), 1
     rows = []
     all_reports = []
     try:
         for k in range(1, args.k + 1):
+            closed *= d + 1
+            dk = closed - 1
             l2, lmin, lam = power_extremes(s, k)
-            dk = product_degree([d] * k)
             row = {
                 "k": k,
                 "order": n ** k,
@@ -398,9 +448,9 @@ def cmd_power(args) -> int:
             verdict = ramanujan_verdict(lam, dk)
             row["is_ramanujan"] = verdict.is_ramanujan
             row["lambda_nontrivial"] = verdict.lam
-            if factor is not None:
-                reports = product_bound_reports([factor] * k, row["lambda2"],
-                                                row["lambda_min"])
+            if one is not None:
+                products = products * one
+                reports = products.reports(l2, lmin)
                 row["eig2_lower"] = reports[0].lhs
                 row["eigmin_upper"] = reports[1].rhs
                 all_reports.extend(reports)
@@ -416,11 +466,11 @@ def cmd_power(args) -> int:
     viol = _violations(all_reports)
     result = {
         "graph": {"name": g.meta.name or None, "n": n, "degree": d},
-        "theta_factor": float(est.value) if est.value is not None else None,
+        "theta_factor": theta,
         "rows": rows,
         "violations": viol,
     }
-    _emit(result, args, table=_power_table(rows))
+    _emit(result, args, table=lambda: _power_table(rows))
     return EXIT_VIOLATION if viol else EXIT_OK
 
 
@@ -467,26 +517,28 @@ def cmd_catalog(args) -> int:
         rows.append([e.name, e.kind,
                      "x".join(map(str, e.srg)) if e.srg else "-",
                      known or "-"])
-    _emit(result, args, table=(["name", "kind", "srg", "known values"], rows))
+    _emit(result, args, table=lambda: (["name", "kind", "srg", "known values"], rows))
     return EXIT_OK
 
 
 def _emit(result, args, table=None):
-    payload = json.dumps(_jsonable(result), indent=2, sort_keys=False)
+    """Print result as JSON, or as the table that `table()` returns (header,
+    rows) when there is one and --json is not given; --out also writes the
+    JSON to a file."""
     out_path = getattr(args, "out", None)
+    as_json = table is None or getattr(args, "json", False)
+    if out_path or as_json:
+        payload = _dumps(result)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload + "\n")
-    if getattr(args, "json", False):
+    if as_json:
         print(payload)
         return
-    if table is not None:
-        header, rows = table
-        _render_table(rows, header, sys.stdout)
-        if result.get("violations"):
-            print(f"VIOLATED: {', '.join(result['violations'])}", file=sys.stderr)
-        return
-    print(payload)
+    header, rows = table()
+    _render_table(rows, header, sys.stdout)
+    if result.get("violations"):
+        print(f"VIOLATED: {', '.join(result['violations'])}", file=sys.stderr)
 
 
 # -- bundled reproduction suite ---------------------------------------

@@ -134,9 +134,9 @@ class Graph:
     adjacency, (A_1+I) kron ... kron (A_k+I) - I, the first time `adj` is
     read; its degrees come from the factors' in O(n) memory. Any other
     graph has no factors. Each instance keeps a private memo of its derived
-    invariants (spectrum, strong-regularity parameters, theta, an exact
-    independence number), filled by the functions that compute them; a new
-    graph starts with an empty one.
+    invariants (degrees, spectrum, strong-regularity parameters, theta, an
+    exact independence number), filled by the functions that compute them;
+    a new graph starts with an empty one.
     """
 
     __slots__ = ("n", "factors", "meta", "_adj", "_memo")
@@ -216,14 +216,21 @@ class Graph:
     # -- basic queries ------------------------------------------------
 
     def degrees(self) -> np.ndarray:
+        """The read-only int64 degree of each vertex, computed once per graph."""
+        return self._cached(("degrees",), self._degrees)
+
+    def _degrees(self) -> np.ndarray:
         if self.factors:
             # vertex (i_1, ..., i_k) is adjacent to every tuple that agrees
             # or is adjacent in each coordinate, itself excluded
             d = np.ones(1, dtype=np.int64)
             for f in self.factors:
                 d = np.kron(d, f.degrees() + 1)
-            return d - 1
-        return self.adj.sum(axis=1).astype(np.int64)
+            d -= 1
+        else:
+            d = self.adj.sum(axis=1).astype(np.int64)
+        d.setflags(write=False)
+        return d
 
     def is_regular(self) -> bool:
         d = self.degrees()

@@ -8,11 +8,13 @@ import time
 
 import pytest
 
-from thetakit import catalog, cli, graphs
-from thetakit.bounds import BoundReport, make_report
+from thetakit import bounds, catalog, cli, graphs
+from thetakit.bounds import BoundReport, make_report, product_bound_reports
 from thetakit.graphs import cycle, petersen
 from thetakit.io import write_edge_list, write_graph6
-from thetakit.products import strong_product
+from thetakit.products import power_extremes, strong_product
+from thetakit.spectra import eigenvalues
+from thetakit.theta import theta_best
 
 
 def run(argv, capsys):
@@ -188,6 +190,52 @@ def test_bounds_past_float_range_are_an_input_error(argv, named):
     assert "Traceback" not in proc.stderr
     for words in named:
         assert words in proc.stderr
+
+
+@pytest.mark.parametrize("spec, k", [
+    ("petersen", 308),                # the last row inside float range
+    ("cycle:5", 300),                 # theta = sqrt(5), not a whole number
+    ("gosset", 176),
+    ("random_regular:24:4:1", 223),   # not tight, theta from the optimizer
+])
+def test_power_rows_carry_the_factor_products_bit_for_bit(spec, k, capsys,
+                                                          monkeypatch):
+    # each row's four reports equal those of its k-element factor list
+    seen = []
+    violations = cli._violations
+    monkeypatch.setattr(cli, "_violations",
+                        lambda reports: seen.extend(reports) or violations(reports))
+    rc, out, err = run(["power", "--gen", spec, "-k", str(k), "--json"], capsys)
+    assert rc == 0 and err == ""
+    assert len(json.loads(out)["rows"]) == k and len(seen) == 4 * k
+    g = catalog.load(spec)
+    s = eigenvalues(g)
+    factor = (g.n, g.degree(), float(theta_best(g).value), s.smallest())
+    for j in range(1, k + 1):
+        l2, lmin, _ = power_extremes(s, j)
+        assert seen[4 * (j - 1):4 * j] == product_bound_reports([factor] * j, l2, lmin)
+    tight = seen[-1].applicable
+    assert tight is (spec != "random_regular:24:4:1")
+
+
+def test_power_past_float_range_names_the_row(capsys):
+    rc, out, err = run(["power", "--gen", "petersen", "-k", "309"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("error: row k = 309 leaves float range; "
+                   "-k 308 is the largest power that fits\n")
+
+
+def test_power_table_bounds_theta_once(capsys, monkeypatch):
+    calls = []
+    upper = bounds.theta_upper_regular
+    monkeypatch.setattr(bounds, "theta_upper_regular",
+                        lambda *a: calls.append(a) or upper(*a))
+    counts = []
+    for k in ("2", "200"):
+        rc, _, _ = run(["power", "--gen", "petersen", "-k", k, "--json"], capsys)
+        assert rc == 0
+        counts.append(len(calls))
+    assert counts == [1, 2]
 
 
 def test_trivial_power_rows_stop_at_the_int_digit_limit(capsys):
@@ -371,6 +419,12 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     rc, out, _ = run(["analyze", "--gen", "petersen", "--tasks", "srg",
                       "--json", "--out", str(target)], capsys)
     assert rc == 0
+    assert target.read_text() == out
+    # a table on stdout still writes the JSON that --json prints
+    rc, table, _ = run(["power", "--gen", "petersen", "-k", "3", "--out", str(target)],
+                       capsys)
+    rc_json, out, _ = run(["power", "--gen", "petersen", "-k", "3", "--json"], capsys)
+    assert rc == rc_json == 0 and table.startswith("k ")
     assert target.read_text() == out
 
 

@@ -1,7 +1,7 @@
-"""Per-graph invariants are computed once: the spectrum, the strong-regularity
-parameters, theta and an exact independence number are stored on the graph
-by the functions that compute them, reused by every later caller, and never
-carried over to a derived graph."""
+"""Per-graph invariants are computed once: the degrees, the spectrum, the
+strong-regularity parameters, theta and an exact independence number are
+stored on the graph by the functions that compute them, reused by every
+later caller, and never carried over to a derived graph."""
 
 import contextlib
 import io
@@ -12,7 +12,8 @@ import pytest
 from thetakit import cli, exact, spectra, srg, theta
 from thetakit.catalog import load_fixture
 from thetakit.exact import chromatic_number, independence_number
-from thetakit.graphs import cycle, frucht, paley, petersen
+from thetakit.graphs import Graph, cycle, frucht, paley, petersen
+from thetakit.products import strong_product
 from thetakit.spectra import eigenvalues
 from thetakit.srg import srg_check
 from thetakit.theta import theta_best
@@ -51,6 +52,32 @@ def test_analyze_computes_each_invariant_once(spec, counts):
     assert counts["eigensolve"] == 1
     assert counts["srg_identity"] == 1
     assert counts["theta_optimizer"] <= 1
+
+
+@pytest.mark.parametrize("spec", ["frucht", "petersen", "cycle:7"])
+def test_analyze_computes_each_graphs_degrees_once(spec, monkeypatch):
+    computed = []
+    degrees = Graph._degrees
+
+    def spy(g):
+        computed.append(id(g))
+        return degrees(g)
+
+    monkeypatch.setattr(Graph, "_degrees", spy)
+    assert run_quiet(["analyze", "--gen", spec, "--json",
+                      "--tasks", ",".join(cli.TASKS)]) == cli.EXIT_OK
+    assert computed and len(computed) == len(set(computed))
+
+
+@pytest.mark.parametrize("g", [petersen(), strong_product(cycle(5), petersen())],
+                         ids=["dense", "product"])
+def test_degrees_are_stored_read_only(g):
+    d = g.degrees()
+    assert g.degrees() is d and d.dtype == np.int64
+    assert np.array_equal(d, g.adj.sum(axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        d[0] = 0
+    assert g.degree() == d[0] and g.edge_count() == d.sum() // 2
 
 
 def test_power_eigensolves_the_factor_once(counts):
