@@ -248,82 +248,83 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
 # -- chromatic number -------------------------------------------------
 
 
-def _neighbor_lists(adj):
-    """Each vertex's neighbours of a bool adjacency, as an ascending tuple."""
-    return [tuple(_bits(m)) for m in _pack(adj)]
+def _by_rank(g):
+    """g's row bitsets relabelled by rank (-degree, then index); the ranks."""
+    order = sorted(range(g.n), key=(-g.degrees()).tolist().__getitem__)
+    rank = sorted(range(g.n), key=order.__getitem__)
+    return _pack(g.adj[np.ix_(order, order)]), rank
 
 
-def _k_colorable(nbrs, k, budget: _Budget, clique_seed):
+def _k_colorable(rows, rank, k, budget: _Budget, clique_seed):
     """Backtracking k-coloring in DSATUR order with symmetry breaking, on
-    the neighbour tuples `nbrs` of `_neighbor_lists`.
+    the rows and ranks of `_by_rank`; seed and coloring are in g's labels.
 
-    The search runs over an explicit stack, one frame per colored vertex,
-    so its depth is not limited. With k = n it never backtracks, and its
-    coloring is the greedy DSATUR coloring.
+    free[c] holds the uncolored vertices with no neighbour of color c, and
+    sat their saturations (distinct colors among their neighbours),
+    bit-sliced and offset so that reaching k, a dead end, carries out of
+    the top slice. The next vertex is the uncolored one of greatest
+    saturation, the lowest rank on ties. The stack has one frame (vertex,
+    color, max_used before it, vertices it touched) per colored vertex, so
+    the depth has no limit; with k = n it never backtracks (greedy DSATUR).
 
     Returns (verdict, coloring or None); verdict None means budget expired.
     """
-    n = len(nbrs)
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    # the next vertex is the uncolored one of least (-saturation, -degree,
-    # index), kept as one int: its rank by (-degree, index) minus n for
-    # each color among its neighbors
-    pick_key = [0] * n
-    by_degree = sorted(range(n), key=lambda u: -len(nbrs[u]))
-    for rank, u in enumerate(by_degree):
-        pick_key[u] = rank
-    # pre-color a clique: its vertices must all differ anyway
     if len(clique_seed) > k:
         return False, None
-    for i, v in enumerate(clique_seed):
-        colors[v] = i
-        for w in nbrs[v]:
-            neighbor_colors[w] |= 1 << i
-            pick_key[w] -= n
-    full = (1 << k) - 1
-    uncolored = set(range(n)).difference(clique_seed)
-    max_used = len(clique_seed)
-    stack = []  # (vertex, color, max_used before it, touched neighbors)
+    full = (1 << len(rows)) - 1
+    free = [full] * k
+    levels = range(max(k - 1, 0).bit_length())
+    sat = [full * ((1 << len(levels)) - k >> j & 1) for j in levels]
+    # the seed clique's frames come first: its vertices must all differ
+    # anyway, and a vertex it saturates would be picked first and fail
+    stack = [(rank[v], c, 0, 0) for c, v in enumerate(clique_seed)]
+    uncolored = full - sum(1 << f[0] for f in stack)
+    for v, c, _, _ in stack:
+        t = free[c] & rows[v] & uncolored
+        free[c] ^= t
+        for j in levels:
+            sat[j], t = sat[j] ^ t, sat[j] & t
+        if t:
+            return None if budget.check() else False, None
+    seeded = max_used = len(stack)
     v = None    # None: pick the next vertex; else try v's colors from c on
     while True:
         if v is None:
             if budget.check():
                 return None, None
             if not uncolored:
-                return True, list(colors)
-            v, c = min(uncolored, key=pick_key.__getitem__), 0
-        forbid = neighbor_colors[v] & full
+                colors = dict(f[:2] for f in stack)
+                return True, [colors[r] for r in rank]
+            pick = uncolored
+            for s in reversed(sat):
+                if pick & s:
+                    pick &= s
+            v, c = (pick & -pick).bit_length() - 1, 0
+        bit = 1 << v
         limit = min(k, max_used + 1)
-        while c < limit and forbid >> c & 1:
+        while c < limit and not free[c] & bit:
             c += 1
         if c < limit:
-            colors[v] = c
-            uncolored.discard(v)
-            bit = 1 << c
-            touched = []
-            dead = False
-            for w in nbrs[v]:
-                if colors[w] < 0 and not neighbor_colors[w] & bit:
-                    neighbor_colors[w] |= bit
-                    pick_key[w] -= n
-                    touched.append(w)
-                    if neighbor_colors[w] & full == full:
-                        dead = True
-            stack.append((v, c, max_used, touched))
-            if not dead:
+            uncolored ^= bit
+            t = free[c] & rows[v] & uncolored
+            free[c] ^= t
+            stack.append((v, c, max_used, t))
+            for j in levels:    # one color more around each vertex of t
+                if not t:
+                    break
+                sat[j], t = sat[j] ^ t, sat[j] & t
+            if not t:
                 max_used = max(max_used, c + 1)
                 v = None
                 continue
-        elif not stack:
+        elif len(stack) == seeded:
             return False, None
         # undo the newest color and try the next one for its vertex
-        v, c, max_used, touched = stack.pop()
-        colors[v] = -1
-        uncolored.add(v)
-        for w in touched:
-            neighbor_colors[w] &= ~(1 << c)
-            pick_key[w] += n
+        v, c, max_used, t = stack.pop()
+        uncolored |= 1 << v
+        free[c] |= t
+        for j in levels:    # one color less around each vertex of t
+            sat[j], t = sat[j] ^ t, ~sat[j] & t
         c += 1
 
 
@@ -417,13 +418,12 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     if n == 0:
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
-    nbrs = _neighbor_lists(g.adj)
-    if not any(nbrs):
+    rows, rank = _by_rank(g)
+    if not any(rows):
         return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
     # the k = n descent never backtracks, so it completes on any budget
-    _, greedy_cols = _k_colorable(nbrs, n, _Budget(math.inf), ())
-    ub = max(greedy_cols) + 1
-    best_cols = tuple(greedy_cols)
+    best_cols = tuple(_k_colorable(rows, rank, n, _Budget(math.inf), ())[1])
+    ub = max(best_cols) + 1
 
     def side_budget():
         # a side search gets at most what is left of the budget
@@ -453,7 +453,7 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
     clique = clique_number(g, side_budget()).witness
     k = max(len(clique), lower)
     while k < ub:
-        verdict, cols = _k_colorable(nbrs, k, b, clique)
+        verdict, cols = _k_colorable(rows, rank, k, b, clique)
         if verdict is None:
             return SolveResult(None, k, ub, best_cols, "timeout", b.elapsed())
         if verdict:

@@ -306,7 +306,7 @@ DSATUR_NAMED = [("petersen", petersen), ("frucht", frucht),
 def test_greedy_descent_is_naive_dsatur(g):
     # with k = n the backtracking search never backtracks: its first
     # coloring is the DSATUR coloring
-    verdict, cols = exact._k_colorable(exact._neighbor_lists(g.adj), g.n,
+    verdict, cols = exact._k_colorable(*exact._by_rank(g), g.n,
                                        exact._Budget(math.inf), ())
     assert verdict is True
     assert cols == naive_dsatur(g)
@@ -373,23 +373,54 @@ def test_greedy_start_stops_at_the_ceiling(monkeypatch):
     assert descents == [20]
 
 
+# (graph, k or None for k = n with no seed, verdict, search nodes counted
+# as budget polls by the search that walked neighbour tuples)
+DSATUR_NODES = [(lambda: load_fixture("m22"), 4, False, 1864),
+                (lambda: load_fixture("m22"), 5, True, 255),
+                (lambda: load_fixture("hall_janko"), 6, False, 195),
+                (lambda: load_fixture("hall_janko"), 7, False, 11154),
+                (lambda: paley(29), 6, False, 453),
+                (lambda: kneser(8, 2), 5, False, 224),
+                (lambda: load_fixture("perkel"), 3, True, 422),
+                (lambda: load_fixture("cameron"), None, True, 232)]
+
+
 def test_dsatur_is_node_for_node_unchanged():
-    # m22 at k = 4 is refuted after exactly as many search nodes (budget
-    # polls) as before the search read neighbour tuples
-    g = load_fixture("m22")
-    b = exact._Budget(60.0)
-    verdict, cols = exact._k_colorable(exact._neighbor_lists(g.adj), 4, b,
-                                       clique_number(g).witness)
-    assert (verdict, cols) == (False, None)
-    assert b._tick == 1864
+    # the same verdicts after exactly as many search nodes as before the
+    # search ran on packed rows; every search but the k = n descent starts
+    # from clique_number's witness
+    for make, k, verdict, nodes in DSATUR_NODES:
+        g = make()
+        seed = () if k is None else clique_number(g).witness
+        b = exact._Budget(60.0)
+        got, cols = exact._k_colorable(*exact._by_rank(g), k or g.n, b, seed)
+        assert (got, b._tick) == (verdict, nodes)
+        if verdict:
+            assert_proper(g, cols, max(cols) + 1)
+            assert max(cols) < (k or g.n)
+            assert all(cols[v] == c for c, v in enumerate(seed))
+        else:
+            assert cols is None
     # the greedy k = n descent: one node per vertex and one to finish
     for seed in range(30):
         h = gnp(5 + seed % 20, (0.2, 0.4, 0.6)[seed % 3], 100 + seed)
         b = exact._Budget(60.0)
-        verdict, cols = exact._k_colorable(exact._neighbor_lists(h.adj), h.n,
-                                           b, ())
+        verdict, cols = exact._k_colorable(*exact._by_rank(h), h.n, b, ())
         assert verdict is True and cols == naive_dsatur(h)
         assert b._tick == h.n + 1
+
+
+def test_a_seed_that_saturates_a_vertex_fails_at_the_first_node():
+    # K4 plus a vertex 4 joined to 0 and 1, with three of K4's vertices as
+    # the seed at k = 3: the fourth sees all three colors, so it is picked
+    # before vertex 4 and the first node fails, as under the plain rule
+    g = Graph.from_edge_list(5, [(u, v) for u, v in itertools.combinations(
+        range(4), 2)] + [(0, 4), (1, 4)])
+    for seed in ((0, 1, 2), (2, 0, 3)):
+        b = exact._Budget(60.0)
+        got = exact._k_colorable(*exact._by_rank(g), 3, b, seed)
+        assert got == naive_k_colorable(g, 3, seed) == (False, None)
+        assert b._tick == 1
 
 
 CHI_LOWER = [("petersen", petersen), ("shrikhande", shrikhande),
@@ -443,12 +474,12 @@ def test_k_colorable_matches_the_plain_dsatur_rule(seed):
     # the same verdicts and the same first colorings, with and without a
     # clique seed, on every k from 1 to one past the chromatic number
     g = gnp(7 + seed % 8, (0.25, 0.45, 0.65, 0.85)[seed % 4], seed)
-    nbrs = exact._neighbor_lists(g.adj)
+    packed = exact._by_rank(g)
     clique = clique_number(g).witness
     chi = chromatic_number(g).value
     for k in range(1, chi + 2):
         for clique_seed in ((), clique):
-            got = exact._k_colorable(nbrs, k, exact._Budget(60.0),
+            got = exact._k_colorable(*packed, k, exact._Budget(60.0),
                                      clique_seed)
             assert got == naive_k_colorable(g, k, clique_seed)
 
@@ -458,10 +489,10 @@ def only_greedy_descent(monkeypatch):
     any refutation search (k < n) fails the test."""
     k_colorable = exact._k_colorable
 
-    def spy(nbrs, k, budget, clique_seed):
-        if k < len(nbrs):
+    def spy(rows, rank, k, budget, clique_seed):
+        if k < len(rows):
             raise AssertionError("search ran")
-        return k_colorable(nbrs, k, budget, clique_seed)
+        return k_colorable(rows, rank, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", spy)
 
@@ -630,9 +661,9 @@ def test_cover_refutes_kneser62(monkeypatch):
     tried = []
     k_colorable = exact._k_colorable
 
-    def spy(nbrs, k, budget, clique_seed):
+    def spy(rows, rank, k, budget, clique_seed):
         tried.append(k)
-        return k_colorable(nbrs, k, budget, clique_seed)
+        return k_colorable(rows, rank, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", spy)
     res = chromatic_number(g, lower=3, alpha_upper=5)
@@ -657,7 +688,8 @@ def test_cover_on_fixtures(name, chi, monkeypatch):
 
 
 def test_cover_stops_honestly_on_the_budget():
-    # n = 231 = 11 * 21, and listing the 21-cocliques is far out of reach
+    # n = 231 = 11 * 21, and a cover by 21-cocliques, drawn one at a time
+    # through one vertex after another, is far out of reach of 0.5 s
     g = load_fixture("cameron")
     assert theta_tight_bounds(g) == (11, 21)
     res = chromatic_number(g, budget=0.5, lower=11, alpha_upper=21)
@@ -668,7 +700,8 @@ def test_cover_stops_honestly_on_the_budget():
 
 
 def test_cover_sets_are_budgeted(monkeypatch):
-    # Hall-Janko's 280 independent 10-sets do not fit in 1000 bytes
+    # the cover's first step already holds 63 packed candidates (the
+    # non-neighbours of its vertex) of 49 bytes each, past 1000 bytes
     g = load_fixture("hall_janko")
     monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 1000)
     res = chromatic_number(g, lower=10, alpha_upper=10)
@@ -731,7 +764,8 @@ def test_cover_opens_its_second_step_after_one_draw(monkeypatch):
 
 def test_cover_needs_little_recursion():
     # the steps keep their own stack: Python's recursion goes no deeper
-    # than one listing, so 100 frames past the caller's depth suffice
+    # than the one suspended clique search a draw resumes, about 10 frames
+    # for Hall-Janko's 10-sets, so 100 frames past the caller's depth suffice
     g = load_fixture("hall_janko")
     depth = 0
     frame = sys._getframe()
@@ -854,10 +888,10 @@ def test_alpha_step_gets_only_the_budget_left(monkeypatch):
     budgets = _spy_alpha_budgets(monkeypatch)
     k_colorable = exact._k_colorable
 
-    def slow_descent(nbrs, k, budget, clique_seed):
-        if k == len(nbrs):
+    def slow_descent(rows, rank, k, budget, clique_seed):
+        if k == len(rows):
             time.sleep(0.9)
-        return k_colorable(nbrs, k, budget, clique_seed)
+        return k_colorable(rows, rank, k, budget, clique_seed)
 
     monkeypatch.setattr(exact, "_k_colorable", slow_descent)
     res = chromatic_number(paley(29), budget=1.0, alpha_upper=5)
