@@ -443,11 +443,13 @@ def cmd_power(args) -> int:
                 "degree": dk,
                 "lambda2": l2,
                 "lambda_min": lmin,
-                "alon_boppana": alon_boppana(dk),
             }
-            verdict = ramanujan_verdict(lam, dk)
-            row["is_ramanujan"] = verdict.is_ramanujan
-            row["lambda_nontrivial"] = verdict.lam
+            if dk >= 2:
+                # the Ramanujan threshold 2 sqrt(d - 1) needs degree >= 2
+                row["alon_boppana"] = alon_boppana(dk)
+                verdict = ramanujan_verdict(lam, dk)
+                row["is_ramanujan"] = verdict.is_ramanujan
+                row["lambda_nontrivial"] = verdict.lam
             if one is not None:
                 products = products * one
                 reports = products.reports(l2, lmin)
@@ -485,8 +487,8 @@ def _power_table(rows):
             f"{r['eig2_lower']:.4f}" if "eig2_lower" in r else "-",
             f"{r['lambda_min']:.4f}",
             f"{r['eigmin_upper']:.4f}" if "eigmin_upper" in r else "-",
-            f"{r['alon_boppana']:.4f}",
-            "yes" if r["is_ramanujan"] else "no",
+            f"{r['alon_boppana']:.4f}" if "alon_boppana" in r else "-",
+            ("yes" if r["is_ramanujan"] else "no") if "is_ramanujan" in r else "-",
         ])
     return header, out
 
@@ -702,7 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a violated theorem;
+        # --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
     if args.paper_examples:
         return cmd_examples(args)
     if not getattr(args, "command", None):

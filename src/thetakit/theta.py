@@ -124,14 +124,15 @@ def theta_kneser(m: int, r: int) -> int:
 # graph), the iterates are length-d coefficient vectors and every
 # factorisation and eigensolve runs on their d x d regular
 # *-representation (_Regular), so they stay in the algebra by
-# construction; only the final certificate is dense. Otherwise the
-# iterates are dense n x n matrices (_Classes). Rounding pushes W = Z^-1
-# out of the algebra by about cond(Z) eps near the optimum, enough to make
-# the reduced complement indefinite, so each dense step first projects X
-# and W back onto it (the mean over each colour class). A graph whose
-# vertex pre-pass (_vertex_colours) is discrete has a discrete closure,
-# each edge its own class and an identity projection, and runs the same
-# code with r = m, bit for bit as an unreduced IPM would.
+# construction; only the final certificate is dense. A closure with more
+# classes is not used: dense iterates reduced over it would need
+# projecting back onto the algebra every step, since rounding pushes
+# W = Z^-1 out of it by about cond(Z) eps near the optimum. Such a graph
+# runs the unreduced IPM on dense n x n iterates, each edge its own class
+# (_Classes), as an asymmetric graph does. The vertex pre-pass
+# (_vertex_colours) answers most of them without the n^3 pair refinement:
+# k vertex colours give at least k^2 pair classes, so the pairs are
+# refined only when k^2 <= n, and never when the pre-pass is discrete.
 
 
 @dataclass(frozen=True)
@@ -172,51 +173,33 @@ _STEP = 0.95            # share of the step to the boundary of the PSD cone
 _BLOCK = 64             # block order of the triangular substitutions
 
 
-def _class_sums(a, starts, out=None):
-    """Sums of a's entries along its last axis over the classes starting
-    at starts; a itself when every class is one entry, where reduceat
-    would give the same values far more slowly."""
-    if len(starts) == a.shape[-1]:
-        return a
-    return np.add.reduceat(a, starts, axis=-1, out=out)
-
-
-def _schur(x, w, edges_u, edges_v, starts):
-    """Reduced HKM Schur complement S^T M S, M_kl = tr(A_k X A_l W) with
-    A_0 = I and A_e = E_e, for edges sorted by class, class P starting at
-    starts[P]; S sums the edges of each class.
+def _schur(x, w, edges_u, edges_v):
+    """The HKM Schur complement M, M_kl = tr(A_k X A_l W) with A_0 = I and
+    A_e = E_e.
 
     With e = ij and f = kl: M_00 = tr(XW), M_0e = (XW)_ij + (XW)_ji and
-    M_ef = W_ik X_jl + W_il X_jk + W_jk X_il + W_jl X_ik. For X and W in
-    the coherent algebra the columns of M S are constant on each class, so
-    row P of S^T M S is |P| times the class sums of the row of M at P's
-    first edge. The four terms of those r rows are summed into the result
-    in place through two r x m scratch arrays; with single-edge classes
-    this is M itself, bit for bit.
+    M_ef = W_ik X_jl + W_il X_jk + W_jk X_il + W_jl X_ik. The four terms
+    are summed into the result in place through two m x m scratch arrays.
     """
-    m, r = len(edges_u), len(starts)
+    m = len(edges_u)
     xw = x @ w
-    out = np.empty((r + 1, r + 1))
+    out = np.empty((m + 1, m + 1))
     out[0, 0] = np.trace(xw)
-    m0 = xw[edges_u, edges_v] + xw[edges_v, edges_u]
-    out[0, 1:] = _class_sums(m0, starts)
-    out[1:, 0] = m0[starts]
+    out[0, 1:] = out[1:, 0] = xw[edges_u, edges_v] + xw[edges_v, edges_u]
     mef = out[1:, 1:]
     mef.fill(0.0)
-    t1, t2 = np.empty((r, m)), np.empty((r, m))
+    t1, t2 = np.empty((m, m)), np.empty((m, m))
     ends = ((edges_u, edges_v), (edges_v, edges_u))
-    first = ((edges_u[starts], edges_v[starts]), (edges_v[starts], edges_u[starts]))
     # mode="clip" lets take write straight into out (the default mode
     # buffers it); every index is in range. take's column gathers are
     # C-contiguous, where w[:, wc] is not, so the row takes stay fast
     for wc, xc in ends:
         wcols, xcols = np.take(w, wc, axis=1), np.take(x, xc, axis=1)
-        for wr, xr in first:
+        for wr, xr in ends:
             np.take(wcols, wr, axis=0, out=t1, mode="clip")
             np.take(xcols, xr, axis=0, out=t2, mode="clip")
             t1 *= t2
-            mef += _class_sums(t1, starts, out=t2[:, :r])
-    out[1:] *= np.diff(starts, append=m)[:, None]
+            mef += t1
     return out
 
 
@@ -254,10 +237,9 @@ def _on_edges(v, edges_u, edges_v, n):
 def _hkm_step(x, t, y, cls):
     """One Mehrotra predictor-corrector step in the HKM direction from the
     feasible point (X, t, y), y one value per edge class of cls, in cls's
-    arithmetic (dense and projected, or in the regular *-representation);
-    LinAlgError when a factorisation fails."""
+    arithmetic (dense, or in the regular *-representation); LinAlgError
+    when a factorisation fails."""
     n = cls.n
-    x = cls.project(x)
     z = cls.adjoint(np.concatenate(([t], y))) - 1.0
     inv_lx = np.linalg.inv(np.linalg.cholesky(cls.mat(x)))
     inv_lz = np.linalg.inv(np.linalg.cholesky(cls.mat(z)))
@@ -350,12 +332,20 @@ def wl_bytes(n: int) -> int:
 
 def _coherent_closure(adj):
     """The stable 2-dimensional Weisfeiler-Leman colouring of the vertex
-    pairs (_refine_pairs), as an n x n array of ids; None when the vertex
-    pre-pass is already discrete, so the closure is too."""
+    pairs (_refine_pairs), as an n x n array of ids, when it has at most n
+    colours; None otherwise.
+
+    Pairs across two vertex colours never share a class, so k colours from
+    the vertex pre-pass give at least k^2 classes: when k^2 > n, a discrete
+    pre-pass included, the pairs are not refined.
+    """
+    n = len(adj)
     vcol = _vertex_colours(adj)
-    if vcol.max() == len(adj) - 1:
+    k = int(vcol.max()) + 1
+    if k * k > n:
         return None
-    return _refine_pairs(adj, vcol)
+    col = _refine_pairs(adj, vcol)
+    return col if col.max() < n else None
 
 
 def _refine_pairs(adj, vcol):
@@ -390,46 +380,34 @@ def _refine_pairs(adj, vcol):
 
 
 def _closure(g):
-    """g's coherent closure, memoised on g; None when it is discrete or
-    its refinement would exceed the dense budget."""
+    """g's coherent closure, memoised on g; None when it has more than n
+    colours or its refinement would exceed the dense budget."""
     if not within_budget(wl_bytes(g.n)):
         return None
     return g._cached(("coherent_closure",), lambda: _coherent_closure(g.adj))
 
 
 class _Classes:
-    """The edges sorted by class (endpoints u, v), the position of each
-    class's first edge and each edge's class, with the IPM's arithmetic on
-    dense n x n iterates. Given the closure's colouring col, X and W are
-    projected back onto the coherent algebra, the mean over each colour
-    class (of `size` pairs); without it every edge is its own class and
-    the projection is the identity."""
+    """The IPM's arithmetic on dense n x n iterates, with every edge (endpoints
+    u, v) its own class."""
 
     d = None            # colour classes of the representation; none here
 
-    def __init__(self, n, u, v, starts, of_edge, col=None):
-        self.n, self.u, self.v, self.starts, self.of_edge = n, u, v, starts, of_edge
-        self.col, self.eye = col, np.eye(n)
-        if col is not None:
-            self.size = np.bincount(col.ravel())
-
-    def project(self, x):
-        if self.col is None:
-            return x
-        return (np.bincount(self.col.ravel(), x.ravel(), len(self.size)) / self.size)[self.col]
+    def __init__(self, n, u, v):
+        self.n, self.u, self.v, self.r = n, u, v, len(u)
+        self.eye = np.eye(n)
 
     def feasible(self, y):
-        """B = J - sum_P y_P A_P, dense."""
-        return 1.0 - _on_edges(y[self.of_edge], self.u, self.v, self.n)
+        """B = J - sum_e y_e E_e, dense."""
+        return 1.0 - _on_edges(y, self.u, self.v, self.n)
 
     def adjoint(self, dy):
-        """dy_0 I + sum_P dy_P A_P."""
-        return dy[0] * self.eye + _on_edges(dy[1:][self.of_edge], self.u, self.v, self.n)
+        """dy_0 I + sum_e dy_e E_e."""
+        return dy[0] * self.eye + _on_edges(dy[1:], self.u, self.v, self.n)
 
     def constraints(self, r):
-        """tr R - 1 and <A_P, R> for each class P."""
-        on_edges = r[self.u, self.v] + r[self.v, self.u]
-        return np.concatenate(([np.trace(r) - 1.0], _class_sums(on_edges, self.starts)))
+        """tr R - 1 and <E_e, R> for each edge e."""
+        return np.concatenate(([np.trace(r) - 1.0], r[self.u, self.v] + r[self.v, self.u]))
 
     def mat(self, x):
         """The matrix that is factored and eigensolved for x."""
@@ -446,10 +424,10 @@ class _Classes:
 
     def inverse(self, inv_chol):
         """Z^-1 from the inverse Cholesky factor of Z."""
-        return self.project(inv_chol.T @ inv_chol)
+        return inv_chol.T @ inv_chol
 
     def schur(self, x, w):
-        return _schur(x, w, self.u, self.v, self.starts)
+        return _schur(x, w, self.u, self.v)
 
     def score(self, x, y):
         """The certificate's values for the iterate, _certificate's here."""
@@ -461,11 +439,14 @@ class _Classes:
         return ub, lb, self.feasible(y)
 
 
-class _Regular(_Classes):
-    """The edge classes of a closure with d <= n colour classes, and the
-    IPM's arithmetic on the coefficient vectors x of X = x[col], with
-    factorisations and eigensolves on L(X), X's regular *-representation.
+class _Regular:
+    """The edges (endpoints u, v) in the r edge classes of a coherent
+    closure col with d <= n colour classes, and the IPM's arithmetic on the
+    coefficient vectors x of X = x[col], with factorisations and
+    eigensolves on L(X), X's regular *-representation.
 
+    An edge's class is the unordered pair of the colours of (i, j) and
+    (j, i), and classes are numbered in order of their first edge.
     L(X) is the matrix of Y -> XY in the orthonormal basis A_k / sqrt(s_k)
     of the colour classes' 0/1 matrices A_k, s_k pairs each:
     L(X)[k, j] = sqrt(s_k / s_j) sum_c x[col(a_k, c)] [col(c, b_k) = j]
@@ -477,8 +458,14 @@ class _Regular(_Classes):
     matrices.
     """
 
-    def __init__(self, n, u, v, starts, of_edge, col):
-        super().__init__(n, u, v, starts, of_edge, col)
+    def __init__(self, n, u, v, col):
+        self.n, self.u, self.v, self.col = n, u, v, col
+        cu, cv = col[u, v], col[v, u]
+        key = np.minimum(cu, cv) * col.size + np.maximum(cu, cv)
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        self.of_edge = np.argsort(np.argsort(first))[ids.reshape(-1)]
+        self.r = len(first)
+        self.size = np.bincount(col.ravel())
         self.d = d = len(self.size)
         a, b = np.divmod(np.unique(col.ravel(), return_index=True)[1], n)
         self.idx = col[a]                                   # col(a_k, c)
@@ -487,17 +474,17 @@ class _Regular(_Classes):
         self.root = root = np.sqrt(self.size)
         self.scale = np.outer(root, 1.0 / root)
         edge_class = np.full(d, -1)
-        edge_class[col[u, v]] = of_edge
-        edge_class[col[v, u]] = of_edge
+        edge_class[cu] = edge_class[cv] = self.of_edge
         self.edge = edge_class >= 0
         # the coefficients of I and of each edge class's A_P
-        self.basis = np.zeros((d, len(starts) + 1))
+        self.basis = np.zeros((d, self.r + 1))
         self.basis[col.diagonal(), 0] = 1.0
         self.basis[self.edge, 1 + edge_class[self.edge]] = 1.0
         self.eye, self.hat = self.basis[:, 0], self.basis * root[:, None]
 
-    def project(self, x):
-        return x
+    def feasible(self, y):
+        """B = J - sum_P y_P A_P, dense."""
+        return 1.0 - _on_edges(y[self.of_edge], self.u, self.v, self.n)
 
     def left(self, x):
         """The matrix of Y -> XY on the coefficients of Y."""
@@ -546,26 +533,14 @@ class _Regular(_Classes):
         return (*_certificate(b, x / np.trace(x), self.u, self.v), b)
 
 
-def _edge_classes(g, edges_u, edges_v) -> _Classes:
-    """The edges of g in the classes of its coherent closure: an edge's
-    class is the unordered pair of the colours of (i, j) and (j, i), and
-    classes are numbered in order of their first edge. Every edge is its
-    own class, in the given order, when the closure is discrete or not
-    computed; the arithmetic is the regular *-representation's when the
-    closure has at most n colour classes."""
+def _edge_classes(g, edges_u, edges_v):
+    """The edges of g in the classes of its coherent closure, in the
+    closure's regular *-representation; every edge its own class, on dense
+    iterates, when _closure gives no closure."""
     col = _closure(g)
     if col is None:
-        m = len(edges_u)
-        return _Classes(g.n, edges_u, edges_v, np.arange(m), np.arange(m))
-    a, b = col[edges_u, edges_v], col[edges_v, edges_u]
-    key = np.minimum(a, b) * col.size + np.maximum(a, b)
-    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-    classes = np.argsort(np.argsort(first))[ids.reshape(-1)]
-    order = np.argsort(classes, kind="stable")
-    of_edge = classes[order]
-    starts = np.flatnonzero(np.diff(of_edge, prepend=-1))
-    backend = _Regular if col.max() < g.n else _Classes
-    return backend(g.n, edges_u[order], edges_v[order], starts, of_edge, col)
+        return _Classes(g.n, edges_u, edges_v)
+    return _Regular(g.n, edges_u, edges_v, col)
 
 
 # Peak bytes per n^2 cell of the ratio pair and its certificate (or of an
@@ -576,27 +551,26 @@ RATIO_PAIR_CELL_BYTES = 34
 
 def ipm_bytes(n: int, m: int, r: Optional[int] = None,
               d: Optional[int] = None) -> int:
-    """Peak bytes of the IPM on n vertices and m edges in r classes (m by
-    default).
+    """Peak bytes of the IPM on n vertices and m edges: unreduced, or, given
+    d, in the regular *-representation of a closure with d colour classes
+    and r edge classes.
 
-    On dense iterates: the (r+1)^2 Schur complement and its factor, two
-    r x m scratch rows and two n x m column gathers while it is built, and
-    the n x n iterates. tracemalloc read 3.15-3.3 doubles per cell of the
-    (m+1)^2 complement at m >= 1000 and r = m, and 12-18 doubles per n^2
-    cell on sparse graphs of 120 to 300 vertices, up to 37 on the 5- to
-    64-vertex test graphs.
+    Unreduced: the (m+1)^2 Schur complement and its factor, two m x m
+    scratch arrays and two n x m column gathers while it is built, and the
+    n x n iterates. tracemalloc read 3.15-3.3 doubles per cell of the
+    complement at m >= 1000, and 12-18 doubles per n^2 cell on sparse
+    graphs of 120 to 300 vertices, up to 37 on the 5- to 64-vertex test
+    graphs.
 
-    In the regular *-representation of a closure with d colour classes:
-    the complement, the d x n index arrays of the representation, and the
-    final dense certificate, which leads. tracemalloc read 7.7-8.7 doubles
-    per n^2 cell, 0.69-0.90 of this, on symmetric graphs of 48 to 200
-    vertices with d = 7 to 101 (C5^3 0.83, a 200-vertex circulant with
-    d = 101 0.69).
+    In the regular *-representation: the (r+1)^2 complement, the d x n
+    index arrays of the representation, and the final dense certificate,
+    which leads. tracemalloc read 7.7-8.7 doubles per n^2 cell, 0.69-0.90
+    of this, on symmetric graphs of 48 to 200 vertices with d = 7 to 101
+    (C5^3 0.83, a 200-vertex circulant with d = 101 0.69).
     """
-    r = m if r is None else r
-    if d is not None:
-        return 11 * (r + 1) ** 2 + 32 * d * n + 72 * n * n
-    return 11 * (r + 1) ** 2 + 16 * (r + n) * m + 320 * n * n
+    if d is None:
+        return 11 * (m + 1) ** 2 + 16 * (m + n) * m + 320 * n * n
+    return 11 * (r + 1) ** 2 + 32 * d * n + 72 * n * n
 
 
 def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
@@ -622,7 +596,7 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
 
     with _one_blas_thread(n):
         cls = _edge_classes(g, edges_u, edges_v)
-    r = len(cls.starts)
+    r = cls.r
     check_budget(ipm_bytes(n, m, r, cls.d),
                  f"theta's IPM on {n} vertices and {m} edges in {r} classes")
     # the feasible start X = I/n, Z = (n+1)I - J has mu = tr(XZ)/n = 1

@@ -132,6 +132,25 @@ def test_exit_violation_is_loud(capsys, monkeypatch):
     assert doc["violations"] == ["impossible-bound"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--gen", "petersen", "--budget", "abc"],
+    ["analyze", "--gen", "petersen", "--power", "x"],
+    ["analyze", "--gen", "petersen", "--no-such-flag"],
+    ["no-such-command"],
+], ids=["budget", "power", "flag", "command"])
+def test_bad_arguments_are_an_input_error(argv, capsys):
+    # argparse's usage errors exit 1, not 2, the code of a violated theorem
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["power", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0 and out.startswith("usage: thetakit")
+
+
 def test_power_table_with_materialize(capsys):
     rc, out, _ = run(["power", "--gen", "petersen", "-k", "2",
                       "--materialize", "--json"], capsys)
@@ -146,6 +165,25 @@ def test_power_table_with_materialize(capsys):
         assert r["eig2_lower"] <= r["lambda2"] + 1e-9
         assert r["lambda_min"] <= r["eigmin_upper"] + 1e-9
     assert rows[0]["is_ramanujan"] is True
+
+
+def test_power_on_a_perfect_matching(capsys):
+    # row 1 has degree 1, below the Ramanujan threshold's d >= 2: it omits
+    # those fields, and the table prints "-"; rows 2 and 3 keep them
+    argv = ["power", "--gen", "random_regular:6:1:0", "-k", "3"]
+    rc, out, _ = run([*argv, "--json"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["violations"] == []
+    rows = doc["rows"]
+    assert [r["degree"] for r in rows] == [1, 3, 7]
+    ramanujan = {"alon_boppana", "is_ramanujan", "lambda_nontrivial"}
+    assert not ramanujan & rows[0].keys()
+    assert rows[0].keys() | ramanujan == rows[1].keys() == rows[2].keys()
+    assert {"eig2_lower", "eigmin_upper"} <= rows[0].keys()
+    rc, out, _ = run(argv, capsys)
+    first = out.splitlines()[2].split()
+    assert rc == 0 and first[0] == "1" and first[-2:] == ["-", "-"]
 
 
 def test_materialize_stops_at_the_eigensolve_budget(capsys):

@@ -330,19 +330,20 @@ def test_schur_complement_matches_its_definition():
     n = g.n
     x, w = (q @ q.T + np.eye(n) for q in rng.standard_normal((2, n, n)))
     want = _schur_by_definition(x, w, eu, ev)
-    got = theta._schur(x, w, eu, ev, np.arange(len(eu)))
+    got = theta._schur(x, w, eu, ev)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["c5xc5", "circulant"])
 def test_reduced_schur_complement_is_the_compressed_definition(name):
     # for X and W in the coherent algebra, here squares of random
-    # polynomials in A plus I, the reduced complement is S^T M S, with S
-    # summing the edges of each class
+    # polynomials in A plus I, the regular *-representation's complement,
+    # from X's and W's coefficients, is S^T M S, with S summing the edges
+    # of each class
     g = relabelled({"c5xc5": strong_product(cycle(5), cycle(5)),
                     "circulant": random_circulant(3)}[name], seed=5)
     cls = theta._edge_classes(g, *np.nonzero(np.triu(g.adj, 1)))
-    m, r = len(cls.u), len(cls.starts)
+    m, r = len(cls.u), cls.r
     assert 1 < r < m
     a = g.adj.astype(np.float64)
     rng = np.random.default_rng(1)
@@ -353,9 +354,6 @@ def test_reduced_schur_complement_is_the_compressed_definition(name):
     s[0, 0] = 1.0
     s[np.arange(1, m + 1), cls.of_edge + 1] = 1.0
     want = s.T @ _schur_by_definition(x, w, cls.u, cls.v) @ s
-    got = theta._schur(x, w, cls.u, cls.v, cls.starts)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.abs(want).max())
-    # the regular *-representation's, from X's and W's coefficients
     assert isinstance(cls, theta._Regular)
     got = cls.schur(coefficients(cls, x), coefficients(cls, w))
     assert np.allclose(got, want, rtol=1e-12, atol=1e-9 * np.abs(want).max())
@@ -384,10 +382,9 @@ def test_schur_complement_memory():
     eu, ev = np.nonzero(np.triu(g.adj, 1))
     m = len(eu)
     x = w = np.eye(g.n)
-    starts = np.arange(m)
     tracemalloc.start()
     try:
-        theta._schur(x, w, eu, ev, starts)
+        theta._schur(x, w, eu, ev)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -600,21 +597,21 @@ REPRESENTED = dict(COHERENT, **{"c5+c7": lambda: disjoint_union(cycle(5), cycle(
 
 
 @pytest.mark.parametrize("name", sorted(REPRESENTED))
-def test_representation_is_a_faithful_star_homomorphism(name, monkeypatch):
+def test_representation_is_a_faithful_star_homomorphism(name):
     # L(XY) = L(X) L(Y) and L(X^T) = L(X)^T, and a symmetric X has the
     # eigenvalues of L(X), the extreme ones included. Frucht's discrete
     # colouring, from a one-colour seed, has n^2 classes: the IPM keeps
     # its dense arithmetic, but the representation holds all the same
     g = REPRESENTED[name]()
     n = g.n
+    edges = np.nonzero(np.triu(g.adj, 1))
     if name == "frucht":
         col = theta._refine_pairs(g.adj, np.zeros(n, dtype=np.int64))
     else:
         col = theta._coherent_closure(g.adj)
-    monkeypatch.setattr(theta, "_closure", lambda h: col)
-    cls = theta._edge_classes(g, *np.nonzero(np.triu(g.adj, 1)))
+    cls = theta._edge_classes(g, *edges)
     assert isinstance(cls, theta._Regular) == (name != "frucht")
-    rep = theta._Regular(n, cls.u, cls.v, cls.starts, cls.of_edge, col)
+    rep = theta._Regular(n, *edges, col)
     rng = np.random.default_rng(7)
     for _ in range(3):
         x, y = rng.standard_normal((2, rep.d))
@@ -670,7 +667,7 @@ def test_class_counts_survive_relabelling(name):
     for h in (Graph(g.adj), relabelled(g, 11)):
         col = theta._coherent_closure(h.adj)
         cls = theta._edge_classes(h, *np.nonzero(np.triu(h.adj, 1)))
-        counts.append((len(np.unique(col)), len(cls.starts)))
+        counts.append((len(np.unique(col)), cls.r))
     assert counts[0] == counts[1]
 
 
@@ -685,7 +682,8 @@ def theta_odd_cycle(n):
 
 # relabelled, so no factors and no closed form: m edges in r classes, and
 # theta. The last five closures have two vertex orbits; those of K2,3 and
-# P4 have more than n colour classes, the others at most n
+# P4 have more than n colour classes, so they run unreduced (r = m), the
+# others at most n
 SYMMETRIC = {
     "c5xpetersen": (lambda: strong_product(cycle(5), petersen()), 275, 3,
                     4 * math.sqrt(5)),
@@ -693,11 +691,11 @@ SYMMETRIC = {
     "c5+c7": (lambda: disjoint_union(cycle(5), cycle(7)), 12, 2,
               math.sqrt(5) + theta_odd_cycle(7)),
     "star5": (lambda: star(5), 5, 1, 5.0),
-    "k23": (lambda: complete_bipartite(2, 3), 6, 1, 3.0),
+    "k23": (lambda: complete_bipartite(2, 3), 6, 6, 3.0),
     "wheel5": (lambda: disjoint_union(cycle(5), empty(1)).complement(), 10, 2,
                math.sqrt(5)),
     "c5+k1": (lambda: disjoint_union(cycle(5), empty(1)), 5, 1, 1 + math.sqrt(5)),
-    "p4": (lambda: path(4), 3, 2, 2.0),
+    "p4": (lambda: path(4), 3, 3, 2.0),
 }
 
 
@@ -730,6 +728,25 @@ def test_asymmetric_graph_is_not_refined_in_pairs(monkeypatch):
     assert theta._coherent_closure(HARD["rr32-3"]().adj) is None
 
 
+def test_closure_with_more_than_n_classes_is_not_used(monkeypatch):
+    # P4 and K2,3 pass the pre-pass (2 vertex colours, 4 <= n) but their
+    # closures have 8 and 6 classes, more than their 4 and 5 vertices
+    for g, classes in ((path(4), 8), (complete_bipartite(2, 3), 6)):
+        vcol = theta._vertex_colours(g.adj)
+        assert len(np.unique(theta._refine_pairs(g.adj, vcol))) == classes > g.n
+        assert theta._coherent_closure(g.adj) is None
+    # two copies of Frucht: the pre-pass gives k = 12 colours on 24
+    # vertices, so the closure has at least k^2 = 144 > n classes and the
+    # pairs are not refined; every one of the 36 edges is its own class
+    g = disjoint_union(frucht(), frucht())
+    assert int(theta._vertex_colours(g.adj).max()) + 1 == 12
+    monkeypatch.setattr(theta, "_refine_pairs", None)
+    assert theta._coherent_closure(g.adj) is None
+    res = theta_exact_result(g)
+    assert res.converged and res.classes == 36
+    assert res.value == pytest.approx(10.0, abs=1e-6)
+
+
 def test_reduction_fits_where_the_unreduced_ipm_is_refused(monkeypatch):
     # C5^3 read back from graph6 has no factors: 1625 edges in 3 classes.
     # The refinement and the reduced IPM fit 40 MB; the unreduced IPM
@@ -738,7 +755,7 @@ def test_reduction_fits_where_the_unreduced_ipm_is_refused(monkeypatch):
     assert g.factors == () and g.edge_count() == 1625
     budget = 40_000_000
     assert theta.wl_bytes(g.n) <= budget < theta.ipm_bytes(g.n, 1625)
-    assert theta.ipm_bytes(g.n, 1625, 3) <= budget
+    assert theta.ipm_bytes(g.n, 1625, 3, 10) <= budget
     monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", budget)
     res = theta_exact_result(g)
     assert res.converged and res.classes == 3 and res.iterations == 8
