@@ -21,8 +21,9 @@ EQUALITY_TOL = 1e-6
 class BoundReport:
     """One evaluated inequality lhs <relation> rhs.
 
-    slack is rhs-lhs for "<=" and lhs-rhs for ">=", so slack >= -tol means
-    the bound holds and |slack| <= tol means it is tight.
+    slack is rhs-lhs for "<=" and lhs-rhs for ">=". The bound holds when
+    slack >= -tol * max(1, |lhs|, |rhs|): a bound tight at 1e11 misses by
+    rounding far more than an absolute tol. It is tight when |slack| <= tol.
     """
 
     name: str
@@ -34,7 +35,8 @@ class BoundReport:
     reason: Optional[str] = None
 
     def holds(self, tol: float = EQUALITY_TOL) -> bool:
-        return not self.applicable or self.slack >= -tol
+        return not self.applicable or \
+            self.slack >= -tol * max(1.0, abs(self.lhs), abs(self.rhs))
 
     def is_equality(self, tol: float = EQUALITY_TOL) -> bool:
         return self.applicable and abs(self.slack) <= tol
@@ -212,14 +214,6 @@ def eigmin_upper_product(factors) -> float:
                          math.prod(f[0] / float(f[2]) for f in factors))
 
 
-def alon_boppana(d: int) -> float:
-    """Asymptotic floor 2 sqrt(d-1) on the second eigenvalue of large
-    d-regular graphs; the Ramanujan threshold."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return 2.0 * math.sqrt(d - 1.0)
-
-
 def non_ramanujan_k0(n: int, d: int, theta: float) -> int:
     """Smallest certified k0: every strong power with k >= k0 of a connected
     regular graph with theta < n/sqrt(d+1) is non-Ramanujan.
@@ -344,7 +338,11 @@ class FactorProducts:
                               self.tight and other.tight)
 
     def reports(self, product_l2: float, product_lmin: float) -> list[BoundReport]:
-        """The four reports of `product_bound_reports` for these factors."""
+        """The strong-product eigenvalue bounds against the product's l2 and
+        lmin. The "-lmin" pair reads the spectral value in place of theta:
+        the l2 bound stays valid, only weaker, and the lmin bound applies only
+        when every factor is tight, as edge-transitive and strongly regular
+        factors are (Lovász 1979, Thm 9)."""
         reason = None if self.tight else "factors not all edge-transitive or SRG"
         return [
             make_report("eig2-product-lower",
@@ -359,17 +357,3 @@ class FactorProducts:
                         _eigmin_upper(self.closed, self.ratio_lmin), "<=",
                         applicable=self.tight, reason=reason),
         ]
-
-
-def product_bound_reports(factors, product_l2: float,
-                          product_lmin: float) -> list[BoundReport]:
-    """Reports for the strong-product eigenvalue bounds against realized
-    product eigenvalues; factors is a list of per-factor (n, d, theta, lmin).
-
-    The "-lmin" reports feed the same bounds theta_upper_regular(n, d, lmin)
-    in place of theta. That weakens the l2 bound, which stays valid; the
-    lmin bound holds only when the spectral value is theta itself, so it
-    applies only when every factor is tight: its ratio bound is measured
-    within EQUALITY_TOL of its theta. Edge-transitive and strongly regular
-    factors are always tight (Lovász 1979, Thm 9)."""
-    return FactorProducts.of(factors).reports(product_l2, product_lmin)

@@ -20,18 +20,16 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import catalog
 from .bounds import (
     FactorProducts,
-    alon_boppana,
     chromatic_lb_strong_product,
     make_report,
     non_ramanujan_k0,
-    product_bound_reports,
     wei_bounds,
 )
 from .exact import DEFAULT_BUDGET, capacity_certificate, chromatic_number
 from .graphs import Graph, within_budget
 from .io import read_edge_list, read_graph6
-from .products import power_extremes, power_spectrum, product_degree, strong_power
-from .spectra import eigensolve_bytes, eigenvalues, is_ramanujan, ramanujan_verdict
+from .products import power_extremes, power_spectrum, strong_power
+from .spectra import eigensolve_bytes, eigenvalues, ramanujan_verdict
 from .srg import srg_check, srg_params_feasible
 from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
 
@@ -219,15 +217,24 @@ def _task_theta(g, args):
     return out, reports
 
 
-def _task_ramanujan(g, _args):
+def _ramanujan_inapplicable(g, k: int = 1):
+    """Why no Ramanujan statement applies to g's k-th strong power, or None:
+    one needs a connected regular graph of degree >= 2 (Lubotzky, Phillips &
+    Sarnak 1988), and G^k is so exactly when G is, with degree (d+1)^k - 1."""
     if not g.is_regular():
-        return {"applicable": False, "reason": "graph is not regular"}, []
-    d = g.degree()
-    if d < 2:
-        return {"applicable": False, "reason": "degree < 2"}, []
+        return "graph is not regular"
+    if (g.degree() + 1) ** k < 3:
+        return "degree < 2"
     if not g.is_connected():
-        return {"applicable": False, "reason": "graph is disconnected"}, []
-    v = is_ramanujan(g)
+        return "graph is disconnected"
+    return None
+
+
+def _task_ramanujan(g, _args):
+    reason = _ramanujan_inapplicable(g)
+    if reason is not None:
+        return {"applicable": False, "reason": reason}, []
+    v = ramanujan_verdict(power_extremes(eigenvalues(g), 1)[2], g.degree())
     return {
         "applicable": True,
         "is_ramanujan": v.is_ramanujan,
@@ -254,13 +261,13 @@ def _task_product_bounds(g, args):
         reports = []
         if d < n - 1:
             factor = (n, d, float(est.value), s.smallest())
-            reports = product_bound_reports([factor] * k, l2p, lminp)
+            reports = FactorProducts.of([factor] * k).reports(l2p, lminp)
     except OverflowError as exc:
         raise ValueError(f"--power {k} leaves float range") from exc
     out = {
         "k": k,
         "product_order": n ** k,
-        "product_degree": product_degree([d] * k),
+        "product_degree": (d + 1) ** k - 1,
         "lambda2": l2p,
         "lambda_min": lminp,
         "theta_factor": float(est.value),
@@ -339,6 +346,10 @@ def _task_k0(g, args):
     n, d = g.n, g.degree()
     if not 0 < d < n - 1:
         return {"applicable": False, "reason": "degenerate degree"}, []
+    # the statements are about the powers k >= k0 >= 3
+    reason = _ramanujan_inapplicable(g, 3)
+    if reason is not None:
+        return {"applicable": False, "reason": reason}, []
     est = theta_best(g)
     if est.value is None:
         return {"applicable": False, "reason": "theta not determined"}, []
@@ -424,6 +435,8 @@ def cmd_power(args) -> int:
         _emit(result, args)
         return EXIT_OK
     s = eigenvalues(g)
+    # one answer for every row: G^k is connected exactly when G is
+    ramanujan = _ramanujan_inapplicable(g) is None
     est = theta_best(g)
     theta = float(est.value) if est.value is not None else None
     # the factor's products, multiplied into the running ones once per row
@@ -444,10 +457,9 @@ def cmd_power(args) -> int:
                 "lambda2": l2,
                 "lambda_min": lmin,
             }
-            if dk >= 2:
-                # the Ramanujan threshold 2 sqrt(d - 1) needs degree >= 2
-                row["alon_boppana"] = alon_boppana(dk)
+            if ramanujan:
                 verdict = ramanujan_verdict(lam, dk)
+                row["alon_boppana"] = verdict.threshold
                 row["is_ramanujan"] = verdict.is_ramanujan
                 row["lambda_nontrivial"] = verdict.lam
             if one is not None:

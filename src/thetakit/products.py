@@ -50,11 +50,6 @@ def strong_power(g: Graph, k: int) -> Graph:
     return strong_product(*[g] * k).with_meta(name=f"{name}^{k}" if name else "")
 
 
-def product_degree(ds) -> int:
-    """Degree of a strong product of regular factors: prod(1+d_l) - 1."""
-    return math.prod(d + 1 for d in ds) - 1
-
-
 def product_spectrum(spectra, rtol: float = 1e-6) -> Spectrum:
     """Spectrum of a strong product from factor spectra, group-wise.
 

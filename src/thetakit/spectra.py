@@ -172,9 +172,6 @@ class RamanujanVerdict:
     threshold: float      # 2 sqrt(d-1)
     margin: float         # threshold - lam
 
-    def __bool__(self):
-        return self.is_ramanujan
-
 
 def ramanujan_verdict(lam: float, d: int) -> RamanujanVerdict:
     """Verdict for a d-regular graph whose largest nontrivial |eigenvalue| is
@@ -183,15 +180,3 @@ def ramanujan_verdict(lam: float, d: int) -> RamanujanVerdict:
         raise ValueError("need degree >= 2")
     thr = 2.0 * math.sqrt(d - 1.0)
     return RamanujanVerdict(lam <= thr + 1e-9, lam, thr, thr - lam)
-
-
-def ramanujan_verdict_from_values(s: Spectrum, d: int) -> RamanujanVerdict:
-    if d < 2:
-        raise ValueError("need degree >= 2")
-    return ramanujan_verdict(lambda_nontrivial(s, d), d)
-
-
-def is_ramanujan(g) -> RamanujanVerdict:
-    """Ramanujan verdict for a connected regular graph of degree >= 2."""
-    d = g.degree()
-    return ramanujan_verdict_from_values(eigenvalues(g), d)

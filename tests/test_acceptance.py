@@ -43,7 +43,7 @@ from thetakit.graphs import (
     shrikhande,
 )
 from thetakit.products import power_spectrum, product_spectrum, strong_power, strong_product
-from thetakit.spectra import eigenvalues, ramanujan_verdict_from_values
+from thetakit.spectra import eigenvalues, lambda_nontrivial, ramanujan_verdict
 from thetakit.srg import SrgParams, srg_check, srg_params_feasible
 from thetakit.theta import (
     theta_exact,
@@ -139,7 +139,8 @@ def test_ramanujan_k0_thresholds():
     verdicts = []
     for k in range(1, 6):
         ps = power_spectrum(s, k, rtol=1e-10)
-        verdicts.append(bool(ramanujan_verdict_from_values(ps, 3 ** k - 1)))
+        d = 3 ** k - 1
+        verdicts.append(ramanujan_verdict(lambda_nontrivial(ps, d), d).is_ramanujan)
     elapsed = time.perf_counter() - t0
     ok = (k0 == [5, 4, 3, 3, 3]
           and verdicts == [True, True, False, False, False]

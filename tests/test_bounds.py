@@ -7,8 +7,8 @@ import pytest
 
 from thetakit.bounds import (
     BoundReport,
+    FactorProducts,
     affine_polar_params,
-    alon_boppana,
     chromatic_lb_strong_product,
     eig2_lower_product,
     eig_inequality_cor0,
@@ -18,7 +18,6 @@ from thetakit.bounds import (
     k0_self_complementary_vt,
     make_report,
     non_ramanujan_k0,
-    product_bound_reports,
     self_complementary_eig_bounds,
     wei_bounds,
 )
@@ -36,8 +35,8 @@ from thetakit.graphs import (
     random_regular,
     shrikhande,
 )
-from thetakit.products import power_extremes, power_spectrum, product_degree
-from thetakit.spectra import eigenvalues
+from thetakit.products import power_extremes, power_spectrum
+from thetakit.spectra import eigenvalues, ramanujan_verdict
 from thetakit.srg import SrgParams
 from thetakit.theta import (
     theta_bounds_complement,
@@ -54,6 +53,13 @@ def test_make_report_slack_semantics():
     assert r.is_equality()
     r = make_report("x", 4.0, 3.0, "<=")
     assert not r.holds()
+    # holding is judged relative to the larger side, tightness is not: a
+    # bound tight at 2^37 may miss by one rounding step, 2^-15, yet a real
+    # miss at that scale still fails
+    r = make_report("x", 2.0 ** 37 - 1 + 2.0 ** -15, 2.0 ** 37 - 1, "<=")
+    assert r.holds() and not r.is_equality()
+    assert not make_report("x", 2e11, 1e11, "<=").holds()
+    assert not make_report("x", 1.0 + 2e-6, 1.0, "<=").holds()
     with pytest.raises(ValueError):
         make_report("x", 1.0, 2.0, "<")
 
@@ -189,10 +195,11 @@ def test_product_eig_bounds_guard_rails():
 
 
 def test_alon_boppana():
-    assert alon_boppana(2) == pytest.approx(2.0)
-    assert alon_boppana(3) == pytest.approx(2.0 * math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        alon_boppana(1)
+    # the Ramanujan threshold is the Alon-Boppana bound 2 sqrt(d-1), d >= 2
+    assert ramanujan_verdict(0.0, 2).threshold == pytest.approx(2.0)
+    assert ramanujan_verdict(0.0, 3).threshold == pytest.approx(2.0 * math.sqrt(2.0))
+    with pytest.raises(ValueError, match="degree"):
+        ramanujan_verdict(0.0, 1)
 
 
 def test_non_ramanujan_k0_preconditions():
@@ -252,8 +259,8 @@ def test_product_bound_reports_assembly():
     # Petersen: (n, d, theta, lmin), whose ratio bound -n lmin/(d - lmin) = 4 is theta
     s = eigenvalues(petersen())
     ps = power_spectrum(s, 2)
-    reports = product_bound_reports([(10, 3, 4.0, -2.0)] * 2,
-                                    ps.second_largest(), ps.smallest())
+    reports = FactorProducts.of([(10, 3, 4.0, -2.0)] * 2).reports(
+        ps.second_largest(), ps.smallest())
     assert [r.name for r in reports] == [
         "eig2-product-lower", "eigmin-product-upper",
         "eig2-product-lower-lmin", "eigmin-product-upper-lmin"]
@@ -262,7 +269,7 @@ def test_product_bound_reports_assembly():
     # one that is not disables only the lmin-form upper bound
     for below, tight in [(5e-7, True), (2e-6, False)]:
         factors = [(10, 3, 4.0 - below, -2.0), (10, 3, 4.0, -2.0)]
-        got = product_bound_reports(factors, ps.second_largest(), ps.smallest())
+        got = FactorProducts.of(factors).reports(ps.second_largest(), ps.smallest())
         assert [r.applicable for r in got] == [True, True, True, tight]
         assert got[3].reason == (None if tight else
                                  "factors not all edge-transitive or SRG")
@@ -289,7 +296,7 @@ def test_variant_closed_forms_are_base_form_calls():
         lmin = s.smallest()
         theta_hat = theta_upper_regular(n, d, lmin)
         for k in range(1, 5):
-            nk, dk = n ** k, product_degree([d] * k)
+            nk, dk = n ** k, (d + 1) ** k - 1
             l2k, lmink, _ = power_extremes(s, k)
             cb = theta_bounds_complement(nk, dk, l2k, lmink)
             assert cb.lower == pytest.approx(1.0 - dk / lmink, rel=rel)

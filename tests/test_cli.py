@@ -9,7 +9,7 @@ import time
 import pytest
 
 from thetakit import bounds, catalog, cli, graphs
-from thetakit.bounds import BoundReport, make_report, product_bound_reports
+from thetakit.bounds import BoundReport, FactorProducts, make_report
 from thetakit.graphs import cycle, petersen
 from thetakit.io import write_edge_list, write_graph6
 from thetakit.products import power_extremes, strong_product
@@ -168,8 +168,8 @@ def test_power_table_with_materialize(capsys):
 
 
 def test_power_on_a_perfect_matching(capsys):
-    # row 1 has degree 1, below the Ramanujan threshold's d >= 2: it omits
-    # those fields, and the table prints "-"; rows 2 and 3 keep them
+    # a perfect matching and its powers are disconnected: no row carries
+    # the Ramanujan fields, and the table prints "-"
     argv = ["power", "--gen", "random_regular:6:1:0", "-k", "3"]
     rc, out, _ = run([*argv, "--json"], capsys)
     assert rc == 0
@@ -178,12 +178,45 @@ def test_power_on_a_perfect_matching(capsys):
     rows = doc["rows"]
     assert [r["degree"] for r in rows] == [1, 3, 7]
     ramanujan = {"alon_boppana", "is_ramanujan", "lambda_nontrivial"}
-    assert not ramanujan & rows[0].keys()
-    assert rows[0].keys() | ramanujan == rows[1].keys() == rows[2].keys()
+    assert not ramanujan & (rows[0].keys() | rows[1].keys() | rows[2].keys())
     assert {"eig2_lower", "eigmin_upper"} <= rows[0].keys()
     rc, out, _ = run(argv, capsys)
     first = out.splitlines()[2].split()
     assert rc == 0 and first[0] == "1" and first[-2:] == ["-", "-"]
+
+
+def test_disconnected_factor_gets_no_ramanujan_statement(tmp_path, capsys):
+    # C5 + C5 is 2-regular and its spectrum passes the threshold, but a
+    # verdict is defined only for connected graphs, and G^k is connected
+    # exactly when G is
+    path = tmp_path / "c5c5.g6"
+    write_graph6(graphs.disjoint_union(cycle(5), cycle(5)), path)
+    rc, out, _ = run(["power", "--g6", str(path), "-k", "3", "--json"], capsys)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 3
+    ramanujan = {"alon_boppana", "is_ramanujan", "lambda_nontrivial"}
+    assert all(not ramanujan & r.keys() for r in rows)
+    rc, out, _ = run(["analyze", "--g6", str(path), "--tasks", "ramanujan,k0",
+                      "--json"], capsys)
+    assert rc == 0
+    gone = {"applicable": False, "reason": "graph is disconnected"}
+    assert json.loads(out)["tasks"] == {"ramanujan": gone, "k0": gone}
+
+
+@pytest.mark.parametrize("copies, r", [(3, 2), (2, 3), (3, 4)],
+                         ids=["3K2", "2K3", "3K4"])
+def test_tight_product_bounds_at_large_k_hold(copies, r, tmp_path, capsys):
+    # for m K_r the eig2 bound equals lambda2 = r^k - 1 exactly, and rounding
+    # puts it above lambda2 once the values pass about 1e11 (3K2 from k = 37,
+    # 2K3 from k = 18; 3K4's lmin form from k = 14)
+    path = tmp_path / "mkr.edges"
+    write_edge_list(graphs.disjoint_union(*[graphs.complete(r)] * copies), path)
+    rc, out, err = run(["power", "--edges", str(path), "-k", "60", "--json"], capsys)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["violations"] == [] and len(doc["rows"]) == 60
+    assert doc["rows"][-1]["eig2_lower"] == pytest.approx(doc["rows"][-1]["lambda2"])
 
 
 def test_materialize_stops_at_the_eigensolve_budget(capsys):
@@ -251,7 +284,7 @@ def test_power_rows_carry_the_factor_products_bit_for_bit(spec, k, capsys,
     factor = (g.n, g.degree(), float(theta_best(g).value), s.smallest())
     for j in range(1, k + 1):
         l2, lmin, _ = power_extremes(s, j)
-        assert seen[4 * (j - 1):4 * j] == product_bound_reports([factor] * j, l2, lmin)
+        assert seen[4 * (j - 1):4 * j] == FactorProducts.of([factor] * j).reports(l2, lmin)
     tight = seen[-1].applicable
     assert tight is (spec != "random_regular:24:4:1")
 
@@ -367,6 +400,11 @@ NOT_APPLICABLE = [
     ("path:70", "capacity", {"status": "unknown-theta"}),
     ("random_regular:70:3:1", "product-bounds",
      {"applicable": False, "reason": "theta not determined for factor"}),
+    # three disjoint edges: degree 1, and the powers are disconnected
+    ("random_regular:6:1:0", "ramanujan", {"applicable": False,
+                                           "reason": "degree < 2"}),
+    ("random_regular:6:1:0", "k0", {"applicable": False,
+                                    "reason": "graph is disconnected"}),
 ]
 
 

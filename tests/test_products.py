@@ -22,7 +22,6 @@ from thetakit.graphs import (
 from thetakit.products import (
     power_extremes,
     power_spectrum,
-    product_degree,
     product_spectrum,
     strong_power,
     strong_product,
@@ -93,8 +92,7 @@ def test_strong_power_matches_iterated_pairwise_product():
 
 
 def test_order_and_degree_helpers():
-    assert product_degree([2, 2, 2]) == 26
-    assert strong_power(cycle(5), 3).degree() == product_degree([2, 2, 2])
+    assert strong_power(cycle(5), 3).degree() == 26
 
 
 def test_product_spectrum_matches_dense():

@@ -25,11 +25,9 @@ from thetakit.spectra import (
     eigensolve_bytes,
     eigenvalues,
     group_values,
-    is_ramanujan,
     jacobi_eigenvalues,
     lambda_nontrivial,
     ramanujan_verdict,
-    ramanujan_verdict_from_values,
     spectrum_from_groups,
     spectrum_from_values,
 )
@@ -156,20 +154,23 @@ def test_lambda_min_and_nontrivial():
         lambda_nontrivial(spectrum_from_values([2.0, -2.0]), 2)
 
 
+def _verdict(g):
+    d = g.degree()
+    return ramanujan_verdict(lambda_nontrivial(eigenvalues(g), d), d)
+
+
 def test_ramanujan_verdicts():
-    assert is_ramanujan(petersen())          # lam = 2 <= 2 sqrt 2
-    assert is_ramanujan(cycle(7))            # cycles always pass: |lam| <= 2
-    assert is_ramanujan(paley(13))
-    v = ramanujan_verdict_from_values(eigenvalues(petersen()), 3)
-    assert v.threshold == pytest.approx(2.0 * math.sqrt(2.0))
+    assert _verdict(petersen()).is_ramanujan     # lam = 2 <= 2 sqrt 2
+    assert _verdict(cycle(7)).is_ramanujan       # cycles always pass: |lam| <= 2
+    assert _verdict(paley(13)).is_ramanujan
+    v = _verdict(petersen())
+    assert v.lam == pytest.approx(2.0)
     assert v.margin == pytest.approx(v.threshold - 2.0)
-    with pytest.raises(ValueError):
-        ramanujan_verdict_from_values([1.0, 0.0, -1.0], 1)
+    assert v.threshold == pytest.approx(2.0 * math.sqrt(2.0))
     # one threshold, 2 sqrt(d-1) + 1e-9, for spectra and for bare values
     assert ramanujan_verdict(v.lam, 3) == v
-    assert ramanujan_verdict(2.0 + 1e-10, 2) and not ramanujan_verdict(2.0 + 1e-8, 2)
-    with pytest.raises(ValueError, match="degree"):
-        ramanujan_verdict(0.0, 1)
+    assert ramanujan_verdict(2.0 + 1e-10, 2).is_ramanujan
+    assert not ramanujan_verdict(2.0 + 1e-8, 2).is_ramanujan
 
 
 def test_spectrum_iter_and_expanded_order():
