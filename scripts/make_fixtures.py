@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -140,6 +141,141 @@ def chang(which: int) -> Graph:
 
 
 # ---------------------------------------------------------------------
+# Permutation groups, small enough to list: a permutation is the tuple
+# of its images, and _mul(g, h) is g after h.
+# ---------------------------------------------------------------------
+
+
+def _mul(g, h):
+    """g after h: x -> g[h[x]]."""
+    return tuple(g[x] for x in h)
+
+
+def _orbit(seeds, gens, act, limit=None):
+    """The set of everything reached from seeds by act(g, x) for the
+    generators g, breadth first; None once it holds more than limit."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if limit is not None and len(seen) > limit:
+                        return None
+        frontier = nxt
+    return seen
+
+
+def _group(gens, limit=None):
+    """The elements of the group that the permutations gens generate."""
+    return _orbit([tuple(range(len(gens[0])))], gens,
+                  lambda h, g: _mul(g, h), limit)
+
+
+def _orbits(n, gens):
+    """The orbits of gens on the points 0..n-1, in order of their least
+    point."""
+    orbits = []
+    for s in range(n):
+        if not any(s in o for o in orbits):
+            orbits.append(_orbit([s], gens, lambda g, x: g[x]))
+    return orbits
+
+
+def _edge(u, v):
+    return (min(u, v), max(u, v))
+
+
+def _orbital(pairs, gens):
+    """The orbit of the given vertex pairs under gens, as an edge set."""
+    return _orbit({_edge(u, v) for u, v in pairs}, gens,
+                  lambda g, e: _edge(g[e[0]], g[e[1]]))
+
+
+def _perm_order(g):
+    n = len(g)
+    seen = [False] * n
+    order = 1
+    for s in range(n):
+        if seen[s]:
+            continue
+        ln = 0
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = g[x]
+            ln += 1
+        order = math.lcm(order, ln)
+    return order
+
+
+def _find_23_subgroup(elems, k, order):
+    """A subgroup of the given order, generated by an order-2 element a
+    and an order-3 element b whose product ab has order k: the first such
+    pair in the sorted elements. Sorted."""
+    twos = [g for g in elems if _perm_order(g) == 2]
+    threes = [g for g in elems if _perm_order(g) == 3]
+    for a in twos:
+        for b in threes:
+            if _perm_order(_mul(a, b)) != k:
+                continue
+            sub = _group((a, b), order)
+            if sub is not None and len(sub) == order:
+                return sorted(sub)
+    raise RuntimeError(f"no (2,3,{k}) subgroup of order {order} found")
+
+
+def _cosets(elems, sub):
+    """The left cosets g*sub of a subgroup of the sorted elements, numbered
+    in order of their least element: that least element of each coset,
+    and the coset number of every element."""
+    reps, coset_of = [], {}
+    for g in elems:
+        if g not in coset_of:
+            for h in sub:
+                coset_of[_mul(g, h)] = len(reps)
+            reps.append(g)
+    return reps, coset_of
+
+
+def _on_cosets(perms, reps, coset_of):
+    """Each permutation h as its left action g*sub -> h*g*sub on the
+    cosets."""
+    return [tuple(coset_of[_mul(h, g)] for g in reps) for h in perms]
+
+
+# ---------------------------------------------------------------------
+# Projective planes PG(2,q) over a field given by its multiplication
+# table; a point is its first nonzero vector in lexicographic order.
+# ---------------------------------------------------------------------
+
+
+def _projective_points(mul):
+    q = len(mul)
+    pts = []
+    seen = set()
+    for v in itertools.product(range(q), repeat=3):
+        if v == (0, 0, 0) or v in seen:
+            continue
+        pts.append(v)
+        for c in range(1, q):
+            seen.add(tuple(mul[c][x] for x in v))
+    assert len(pts) == q * q + q + 1
+    return pts
+
+
+def _projective_index(pts, mul):
+    """Every nonzero multiple of a point's vector, mapped to the point's
+    index in pts."""
+    return {tuple(mul[c][x] for x in p): i
+            for i, p in enumerate(pts) for c in range(1, len(mul))}
+
+
+# ---------------------------------------------------------------------
 # PG(2,4), its hyperoval orbits, and the Steiner system S(3,6,22):
 # the ingredients for the Mesner/M22, Sims-Gewirtz, and Cameron graphs.
 # ---------------------------------------------------------------------
@@ -152,23 +288,10 @@ def _f4_add(x, y):
     return x ^ y
 
 
-def _pg24_points():
-    pts = []
-    seen = set()
-    for v in itertools.product(range(4), repeat=3):
-        if v == (0, 0, 0) or v in seen:
-            continue
-        pts.append(v)
-        for c in (1, 2, 3):
-            seen.add(tuple(_F4_MUL[c][x] for x in v))
-    assert len(pts) == 21
-    return pts
-
-
 def _pg24_lines(pts):
     # lines = kernels of nonzero linear forms, up to scalar
     lines = set()
-    for form in _pg24_points():
+    for form in _projective_points(_F4_MUL):
         on = frozenset(
             i for i, p in enumerate(pts)
             if _f4_add(_f4_add(_F4_MUL[form[0]][p[0]], _F4_MUL[form[1]][p[1]]),
@@ -200,10 +323,7 @@ def _hyperovals(pts, lines):
 
 def _psl34_generators(pts):
     """Permutations of the 21 points from determinant-1 matrices."""
-    idx = {}
-    for i, p in enumerate(pts):
-        for c in (1, 2, 3):
-            idx[tuple(_F4_MUL[c][x] for x in p)] = i
+    idx = _projective_index(pts, _F4_MUL)
     mats = [
         [[1, 1, 0], [0, 1, 0], [0, 0, 1]],   # transvection by 1
         [[1, 2, 0], [0, 1, 0], [0, 0, 1]],   # transvection by w
@@ -224,28 +344,14 @@ def _psl34_generators(pts):
 def _hyperoval_orbit(ovals, perms):
     """Orbit of the first hyperoval under the generated group; must have
     size 56 (the three orbits of the determinant-1 group each have 56)."""
-    oval_idx = {o: i for i, o in enumerate(ovals)}
-    start = 0
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for oi in frontier:
-            for perm in perms:
-                img = frozenset(perm[x] for x in ovals[oi])
-                j = oval_idx[img]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    orbit = sorted(seen)
-    assert len(orbit) == 56, len(orbit)
-    return [ovals[i] for i in orbit]
+    orbit = _orbit([ovals[0]], perms, lambda p, o: frozenset(p[x] for x in o))
+    assert len(orbit) == 56 and orbit <= set(ovals), len(orbit)
+    return [o for o in ovals if o in orbit]
 
 
 def steiner_3_6_22():
     """Blocks of S(3,6,22) on points 0..21 (21 = the extension point)."""
-    pts = _pg24_points()
+    pts = _projective_points(_F4_MUL)
     lines = _pg24_lines(pts)
     ovals = _hyperovals(pts, lines)
     perms = _psl34_generators(pts)
@@ -261,24 +367,25 @@ def steiner_3_6_22():
     return blocks
 
 
-def m22_graph(blocks=None) -> Graph:
-    blocks = blocks or steiner_3_6_22()
-    a = np.zeros((77, 77), dtype=bool)
-    for i, j in itertools.combinations(range(77), 2):
-        if not (blocks[i] & blocks[j]):
+def _disjointness(sets) -> Graph:
+    """The sets, joined when they are disjoint."""
+    n = len(sets)
+    a = np.zeros((n, n), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        if not (sets[i] & sets[j]):
             a[i, j] = a[j, i] = True
     return Graph(a)
+
+
+def m22_graph(blocks=None) -> Graph:
+    return _disjointness(blocks or steiner_3_6_22())
 
 
 def gewirtz(blocks=None) -> Graph:
     blocks = blocks or steiner_3_6_22()
     ovals = [b for b in blocks if 21 not in b]
     assert len(ovals) == 56
-    a = np.zeros((56, 56), dtype=bool)
-    for i, j in itertools.combinations(range(56), 2):
-        if not (ovals[i] & ovals[j]):
-            a[i, j] = a[j, i] = True
-    return Graph(a)
+    return _disjointness(ovals)
 
 
 def cameron(blocks=None) -> Graph:
@@ -324,156 +431,35 @@ def _psl_2_19_perms():
     g1 = tuple(shift(x) for x in range(p + 1))
     g2 = tuple(flip(x) for x in range(p + 1))
     gens = (g1, g2)
-    ident = tuple(range(p + 1))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                c = tuple(g[h[x]] for x in range(p + 1))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    elems = sorted(seen)
+    elems = sorted(_group(gens))
     assert len(elems) == 3420
     return elems, gens
 
 
-def _perm_order(g):
-    n = len(g)
-    seen = [False] * n
-    order = 1
-    for s in range(n):
-        if seen[s]:
-            continue
-        ln = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = g[x]
-            ln += 1
-        order = order * ln // _gcd(order, ln)
-    return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _closure(gens, limit):
-    ident = tuple(range(len(gens[0])))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                c = tuple(g[h[x]] for x in range(len(h)))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    if len(seen) > limit:
-                        return None
-        frontier = nxt
-    return seen
-
-
-def _find_icosahedral(elems):
-    """A subgroup of order 60: generated by an order-2 and an order-3
-    element whose product has order 5."""
-    twos = [g for g in elems if _perm_order(g) == 2]
-    threes = [g for g in elems if _perm_order(g) == 3]
-    for a in twos[:40]:
-        for b in threes:
-            c = tuple(a[b[x]] for x in range(len(b)))
-            if _perm_order(c) != 5:
-                continue
-            sub = _closure((a, b), 60)
-            if sub is not None and len(sub) == 60:
-                return sub
-    raise RuntimeError("no icosahedral subgroup found")
+def perkel_action():
+    """PSL(2,19) acting on the 57 cosets of an icosahedral subgroup, which
+    are the Perkel graph's vertices: its two generators and the subgroup's
+    60 elements as permutations of the cosets, and the number of the
+    subgroup's own coset. The generators are automorphisms of the graph
+    and generate a group transitive on its vertices."""
+    elems, gens = _psl_2_19_perms()
+    sub = _find_23_subgroup(elems, 5, 60)
+    reps, coset_of = _cosets(elems, sub)
+    assert len(reps) == 57
+    return (_on_cosets(gens, reps, coset_of), _on_cosets(sub, reps, coset_of),
+            coset_of[tuple(range(20))])
 
 
 def perkel() -> Graph:
-    elems, gens = _psl_2_19_perms()
-    sub = _find_icosahedral(elems)
-    elem_idx = {g: i for i, g in enumerate(elems)}
-    n = len(elems[0])
-
-    # cosets g*sub, keyed by their sorted element-index tuple
-    def coset_key(g):
-        return min(elem_idx[tuple(g[h[x]] for x in range(n))] for h in sub)
-
-    key_of = {}
-    for g in elems:
-        key_of[elem_idx[g]] = coset_key(g)
-    coset_ids = sorted(set(key_of.values()))
-    assert len(coset_ids) == 57
-    cid = {k: i for i, k in enumerate(coset_ids)}
-
-    # left action of the generators on cosets
-    gen_action = []
-    for h in gens:
-        act = [0] * 57
-        for k in coset_ids:
-            g = elems[k]
-            img = tuple(h[g[x]] for x in range(n))
-            act[cid[k]] = cid[key_of[elem_idx[img]]]
-        gen_action.append(act)
+    gen_action, sub_action, home = perkel_action()
 
     # suborbits of the identity-coset stabilizer = orbits of sub on cosets
-    home = cid[key_of[elem_idx[tuple(range(n))]]]
-    sub_action = []
-    for h in sub:
-        act = [0] * 57
-        for k in coset_ids:
-            g = elems[k]
-            img = tuple(h[g[x]] for x in range(n))
-            act[cid[k]] = cid[key_of[elem_idx[img]]]
-        sub_action.append(act)
-    orbit_of = [-1] * 57
-    for s in range(57):
-        if orbit_of[s] >= 0:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for act in sub_action:
-                    y = act[x]
-                    if y not in comp:
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for x in comp:
-            orbit_of[x] = s
-    sizes = {}
-    for s in range(57):
-        sizes[orbit_of[s]] = sizes.get(orbit_of[s], 0) + 1
-    six = [root for root, size in sizes.items() if size == 6]
-    assert len(six) == 1, sizes
-    seed_orbit = {x for x in range(57) if orbit_of[x] == six[0]}
+    suborbits = _orbits(57, sub_action)
+    six = [o for o in suborbits if len(o) == 6]
+    assert len(six) == 1, [len(o) for o in suborbits]
 
     # orbital graph: edge orbit of {home, x} for x in the valency-6 suborbit
-    edges = set()
-    frontier = [(home, x) for x in seed_orbit]
-    for u, v in frontier:
-        edges.add((min(u, v), max(u, v)))
-    work = list(edges)
-    while work:
-        nxt = []
-        for u, v in work:
-            for act in gen_action:
-                e = (min(act[u], act[v]), max(act[u], act[v]))
-                if e not in edges:
-                    edges.add(e)
-                    nxt.append(e)
-        work = nxt
+    edges = _orbital([(home, x) for x in six[0]], gen_action)
     return Graph.from_edge_list(57, sorted(edges))
 
 
@@ -511,17 +497,6 @@ def _f9_dot_hermitian(u, v):
     for k in range(3):
         s = _F9_ADD[s][_F9_MUL[_F9_CONJ[u[k]]][v[2 - k]]]
     return s
-
-
-def _mat_mul(m1, m2):
-    out = [[0] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(3):
-            s = 0
-            for k in range(3):
-                s = _F9_ADD[s][_F9_MUL[m1[r][k]][m2[k][c]]]
-            out[r][c] = s
-    return tuple(tuple(row) for row in out)
 
 
 def _mat_vec(m, v):
@@ -580,232 +555,82 @@ def _su33_generators():
     return gens
 
 
-def _projective_points():
-    pts = []
-    seen = set()
-    for v in itertools.product(range(9), repeat=3):
-        if v == (0, 0, 0) or v in seen:
-            continue
-        pts.append(v)
-        for c in range(1, 9):
-            seen.add(tuple(_F9_MUL[c][x] for x in v))
-    assert len(pts) == 91
-    return pts
-
-
 def _su33_on_nonisotropic():
     """The 6048-element group as permutations of the 63 nonisotropic
     points, returned with its generators (in the same encoding)."""
-    pts = _projective_points()
+    pts = _projective_points(_F9_MUL)
     noniso = [p for p in pts if _f9_dot_hermitian(p, p) != 0]
     assert len(noniso) == 63
-    canon = {}
-    for i, p in enumerate(noniso):
-        for c in range(1, 9):
-            canon[tuple(_F9_MUL[c][x] for x in p)] = i
+    canon = _projective_index(noniso, _F9_MUL)
 
     def to_perm(m):
         return tuple(canon[_mat_vec(m, p)] for p in noniso)
 
-    gen_perms = []
-    seen_g = set()
-    for m in _su33_generators():
-        pm = to_perm(m)
-        if pm not in seen_g:
-            seen_g.add(pm)
-            gen_perms.append(pm)
-    ident = tuple(range(63))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gen_perms:
-                c = tuple(g[h[x]] for x in range(63))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    assert len(seen) == 6048, len(seen)
-    return sorted(seen), gen_perms
+    gen_perms = list(dict.fromkeys(to_perm(m) for m in _su33_generators()))
+    elems = _group(gen_perms)
+    assert len(elems) == 6048, len(elems)
+    return sorted(elems), gen_perms
 
 
-def _find_l27(elems):
-    """A PSL(2,7) subgroup of order 168: a (2,3)-generated subgroup with
-    product of order 7 that closes at 168 elements."""
-    twos = [g for g in elems if _perm_order(g) == 2]
-    threes = [g for g in elems if _perm_order(g) == 3]
-    for a in twos[:60]:
-        for b in threes:
-            c = tuple(a[b[x]] for x in range(63))
-            if _perm_order(c) != 7:
-                continue
-            sub = _closure((a, b), 168)
-            if sub is not None and len(sub) == 168:
-                return sorted(sub)
-    raise RuntimeError("no PSL(2,7) subgroup found")
+def _unions(orbits, size):
+    """Every union of some of the orbits with size points, in the order of
+    itertools.combinations over increasing numbers of orbits."""
+    return [set().union(*combo) for r in range(1, len(orbits) + 1)
+            for combo in itertools.combinations(orbits, r)
+            if sum(len(o) for o in combo) == size]
+
+
+def _regular_orbitals(seeds, gens, n, d):
+    """The distinct d-regular graphs on n vertices among the orbitals of
+    the seed pair lists under gens, as edge sets."""
+    out = []
+    for pairs in seeds:
+        edges = _orbital(pairs, gens)
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        if set(deg) == {d} and edges not in out:
+            out.append(edges)
+    return out
 
 
 def hall_janko() -> Graph:
     elems, gens = _su33_on_nonisotropic()
-    sub = _find_l27(elems)
-    elem_idx = {g: i for i, g in enumerate(elems)}
+    sub = _find_23_subgroup(elems, 7, 168)   # PSL(2,7)
 
     # 36 cosets g*sub
-    def coset_key(g):
-        return min(elem_idx[tuple(g[h[x]] for x in range(63))] for h in sub)
-
-    key_of = [0] * len(elems)
-    for g in elems:
-        key_of[elem_idx[g]] = coset_key(g)
-    coset_ids = sorted(set(key_of))
-    assert len(coset_ids) == 36, len(coset_ids)
-    cid = {k: i for i, k in enumerate(coset_ids)}
-
-    def act_on_cosets(h):
-        out = [0] * 36
-        for k in coset_ids:
-            g = elems[k]
-            img = tuple(h[g[x]] for x in range(63))
-            out[cid[k]] = cid[key_of[elem_idx[img]]]
-        return out
-
-    gen_coset = [act_on_cosets(h) for h in gens]
-    sub_coset = [act_on_cosets(h) for h in sub]
+    reps, coset_of = _cosets(elems, sub)
+    assert len(reps) == 36, len(reps)
+    gen_coset = _on_cosets(gens, reps, coset_of)
+    sub_coset = _on_cosets(sub, reps, coset_of)
 
     # orbits of sub on the 36 cosets: expect sizes 1 + 14 + 21
-    orbit_root = [-1] * 36
-    for s in range(36):
-        if orbit_root[s] >= 0:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for act in sub_coset:
-                    y = act[x]
-                    if y not in comp:
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for x in comp:
-            orbit_root[x] = s
-    home = cid[key_of[elem_idx[tuple(range(63))]]]
-    suborbits = {}
-    for x in range(36):
-        suborbits.setdefault(orbit_root[x], set()).add(x)
-    nontrivial = [o for o in suborbits.values() if home not in o]
+    home = coset_of[tuple(range(63))]
+    suborbits = _orbits(36, sub_coset)
+    nontrivial = [o for o in suborbits if home not in o]
     # the 14-valent orbit union: one size-14 suborbit, or two of size 7
     # when the coset action has rank 4
-    a_seeds = []
-    for r in range(1, len(nontrivial) + 1):
-        for combo in itertools.combinations(nontrivial, r):
-            if sum(len(o) for o in combo) == 14:
-                seed = set()
-                for o in combo:
-                    seed |= o
-                a_seeds.append(seed)
-    assert a_seeds, sorted(len(o) for o in suborbits.values())
+    a_seeds = _unions(nontrivial, 14)
+    assert a_seeds, sorted(len(o) for o in suborbits)
 
     # A-graph on the 36 cosets: orbit closure of {home} x orb14
-    def orbital_edges(seed_pairs, actions, n):
-        edges = set()
-        work = []
-        for u, v in seed_pairs:
-            e = (min(u, v), max(u, v))
-            if e not in edges:
-                edges.add(e)
-                work.append(e)
-        while work:
-            nxt = []
-            for u, v in work:
-                for act in actions:
-                    e = (min(act[u], act[v]), max(act[u], act[v]))
-                    if e not in edges:
-                        edges.add(e)
-                        nxt.append(e)
-            work = nxt
-        return edges
-
-    a_cands = []
-    for seed in a_seeds:
-        edges = orbital_edges([(home, x) for x in seed], gen_coset, 36)
-        deg = [0] * 36
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if set(deg) == {14} and edges not in a_cands:
-            a_cands.append(edges)
+    a_cands = _regular_orbitals([[(home, x) for x in seed] for seed in a_seeds],
+                                gen_coset, 36, 14)
     assert a_cands
 
     # orbits of sub on the 63 points; the union of size 21 links a coset
     # to its B-side neighbors
-    pt_orbits = {}
-    root = [-1] * 63
-    for s in range(63):
-        if root[s] >= 0:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in sub:
-                    y = h[x]
-                    if y not in comp:
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for x in comp:
-            root[x] = s
-    for x in range(63):
-        pt_orbits.setdefault(root[x], set()).add(x)
-    pt_sizes = sorted(len(o) for o in pt_orbits.values())
-
-    ab_candidates = []
-    orbs = list(pt_orbits.values())
-    for r in range(1, len(orbs) + 1):
-        for combo in itertools.combinations(orbs, r):
-            if sum(len(o) for o in combo) == 21:
-                union = set()
-                for o in combo:
-                    union |= o
-                ab_candidates.append(union)
-    assert ab_candidates, pt_sizes
+    pt_orbits = _orbits(63, sub)
+    ab_candidates = _unions(pt_orbits, 21)
+    assert ab_candidates, sorted(len(o) for o in pt_orbits)
 
     # orbits of the point stabilizer of point 0 on the 63 points, for the
     # B-graph: unions with valency 24
     stab0 = [g for g in elems if g[0] == 0]
     assert len(stab0) == 96
-    rootp = [-1] * 63
-    for s in range(63):
-        if rootp[s] >= 0:
-            continue
-        comp = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in stab0:
-                    y = h[x]
-                    if y not in comp:
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        for x in comp:
-            rootp[x] = s
-    stab_orbits = [o for o in
-                   ({x for x in range(63) if rootp[x] == r}
-                    for r in sorted(set(rootp))) if 0 not in o]
-    bb_candidates = []
-    for r in range(1, len(stab_orbits) + 1):
-        for combo in itertools.combinations(stab_orbits, r):
-            if sum(len(o) for o in combo) == 24:
-                seed = set()
-                for o in combo:
-                    seed |= o
-                bb_candidates.append(seed)
+    stab_orbits = [o for o in _orbits(63, stab0) if 0 not in o]
+    bb_candidates = _unions(stab_orbits, 24)
     assert bb_candidates
 
     # assemble candidates; keep the one that certifies as SRG(100,36,14,12)
@@ -813,9 +638,7 @@ def hall_janko() -> Graph:
     for ab_set in ab_candidates:
         # A-B edges: coset with representative g joins points g(ab_set)
         ab_edges = set()
-        for k in coset_ids:
-            g = elems[k]
-            ci = cid[k]
+        for ci, g in enumerate(reps):
             for p in ab_set:
                 ab_edges.add((ci, g[p]))
         # each coset must reach exactly 21 points, each point 12 cosets
@@ -826,15 +649,8 @@ def hall_janko() -> Graph:
             from_p[p] = from_p.get(p, 0) + 1
         if set(from_c.values()) == {21} and set(from_p.values()) == {12}:
             ab_sets.append(ab_edges)
-    bb_sets = []
-    for bb_seed in bb_candidates:
-        bb_edges = orbital_edges([(0, x) for x in bb_seed], gens, 63)
-        deg = [0] * 63
-        for u, v in bb_edges:
-            deg[u] += 1
-            deg[v] += 1
-        if set(deg) == {24} and bb_edges not in bb_sets:
-            bb_sets.append(bb_edges)
+    bb_sets = _regular_orbitals([[(0, x) for x in seed] for seed in bb_candidates],
+                                gens, 63, 24)
     for a_edges in a_cands:
         for ab_edges in ab_sets:
             for bb_edges in bb_sets:

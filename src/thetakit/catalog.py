@@ -93,10 +93,15 @@ def load_fixture(name: str) -> Graph:
     entry = _fixture_entry(name)
     if entry is None:
         raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
+    return _fixture_graph(entry)
+
+
+def _fixture_graph(entry: dict) -> Graph:
     ref = resources.files("thetakit") / "fixtures" / entry["file"]
     g = from_graph6(ref.read_text().strip())
     flags = entry.get("flags", {})
-    return g.with_meta(name=name, vertex_transitive=flags.get("vertex_transitive"))
+    return g.with_meta(name=entry["name"],
+                       vertex_transitive=flags.get("vertex_transitive"))
 
 
 def load(spec: str) -> Graph:
@@ -111,8 +116,9 @@ def load(spec: str) -> Graph:
             raise ValueError(f"bad arguments for generator {name!r}: {exc}") from exc
     if args:
         raise ValueError(f"unknown generator {name!r}")
-    if _fixture_entry(name) is not None:
-        return load_fixture(name)
+    entry = _fixture_entry(name)
+    if entry is not None:
+        return _fixture_graph(entry)
     raise ValueError(
         f"unknown graph {name!r}; generators: {generator_names()}, "
         f"fixtures: {fixture_names()}")

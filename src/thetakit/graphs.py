@@ -134,9 +134,9 @@ class Graph:
     adjacency, (A_1+I) kron ... kron (A_k+I) - I, the first time `adj` is
     read; its degrees come from the factors' in O(n) memory. Any other
     graph has no factors. Each instance keeps a private memo of its derived
-    invariants (degrees, spectrum, strong-regularity parameters, theta, an
-    exact independence number), filled by the functions that compute them;
-    a new graph starts with an empty one.
+    invariants (degrees, connectivity, spectrum, strong-regularity
+    parameters, theta, an exact independence number), filled by the
+    functions that compute them; a new graph starts with an empty one.
     """
 
     __slots__ = ("n", "factors", "meta", "_adj", "_memo")
@@ -257,6 +257,9 @@ class Graph:
         return np.nonzero(self.adj[u])[0]
 
     def is_connected(self) -> bool:
+        return self._cached(("connected",), self._is_connected)
+
+    def _is_connected(self) -> bool:
         if self.n == 0:
             return True
         seen = np.zeros(self.n, dtype=bool)

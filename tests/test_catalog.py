@@ -4,6 +4,7 @@ values shipped in the manifest."""
 import networkx as nx
 import pytest
 
+from thetakit import catalog
 from thetakit.catalog import (
     PARAM_ENTRIES,
     entries,
@@ -54,6 +55,22 @@ def test_bad_specs():
         load("cycle:3:4")
     with pytest.raises(KeyError):
         load_fixture("nope")
+
+
+def test_fixture_load_reads_the_manifest_once(monkeypatch):
+    reads = []
+    manifest = catalog._manifest
+
+    def spy():
+        reads.append(1)
+        return manifest()
+
+    monkeypatch.setattr(catalog, "_manifest", spy)
+    g = load("perkel")
+    assert len(reads) == 1
+    assert g.n == 57 and g.meta.name == "perkel" and g.meta.vertex_transitive
+    assert load_fixture("chang1").meta.vertex_transitive is None
+    assert len(reads) == 2
 
 
 def test_paley13_flags_truthful():

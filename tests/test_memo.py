@@ -1,7 +1,7 @@
-"""Per-graph invariants are computed once: the degrees, the spectrum, the
-strong-regularity parameters, theta and an exact independence number are
-stored on the graph by the functions that compute them, reused by every
-later caller, and never carried over to a derived graph."""
+"""Per-graph invariants are computed once: the degrees, connectivity, the
+spectrum, the strong-regularity parameters, theta and an exact independence
+number are stored on the graph by the functions that compute them, reused
+by every later caller, and never carried over to a derived graph."""
 
 import contextlib
 import io
@@ -67,6 +67,26 @@ def test_analyze_computes_each_graphs_degrees_once(spec, monkeypatch):
     assert run_quiet(["analyze", "--gen", spec, "--json",
                       "--tasks", ",".join(cli.TASKS)]) == cli.EXIT_OK
     assert computed and len(computed) == len(set(computed))
+
+
+@pytest.mark.parametrize("spec", ["petersen", "cycle:7", "random_regular:6:1:0"])
+def test_analyze_searches_connectivity_once(spec, monkeypatch):
+    # the spectrum task reports it, and the ramanujan and k0 tasks ask it
+    # before any Ramanujan statement about a regular graph
+    searched = []
+    search = Graph._is_connected
+
+    def spy(g):
+        searched.append(id(g))
+        return search(g)
+
+    monkeypatch.setattr(Graph, "_is_connected", spy)
+    assert run_quiet(["analyze", "--gen", spec, "--json",
+                      "--tasks", ",".join(cli.TASKS)]) == cli.EXIT_OK
+    assert len(searched) == 1
+    g = petersen()
+    assert g.is_connected() is g.is_connected() is True
+    assert len(searched) == 2
 
 
 @pytest.mark.parametrize("g", [petersen(), strong_product(cycle(5), petersen())],
