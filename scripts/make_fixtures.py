@@ -539,19 +539,14 @@ def _det(m):
 
 
 def _su33_generators():
-    """All upper-unitriangular special unitary matrices plus the
-    scaled antidiagonal flip (determinant fixed to 1)."""
-    gens = []
-    for a in range(9):
-        for b in range(9):
-            for c in range(9):
-                m = ((1, a, b), (0, 1, c), (0, 0, 1))
-                if _is_special_unitary(m):
-                    gens.append(m)
-    # -J: antidiagonal of -1 = 2
-    w = ((0, 0, 2), (0, 2, 0), (2, 0, 0))
-    assert _is_special_unitary(w)
-    gens.append(w)
+    """Three generators of SU(3,3): two upper-unitriangular matrices and
+    the scaled antidiagonal flip -J (no pair drawn from the group's 27
+    unitriangular matrices and -J generates it)."""
+    gens = [((1, 0, 3), (0, 1, 0), (0, 0, 1)),
+            ((1, 1, 1), (0, 1, 2), (0, 0, 1)),
+            ((0, 0, 2), (0, 2, 0), (2, 0, 0))]   # -J: antidiagonal of -1 = 2
+    for m in gens:
+        assert _is_special_unitary(m)
     return gens
 
 
@@ -566,7 +561,7 @@ def _su33_on_nonisotropic():
     def to_perm(m):
         return tuple(canon[_mat_vec(m, p)] for p in noniso)
 
-    gen_perms = list(dict.fromkeys(to_perm(m) for m in _su33_generators()))
+    gen_perms = [to_perm(m) for m in _su33_generators()]
     elems = _group(gen_perms)
     assert len(elems) == 6048, len(elems)
     return sorted(elems), gen_perms

@@ -90,10 +90,10 @@ def eig_inequality_cor0(n: int, d: int, l2: float, lmin: float):
 
 @dataclass(frozen=True)
 class GSequence:
-    """Per-index values eig_l(complement) - d(n-d+eig_l)/(d+(n-1)eig_l)."""
+    """Per-index values eig_l(complement) - d(n-d+eig_l)/(d+(n-1)eig_l),
+    grouped (by spectra.group_values) within relative 1e-5."""
 
     values: tuple
-    tol: float  # relative grouping tolerance, as in spectra.group_values
 
     @property
     def head(self) -> float:
@@ -101,17 +101,17 @@ class GSequence:
 
     def tail_groups(self) -> tuple:
         """Distinct values over indices l >= 2 with multiplicities, descending."""
-        return group_values(sorted(self.values[1:], reverse=True), self.tol)
+        return group_values(sorted(self.values[1:], reverse=True), 1e-5)
 
     def groups(self) -> tuple:
         """Distinct values over the whole sequence with multiplicities."""
-        return group_values(sorted(self.values, reverse=True), self.tol)
+        return group_values(sorted(self.values, reverse=True), 1e-5)
 
     def distinct_count(self) -> int:
         return len(self.groups())
 
 
-def g_sequence(g: Graph, tol: float = 1e-5) -> GSequence:
+def g_sequence(g: Graph) -> GSequence:
     """The sequence g_l = eig_l(complement) - d(n-d+eig_l)/(d+(n-1)eig_l),
     with both spectra sorted descending and paired by index.
 
@@ -134,7 +134,7 @@ def g_sequence(g: Graph, tol: float = 1e-5) -> GSequence:
         lam = float(ev[l])
         denom = d + (n - 1) * lam
         vals.append(float(cev[l]) - d * (n - d + lam) / denom)
-    return GSequence(tuple(vals), tol)
+    return GSequence(tuple(vals))
 
 
 def self_complementary_eig_bounds(n: int):

@@ -32,27 +32,25 @@ class CatalogEntry:
     source: str = ""
 
 
+# name -> (generator, example spec, description); `load` passes ints
 _GENERATORS: dict = {
-    "complete": (lambda n: G.complete(int(n)), "complete:n", "complete graph"),
-    "empty": (lambda n: G.empty(int(n)), "empty:n", "edgeless graph"),
-    "cycle": (lambda n: G.cycle(int(n)), "cycle:n", "cycle graph"),
-    "path": (lambda n: G.path(int(n)), "path:n", "path graph"),
-    "complete_bipartite": (lambda a, b: G.complete_bipartite(int(a), int(b)),
-                           "complete_bipartite:a:b", "complete bipartite graph"),
-    "kneser": (lambda m, r: G.kneser(int(m), int(r)), "kneser:m:r",
+    "complete": (G.complete, "complete:n", "complete graph"),
+    "empty": (G.empty, "empty:n", "edgeless graph"),
+    "cycle": (G.cycle, "cycle:n", "cycle graph"),
+    "path": (G.path, "path:n", "path graph"),
+    "complete_bipartite": (G.complete_bipartite, "complete_bipartite:a:b",
+                           "complete bipartite graph"),
+    "kneser": (G.kneser, "kneser:m:r",
                "disjointness graph on r-subsets of an m-set"),
     "petersen": (G.petersen, "petersen", "Kneser graph on 2-subsets of a 5-set"),
-    "paley": (lambda q: G.paley(int(q)), "paley:q",
+    "paley": (G.paley, "paley:q",
               "quadratic-residue graph on Z_q (prime q = 1 mod 4)"),
     "shrikhande": (G.shrikhande, "shrikhande",
                    "16-vertex Cayley graph on Z4 x Z4"),
-    "hypercube": (lambda k: G.hypercube(int(k)), "hypercube:k",
-                  "k-dimensional hypercube skeleton"),
+    "hypercube": (G.hypercube, "hypercube:k", "k-dimensional hypercube skeleton"),
     "frucht": (G.frucht, "frucht",
                "cubic 12-vertex graph with trivial symmetry group"),
-    "random_regular": (lambda n, d, seed: G.random_regular(int(n), int(d),
-                                                           int(seed)),
-                       "random_regular:n:d:seed",
+    "random_regular": (G.random_regular, "random_regular:n:d:seed",
                        "random d-regular graph from the pairing model, fixed by seed"),
 }
 
@@ -111,7 +109,7 @@ def load(spec: str) -> Graph:
     if name in _GENERATORS:
         fn = _GENERATORS[name][0]
         try:
-            return fn(*args)
+            return fn(*[int(a) for a in args])
         except TypeError as exc:
             raise ValueError(f"bad arguments for generator {name!r}: {exc}") from exc
     if args:

@@ -31,10 +31,8 @@ from .io import read_edge_list, read_graph6
 from .products import power_extremes, power_spectrum, strong_power
 from .spectra import eigensolve_bytes, eigenvalues, ramanujan_verdict
 from .srg import srg_check, srg_params_feasible
-from .theta import theta_bounds_complement, theta_bounds_regular, theta_best, theta_srg
-
-TASKS = ("spectrum", "theta", "srg", "ramanujan", "product-bounds",
-         "chromatic-bounds", "capacity", "k0")
+from .theta import (THETA_TOL, alpha_ceiling, theta_bounds_complement,
+                    theta_bounds_regular, theta_best, theta_srg)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -43,10 +41,6 @@ EXIT_VIOLATION = 2
 
 def _f(x):
     """Round to 12 significant digits for deterministic printing."""
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, int):
-        return x
     return float(f"{float(x):.12g}")
 
 
@@ -208,9 +202,9 @@ def _task_theta(g, args):
                                    b.lower, b.upper, "<="))
         if est.value is not None:
             reports.append(make_report("theta-above-spectral-lower",
-                                       b.lower, float(est.value) + 1e-6, "<="))
+                                       b.lower, float(est.value) + THETA_TOL, "<="))
             reports.append(make_report("theta-below-spectral-upper",
-                                       float(est.value) - 1e-6, b.upper, "<="))
+                                       float(est.value) - THETA_TOL, b.upper, "<="))
     p = srg_check(g)
     if p is not None:
         out["theta_complement"] = theta_srg(p)[1]
@@ -304,11 +298,9 @@ def _task_chromatic_bounds(g, args):
     if p is not None:
         out["chromatic_factor_srg"] = float(theta_srg(p)[1])
     if args.exact_chi:
-        alpha_upper = (math.floor(float(est.value) + 1e-6)
-                       if est.value is not None else None)
         res = chromatic_number(g, args.budget,
                                lower=out.get("chi_lower_from_theta", 0),
-                               alpha_upper=alpha_upper)
+                               alpha_upper=alpha_ceiling(est.value))
         out["chi"] = res.value
         out["chi_interval"] = [res.lower, res.upper]
         out["chi_status"] = res.status
@@ -336,7 +328,7 @@ def _task_capacity(g, args):
     reports = []
     if cert.alpha is not None:
         reports.append(make_report("alpha-at-most-theta", float(cert.alpha),
-                                   float(est.value) + 1e-6, "<="))
+                                   float(est.value) + THETA_TOL, "<="))
     return out, reports
 
 
@@ -375,6 +367,7 @@ _TASK_FNS = {
     "capacity": _task_capacity,
     "k0": _task_k0,
 }
+TASKS = tuple(_TASK_FNS)
 
 
 def _violations(reports):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .graphs import Graph, within_budget
 from .products import strong_power
-from .theta import theta_best
+from .theta import THETA_TOL, alpha_ceiling, theta_best
 
 DEFAULT_BUDGET = 60.0
 
@@ -479,22 +479,21 @@ class CapacityCertificate:
 
 
 def capacity_certificate(g: Graph, theta: float,
-                         budget: float = DEFAULT_BUDGET,
-                         tol: float = 1e-6) -> CapacityCertificate:
+                         budget: float = DEFAULT_BUDGET) -> CapacityCertificate:
     """Sandwich alpha <= capacity <= theta; determined when the two ends
-    agree to tol (then the capacity equals the common value).
+    agree to THETA_TOL (then the capacity equals the common value).
 
     theta must be a genuine upper bound on the independence number (any
     certified theta value is): the alpha search stops, exact, as soon as
-    it finds an independent set of size floor(theta + tol), so a tight
+    it finds an independent set of size `alpha_ceiling(theta)`, so a tight
     bound ends the search at its first such witness. The budget bounds
     only the search below that ceiling.
     """
-    res = independence_number(g, budget, target=math.floor(theta + tol))
+    res = independence_number(g, budget, target=alpha_ceiling(theta))
     if res.status != "exact":
         return CapacityCertificate(float(theta), None, None, "timeout", res)
     alpha = res.value
-    if abs(float(theta) - alpha) < tol:
+    if abs(float(theta) - alpha) < THETA_TOL:
         return CapacityCertificate(float(theta), alpha, float(alpha),
                                    "determined", res)
     return CapacityCertificate(float(theta), alpha, None, "gap", res)
@@ -513,26 +512,23 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     row-major kron of G^(k-1) and G, so vertex i of G^(k-1) and j of G
     make vertex i*n + j, and the product of independent sets is independent.
 
-    When theta(G) is known, floor(theta(G)^j) is the target of the search
-    on G^j: alpha(G^j) <= theta(G^j) = theta(G)^j (Lovasz 1979, Thm 7), so
-    a search stops at a set that large and a timeout ends there.
+    When theta(G) is known, `alpha_ceiling(theta(G), j)` is the target of
+    the search on G^j, so a search stops at a set that large and a timeout
+    ends there.
     """
     start = time.monotonic()
-    est = theta_best(g)
-
-    def target(j):
-        return (None if est.value is None
-                else math.floor(float(est.value) ** j + 1e-6))
-
+    theta = theta_best(g).value
     pk = strong_power(g, k)
     seed = ()
     if k > 1:
-        first = independence_number(g, budget / 4.0, target=target(1)).witness
+        first = independence_number(g, budget / 4.0,
+                                    target=alpha_ceiling(theta)).witness
         rest = first if k == 2 else independence_number(
-            strong_power(g, k - 1), budget / 4.0, target=target(k - 1)).witness
+            strong_power(g, k - 1), budget / 4.0,
+            target=alpha_ceiling(theta, k - 1)).witness
         seed = tuple(i * g.n + j for i in rest for j in first)
     left = max(0.0, budget - (time.monotonic() - start))
-    res = independence_number(pk, left, target=target(k))
+    res = independence_number(pk, left, target=alpha_ceiling(theta, k))
     if res.status == "timeout" and len(seed) > len(res.witness):
         res = replace(res, lower=len(seed), witness=seed)
     return len(res.witness) ** (1.0 / k), res

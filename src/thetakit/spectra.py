@@ -151,14 +151,14 @@ def complement_spectrum(s: Spectrum, n: int, d: int) -> Spectrum:
     return spectrum_from_groups(out)
 
 
-def lambda_nontrivial(s: Spectrum, d: float, rtol: float = 1e-6):
+def lambda_nontrivial(s: Spectrum, d: float):
     """max |eigenvalue| over eigenvalues different from d and -d.
 
     All copies of d are dropped (disconnected regular graphs repeat d) and
     all copies of -d (bipartite components). Raises if nothing remains.
     """
     vals = np.asarray([v for v, _ in s.groups])
-    atol = rtol * max(1.0, abs(d))
+    atol = 1e-6 * max(1.0, abs(d))
     keep = (np.abs(vals - d) > atol) & (np.abs(vals + d) > atol)
     if not keep.any():
         raise ValueError("no nontrivial eigenvalues")

@@ -14,6 +14,8 @@ from .spectra import eigenvalues, group_values
 from .srg import SrgParams, srg_check
 
 THETA_EXACT_DEFAULT_CAP = 64
+# slack on a theta value: the solvers' default gap, alpha_ceiling's rounding
+THETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -21,8 +23,8 @@ class ThetaBounds:
     lower: float
     upper: float
 
-    def contains(self, value: float, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        return self.lower - 1e-9 <= value <= self.upper + 1e-9
 
 
 def theta_upper_regular(n: int, d: int, lmin: float) -> float:
@@ -81,6 +83,16 @@ def theta_kneser(m: int, r: int) -> int:
     if r < 1:
         raise ValueError("need r >= 1")
     return math.comb(m - 1, r - 1)
+
+
+def alpha_ceiling(theta, k: int = 1) -> Optional[int]:
+    """floor(theta^k) >= alpha(G^k) (Lovasz 1979, Thms 1 and 7), or None
+    when theta is; THETA_TOL absorbs float rounding below a whole number.
+    The one place a theta value becomes an alpha bound, so every search
+    that targets it, and the alpha memo they share, sees the same number."""
+    if theta is None:
+        return None
+    return math.floor(float(theta) ** k + THETA_TOL)
 
 
 # -- exact solver -----------------------------------------------------
@@ -573,7 +585,7 @@ def ipm_bytes(n: int, m: int, r: Optional[int] = None,
     return 11 * (r + 1) ** 2 + 32 * d * n + 72 * n * n
 
 
-def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
+def theta_exact_result(g: Graph, tol: float = THETA_TOL) -> ThetaResult:
     n = g.n
     if n == 0:
         raise ValueError("empty vertex set")
@@ -628,7 +640,7 @@ def theta_exact_result(g: Graph, tol: float = 1e-6) -> ThetaResult:
     return ThetaResult(value, lower, b, gap <= tol, iterations, gap, r)
 
 
-def theta_exact(g: Graph, tol: float = 1e-6) -> float:
+def theta_exact(g: Graph, tol: float = THETA_TOL) -> float:
     """Lovasz theta of a graph to within tol, certified.
 
     The returned value is lambda_max of an explicit feasible matrix, so it
@@ -654,7 +666,7 @@ class ThetaEstimate:
         return float(self.value)
 
 
-def theta_best(g: Graph, tol: float = 1e-6,
+def theta_best(g: Graph, tol: float = THETA_TOL,
                exact_cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaEstimate:
     """Dispatch to the sharpest applicable theta computation.
 

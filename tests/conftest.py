@@ -1,4 +1,13 @@
-"""Shared test plumbing: the acceptance-line reporter."""
+"""Shared test plumbing: the isomorphism oracle and the acceptance-line
+reporter."""
+
+import networkx as nx
+
+
+def isomorphic(g, h):
+    """networkx's VF2 verdict, the tests' isomorphism oracle."""
+    return nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
+
 
 # one line per end-to-end criterion, printed after the run so the summary
 # survives output capture

@@ -1,7 +1,6 @@
 """Catalog resolution, fixture integrity, and the published reference
 values shipped in the manifest."""
 
-import networkx as nx
 import pytest
 
 from thetakit import catalog
@@ -19,10 +18,7 @@ from thetakit.spectra import eigenvalues
 from thetakit.srg import SrgParams, srg_check
 from thetakit.theta import theta_srg
 
-
-def isomorphic(g, h):
-    """networkx's VF2 verdict, the tests' isomorphism oracle."""
-    return nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
+from conftest import isomorphic
 
 
 def test_generator_resolution():

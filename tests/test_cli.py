@@ -396,10 +396,13 @@ NOT_APPLICABLE = [
                                   "reason": "graph is not regular"}),
     ("empty:5", "product-bounds", {"applicable": False,
                                    "reason": "empty graph"}),
+    ("path:5", "k0", {"applicable": False, "reason": "graph is not regular"}),
     ("complete:5", "k0", {"applicable": False, "reason": "degenerate degree"}),
     ("path:70", "capacity", {"status": "unknown-theta"}),
     ("random_regular:70:3:1", "product-bounds",
      {"applicable": False, "reason": "theta not determined for factor"}),
+    ("random_regular:70:3:1", "k0", {"applicable": False,
+                                     "reason": "theta not determined"}),
     # three disjoint edges: degree 1, and the powers are disconnected
     ("random_regular:6:1:0", "ramanujan", {"applicable": False,
                                            "reason": "degree < 2"}),

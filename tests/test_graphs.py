@@ -5,7 +5,6 @@ import io
 import itertools
 import tracemalloc
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -30,10 +29,7 @@ from thetakit.graphs import (
 from thetakit.products import strong_power, strong_product
 from thetakit.srg import srg_check
 
-
-def isomorphic(g, h):
-    """networkx's VF2 verdict, the tests' isomorphism oracle."""
-    return nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
+from conftest import isomorphic
 
 
 def test_complete():

@@ -3,7 +3,6 @@
 
 import itertools
 
-import networkx as nx
 import numpy as np
 
 from thetakit.catalog import load_fixture
@@ -18,10 +17,7 @@ from thetakit.graphs import (
 )
 from thetakit.srg import srg_check
 
-
-def isomorphic(g, h):
-    """networkx's VF2 verdict, the tests' isomorphism oracle."""
-    return nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
+from conftest import isomorphic
 
 
 def rook_4x4():

@@ -73,6 +73,27 @@ def test_spectral_bounds_pinch_on_petersen():
     assert b.contains(4.0)
 
 
+@pytest.mark.parametrize("t, want", [
+    (4, (4, 16, 64)), (4.0, (4, 16, 64)), (Fraction(4), (4, 16, 64)),
+    (21.0, (21, 441, 9261)), (math.nextafter(4.0, 0.0), (4, 16, 64)),
+    (math.nextafter(21.0, 0.0), (21, 441, 9261)),
+    (math.nextafter(1.0, 0.0), (1, 1, 1)), (4.0 - 2e-6, (3, 15, 63)),
+    (math.sqrt(5.0), (2, 5, 11)), (math.sqrt(7.0), (2, 7, 18)),
+    (Fraction(7, 2), (3, 12, 42)), (Fraction(2, 3), (0, 0, 0)),
+], ids=repr)
+def test_alpha_ceiling_matches_the_floors_it_replaced(t, want):
+    # a few ulps below a whole number count as it; the floors the chi
+    # search, capacity_certificate and capacity_power_lb each wrote out
+    # before sharing theta.alpha_ceiling agree on every value
+    assert tuple(theta.alpha_ceiling(t, k) for k in (1, 2, 3)) == want
+    assert theta.alpha_ceiling(t) == math.floor(float(t) + 1e-6)
+    assert theta.alpha_ceiling(t) == math.floor(t + 1e-6)
+    for k in (1, 2, 3):
+        assert theta.alpha_ceiling(t, k) == math.floor(float(t) ** k + 1e-6)
+    assert theta.alpha_ceiling(None) is None
+    assert theta.alpha_ceiling(None, 3) is None
+
+
 def test_complement_bounds_pinch_on_petersen():
     b = theta_bounds_complement(10, 3, 1.0, -2.0)
     assert b.lower == pytest.approx(2.5)
