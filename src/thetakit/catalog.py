@@ -108,10 +108,15 @@ def load(spec: str) -> Graph:
     name, args = parts[0], parts[1:]
     if name in _GENERATORS:
         fn = _GENERATORS[name][0]
+        bad = f"bad arguments for generator {name!r}"
         try:
-            return fn(*[int(a) for a in args])
+            ints = [int(a) for a in args]
+        except ValueError as exc:
+            raise ValueError(f"{bad}: {exc}") from exc
+        try:
+            return fn(*ints)
         except TypeError as exc:
-            raise ValueError(f"bad arguments for generator {name!r}: {exc}") from exc
+            raise ValueError(f"{bad}: {exc}") from exc
     if args:
         raise ValueError(f"unknown generator {name!r}")
     entry = _fixture_entry(name)

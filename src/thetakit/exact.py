@@ -205,6 +205,9 @@ def clique_number(g: Graph, budget: float = DEFAULT_BUDGET,
     b = _Budget(budget)
     ceiling = n if target is None else target
     clique = tuple(sorted(_greedy_clique(_pack(g.adj), n, b, ceiling=ceiling)))
+    if len(clique) >= ceiling:
+        return SolveResult(len(clique), len(clique), len(clique), clique,
+                           "exact", b.elapsed())
     root_bound, cliques = _clique_search(g.adj, b, len(clique) + 1, ceiling)
     for found in cliques:
         clique = tuple(_bits(found))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -233,15 +234,25 @@ class Graph:
         return d
 
     def is_regular(self) -> bool:
-        d = self.degrees()
-        return self.n == 0 or bool((d == d[0]).all())
+        return self._common_degree() is not None
 
     def degree(self) -> int:
         """Common degree; raises for irregular graphs."""
-        d = self.degrees()
-        if self.n and not (d == d[0]).all():
+        d = self._common_degree()
+        if d is None:
             raise ValueError("graph is not regular")
-        return int(d[0]) if self.n else 0
+        return d
+
+    def _common_degree(self) -> Optional[int]:
+        """The common degree (0 on no vertices), or None when the graph is
+        irregular; computed once per graph."""
+        return self._cached(("degree",), self._find_common_degree)
+
+    def _find_common_degree(self) -> Optional[int]:
+        if self.n == 0:
+            return 0
+        d = self.degrees()
+        return int(d[0]) if (d == d[0]).all() else None
 
     def edge_count(self) -> int:
         return int(self.degrees().sum()) // 2
@@ -443,12 +454,12 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(100):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = [(min(u, v), max(u, v))
-                 for u, v in stubs.reshape(-1, 2).tolist()]
+        pairs = list(zip(*np.sort(stubs.reshape(-1, 2), axis=1).T.tolist()))
         if _repair_pairing(pairs, rng):
-            for u, v in pairs:
-                a[u, v] = a[v, u] = True
-            return Graph(a, GraphMeta(name=f"rr({n},{d},{seed})"))
+            u, v = np.fromiter(itertools.chain.from_iterable(pairs), np.int64,
+                               2 * pairs_count).reshape(-1, 2).T
+            a[u, v] = a[v, u] = True
+            return Graph._derived(a, GraphMeta(name=f"rr({n},{d},{seed})"))
     raise RuntimeError("switching repair failed to produce a simple graph")
 
 
@@ -457,7 +468,9 @@ def _repair_pairing(pairs: list, rng) -> bool:
     count = Counter(pairs)
     m = len(pairs)
     tries = 0
-    for i in range(m):
+    # a switching only removes defects, so only the pairs defective at the
+    # start can be defective at their turn
+    for i in [i for i, p in enumerate(pairs) if p[0] == p[1] or count[p] > 1]:
         while pairs[i][0] == pairs[i][1] or count[pairs[i]] > 1:
             tries += 1
             if tries > 100 * m:

@@ -51,8 +51,8 @@ class SrgParams:
         s = math.isqrt(self.disc)
         if s * s != self.disc:
             return None  # irrational split with nonzero numerator: infeasible
-        return (Fraction(n - 1 - Fraction(num, s), 2),
-                Fraction(n - 1 + Fraction(num, s), 2))
+        return (Fraction((n - 1) * s - num, 2 * s),
+                Fraction((n - 1) * s + num, 2 * s))
 
 
 def srg_check(g: Graph) -> Optional[SrgParams]:
@@ -77,14 +77,10 @@ def _srg_identity(g: Graph) -> Optional[SrgParams]:
     a = g.adj.astype(np.float64)
     with _one_blas_thread(n):
         a2 = a @ a
-    iu, iv = np.nonzero(np.triu(g.adj, 1))
-    lam_vals = a2[iu, iv]
-    non = np.triu(~g.adj, 1)
+    non = ~g.adj
     np.fill_diagonal(non, False)
-    ju, jv = np.nonzero(non)
-    mu_vals = a2[ju, jv]
-    if lam_vals.size == 0 or mu_vals.size == 0:
-        return None
+    lam_vals = a2[g.adj]    # 0 < d < n - 1: neither mask is empty
+    mu_vals = a2[non]
     lam = int(lam_vals[0])
     mu = int(mu_vals[0])
     if (lam_vals != lam).any() or (mu_vals != mu).any():

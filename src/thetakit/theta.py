@@ -68,9 +68,8 @@ def theta_srg(p: SrgParams):
         raise ValueError("negative discriminant")
     s = math.isqrt(disc)
     if s * s == disc:
-        t = Fraction(s)
-        theta = Fraction(n) * (t + mu - lam) / (2 * d + t + mu - lam)
-        return theta, Fraction(n) / theta
+        k = s + mu - lam
+        return Fraction(n * k, 2 * d + k), Fraction(2 * d + k, k)
     t = math.sqrt(disc)
     theta = n * (t + mu - lam) / (2 * d + t + mu - lam)
     return theta, n / theta

@@ -49,6 +49,13 @@ def test_bad_specs():
         load("nope:3")
     with pytest.raises(ValueError):
         load("cycle:3:4")
+    with pytest.raises(ValueError, match="bad arguments for generator 'cycle'.*'x'"):
+        load("cycle:x")
+    with pytest.raises(ValueError, match="bad arguments for generator 'petersen'.*'x'"):
+        load("petersen:x")
+    # a generator's own refusal passes through as it is
+    with pytest.raises(ValueError, match="^cycle needs n >= 3$"):
+        load("cycle:2")
     with pytest.raises(KeyError):
         load_fixture("nope")
 

@@ -221,7 +221,7 @@ def test_tight_product_bounds_at_large_k_hold(copies, r, tmp_path, capsys):
 
 def test_materialize_stops_at_the_eigensolve_budget(capsys):
     # Petersen^4 has 10^4 vertices: its adjacency fits the byte budget,
-    # but its ~2.8 GB eigensolve does not, so row 4 carries no dense values
+    # but its ~2 GB eigensolve does not, so row 4 carries no dense values
     t0 = time.perf_counter()
     rc, out, _ = run(["power", "--gen", "petersen", "-k", "4",
                       "--materialize", "--json"], capsys)

@@ -25,6 +25,7 @@ from thetakit.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     empty,
     frucht,
     hypercube,
@@ -166,6 +167,67 @@ def test_witness_validity():
     col = res.witness
     assert len(col) == g.n and len(set(col)) == res.value
     assert all(col[u] != col[v] for u, v in g.edges())
+
+
+def spy_clique_searches(monkeypatch):
+    """Count the calls of the clique branch and bound."""
+    calls = []
+    search = exact._clique_search
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(exact, "_clique_search", spy)
+    return calls
+
+
+def greedy_reaches(g, target):
+    """Whether the greedy clique of g (of its neighbourhood of vertex 0
+    when g is flagged vertex-transitive) already has `target` vertices."""
+    if g.meta.vertex_transitive:
+        g, target = g.subgraph(g.neighbors(0)), target - 1
+    found = exact._greedy_clique(exact._pack(g.adj), g.n, exact._Budget(60.0),
+                                 ceiling=target)
+    return len(found) >= target
+
+
+# the greedy descents start at the K5,5's vertices, of highest degree,
+# and find only edges, so the clique search must find the K4
+HIDDEN_K4 = ("k55+k4", disjoint_union(complete_bipartite(5, 5), complete(4)))
+
+
+@pytest.mark.parametrize("name,g", SMALL + [HIDDEN_K4],
+                         ids=[n for n, _ in SMALL + [HIDDEN_K4]])
+def test_a_greedy_set_at_the_target_ends_the_search(name, g, monkeypatch):
+    # with the true value as target, the answer is the brute-force value
+    # and a witness of that size; the branch and bound runs only when the
+    # greedy set falls short of the target
+    calls = spy_clique_searches(monkeypatch)
+    for solve, brute, graph, edge in (
+            (clique_number, brute_clique, g, True),
+            (independence_number, brute_alpha, g.complement(), False)):
+        h = g.with_meta()   # a fresh memo, so alpha is searched again
+        want = brute(h)
+        calls.clear()
+        res = solve(h, target=want)
+        assert res.status == "exact" and res.value == want
+        assert len(set(res.witness)) == want
+        assert all(h.adj[u, v] == edge for u, v in itertools.combinations(res.witness, 2))
+        assert (calls == []) == greedy_reaches(graph, want)
+    if name == HIDDEN_K4[0]:
+        assert not greedy_reaches(g, 4)
+
+
+def test_greedy_alpha_at_floor_theta_skips_the_search(monkeypatch):
+    # Petersen's and Cameron's greedy independent sets reach floor(theta)
+    # (4 and 21), which proves alpha with no branch and bound
+    calls = spy_clique_searches(monkeypatch)
+    for g, alpha in ((petersen(), 4), (load_fixture("cameron"), 21)):
+        res = independence_number(g, target=alpha)
+        assert res.status == "exact" and res.value == alpha
+        assert not any(g.adj[u, v] for u, v in itertools.combinations(res.witness, 2))
+    assert calls == []
 
 
 def test_solve_result_invariants():

@@ -116,6 +116,71 @@ def test_disjoint_union():
     assert g.n == 6 and g.degree() == 1 and not g.is_connected()
 
 
+def test_common_degree_is_found_once(monkeypatch):
+    g = path(5)
+    assert not g.is_regular()
+    with pytest.raises(ValueError, match="not regular"):
+        g.degree()
+    for e in (empty(0), empty(5), Graph(np.zeros((0, 0), dtype=bool))):
+        assert e.is_regular() and e.degree() == 0
+    assert strong_power(petersen(), 3).degree() == 63
+    # each graph compares its degrees once; later queries read the memo
+    reads = []
+    degrees = Graph.degrees
+    monkeypatch.setattr(Graph, "degrees", lambda self: reads.append(1) or degrees(self))
+    irregular, cubic = path(5), petersen()
+    for _ in range(3):
+        assert irregular.is_regular() is False and cubic.degree() == 3
+        with pytest.raises(ValueError):
+            irregular.degree()
+    assert len(reads) == 2
+
+
+def old_random_regular(n, d, seed):
+    """random_regular's adjacency, built and repaired pair by pair."""
+    from collections import Counter
+    if 2 * d > n - 1:
+        a = ~old_random_regular(n, n - 1 - d, seed)
+        np.fill_diagonal(a, False)
+        return a
+    rng = np.random.default_rng(seed)
+    while True:
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        pairs = [(min(u, v), max(u, v)) for u, v in stubs.reshape(-1, 2).tolist()]
+        count, m, tries = Counter(pairs), len(pairs), 0
+        for i in range(m):
+            while pairs[i][0] == pairs[i][1] or count[pairs[i]] > 1:
+                tries += 1
+                if tries > 100 * m:
+                    break
+                j = int(rng.integers(m))
+                (a, b), (c, e) = pairs[i], pairs[j]
+                if rng.random() < 0.5:
+                    c, e = e, c
+                new1, new2 = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+                if a == c or b == e or new1 == new2 or count[new1] or count[new2]:
+                    continue
+                count[pairs[i]] -= 1
+                count[pairs[j]] -= 1
+                count[new1] += 1
+                count[new2] += 1
+                pairs[i], pairs[j] = new1, new2
+        if tries <= 100 * m:
+            a = np.zeros((n, n), dtype=bool)
+            for u, v in pairs:
+                a[u, v] = a[v, u] = True
+            return a
+
+
+@pytest.mark.parametrize("n,d", [(11, 4), (12, 5), (24, 4), (24, 19), (60, 6),
+                                 (60, 8), (61, 44), (100, 3)])
+def test_random_regular_matches_the_pairwise_build(n, d):
+    for seed in range(5):
+        assert np.array_equal(random_regular(n, d, seed).adj,
+                              old_random_regular(n, d, seed))
+
+
 def test_random_regular_deterministic():
     a = random_regular(14, 5, seed=7)
     b = random_regular(14, 5, seed=7)

@@ -203,11 +203,11 @@ def _peak_bytes(fn):
 
 
 def test_budget_refuses_before_allocating():
-    k200, e4000 = complete(200), empty(4000)
+    k200, e5000 = complete(200), empty(5000)
     s = eigenvalues(random_regular(20, 5, seed=4))
     huge = power_spectrum(eigenvalues(petersen()), 40)
     for fn in (lambda: strong_product(k200, k200),   # 1.6 GB adjacency
-               lambda: eigenvalues(e4000),           # ~448 MB eigensolve
+               lambda: eigenvalues(e5000),           # ~500 MB eigensolve
                lambda: power_spectrum(s, 8),         # 2.2e6 multisets
                huge.expanded):                       # 10^40 values
         assert _peak_bytes(fn) < 1 << 20

@@ -81,6 +81,50 @@ def test_jacobi_rejects_bad_input():
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_jacobi_rejects_a_matrix_asymmetric_in_one_entry():
+    m = np.random.default_rng(4).standard_normal((12, 12))
+    a = m + m.T
+    a[3, 7] *= 1 + 1e-12
+    # within allclose's default relative tolerance, but not symmetric
+    assert not np.array_equal(a, a.T) and np.allclose(a, a.T, atol=0.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        jacobi_eigenvalues(a)
+
+
+def old_group_values(values, rtol=1e-6):
+    """group_values as a loop over the values, one comparison each."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0:
+        return ()
+    vmax = float(np.abs(vals).max())
+    atol = rtol * max(1.0, vmax)
+    zero = vals.size * np.finfo(np.float64).eps * vmax
+    groups = []
+    start = 0
+    for i in range(1, vals.size + 1):
+        if i == vals.size or vals[i - 1] - vals[i] > atol:
+            mean = float(vals[start:i].mean())
+            groups.append((0.0 if abs(mean) <= zero else mean, int(i - start)))
+            start = i
+    return tuple(groups)
+
+
+def test_group_values_matches_the_loop():
+    rng = np.random.default_rng(11)
+    cases = [[], [0.0], [1e-17], [2.0, 1.0000004, 1.0, -1.0], [3.0, 3.0, 3.0]]
+    for _ in range(200):
+        # a few distinct values, repeated and perturbed near the tolerance
+        base = rng.integers(-4, 5, size=rng.integers(1, 6)) * rng.choice([1.0, 1e3])
+        vals = np.repeat(base, rng.integers(1, 4, size=base.size))
+        vals = vals + rng.choice([0.0, 5e-7, 2e-6], size=vals.size) * rng.standard_normal(vals.size)
+        cases.append(np.sort(vals)[::-1])
+    for e in entries():
+        if e.kind == "fixture":
+            cases.append(np.sort(np.linalg.eigvalsh(load(e.name).adj.astype(float)))[::-1])
+    for vals in cases:
+        assert group_values(vals) == old_group_values(vals)
+
+
 def test_eigensolve_peak_within_its_estimate():
     # the budget check trusts eigensolve_bytes, so it must bound the peak
     g = random_regular(1000, 4, 0)
