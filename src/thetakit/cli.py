@@ -163,14 +163,12 @@ def _task_srg(g, _args):
     if p is None:
         return {"strongly_regular": False}, []
     feas = srg_params_feasible(p)
-    p1, p2 = p.eigenvalues()
-    mult = p.multiplicities()
     out = {
         "strongly_regular": True,
         "params": list(p.as_tuple()),
         "complement_params": list(p.complement().as_tuple()),
-        "restricted_eigenvalues": [p1, p2],
-        "multiplicities": list(mult) if mult else None,
+        "restricted_eigenvalues": [feas.p1, feas.p2],
+        "multiplicities": None if feas.m1 is None else [feas.m1, feas.m2],
         "conference_case": feas.conference,
     }
     return out, []
@@ -371,7 +369,7 @@ TASKS = tuple(_TASK_FNS)
 
 
 def _violations(reports):
-    return [r.name for r in reports if r.applicable and not r.holds()]
+    return [r.name for r in reports if not r.holds()]
 
 
 def cmd_analyze(args) -> int:

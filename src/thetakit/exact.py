@@ -42,8 +42,10 @@ class _Budget:
     def check(self) -> bool:
         """True once the deadline has passed (polled every few hundred calls)."""
         self._tick += 1
-        if self._tick & 0xFF:
-            return self.expired
+        return self.expired if self._tick & 0xFF else self.check_now()
+
+    def check_now(self) -> bool:
+        """True once the deadline has passed, read from the clock now."""
         if time.monotonic() > self.deadline:
             self.expired = True
         return self.expired
@@ -97,8 +99,7 @@ def _greedy_clique(adj_masks, n, budget: _Budget, ceiling=math.inf):
     for seed in sorted(range(n), key=lambda v: -adj_masks[v].bit_count())[:8]:
         if best and len(best) >= ceiling:
             break
-        if best and time.monotonic() > budget.deadline:
-            budget.expired = True
+        if best and budget.check_now():
             break
         best = max(best, _greedy_descent(adj_masks, seed), key=len)
     return best
@@ -230,21 +231,18 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
     on the non-neighbours of vertex 0; a false flag yields a wrong
     "exact" answer, as in `clique_number`.
 
-    An exact result is stored on g, so the capacity certificate and the
-    chromatic search share one alpha search. A result below its target was
-    proven by the search alone and is returned to every later call,
-    whatever its target or budget; one that reached its target is exact
-    only if that target is, so it is returned only to calls with the same
-    target. A timeout is not stored: a later call searches again on its
-    own budget.
+    An exact result is stored on g under its target and returned to later
+    calls with the same target, so the capacity certificate and the
+    chromatic search, which both target `alpha_ceiling(theta)`, share one
+    alpha search. A timeout is not stored: a later call searches again on
+    its own budget.
     """
-    hit = g._memo.get("alpha")
-    if hit is not None and hit[1] in (None, target):
-        return hit[0]
+    key = ("alpha", target)
+    if key in g._memo:
+        return g._memo[key]
     res = clique_number(g.complement(), budget, target=target)
     if res.status == "exact":
-        reached = target is not None and res.value >= target
-        g._memo["alpha"] = (res, target if reached else None)
+        g._memo[key] = res
     return res
 
 
@@ -422,8 +420,6 @@ def chromatic_number(g: Graph, budget: float = DEFAULT_BUDGET,
         return SolveResult(0, 0, 0, (), "exact", 0.0)
     b = _Budget(budget)
     rows, rank = _by_rank(g)
-    if not any(rows):
-        return SolveResult(1, 1, 1, tuple([0] * n), "exact", b.elapsed())
     # the k = n descent never backtracks, so it completes on any budget
     best_cols = tuple(_k_colorable(rows, rank, n, _Budget(math.inf), ())[1])
     ub = max(best_cols) + 1

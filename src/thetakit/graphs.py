@@ -91,9 +91,10 @@ def _one_blas_thread(order: int):
 BUILD_CELL_BYTES = 3
 
 # Peak bytes per pair of `random_regular`'s pairing: its list of tuples
-# and the repair's Counter, with the adjacency. tracemalloc read 215-226
-# at n = 1000 and 2000, d = 100 to n / 2.
-PAIRING_PAIR_BYTES = 220
+# and the repair's Counter, with the adjacency. tracemalloc read 194-261
+# at n = 500 to 3000, d = 20 to n / 2 (below d = 20 the adjacency, which
+# `_adjacency` budgets on its own, is most of the peak).
+PAIRING_PAIR_BYTES = 300
 
 
 def _adjacency(n: int, fill: bool = False) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphMeta, _adjacency
+from .graphs import Graph, _adjacency
 
 _HEADER = ">>graph6<<"
 
@@ -50,7 +50,7 @@ def to_graph6(g: Graph) -> str:
     return (_encode_n(g.n) + body.tobytes()).decode("ascii")
 
 
-def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
+def from_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional ">>graph6<<" header); bytes past
     the body are ignored. Raises ValueError on a short body or a byte
     outside 63..126, and when the graph exceeds the dense budget, before
@@ -75,7 +75,7 @@ def from_graph6(text: str, meta: GraphMeta | None = None) -> Graph:
     for j in range(1, n):
         a[j, :j] = a[:j, j] = bits[start:start + j]
         start += j
-    return Graph._derived(a, meta)
+    return Graph._derived(a)
 
 
 def write_graph6(g: Graph, path) -> None:
@@ -83,13 +83,13 @@ def write_graph6(g: Graph, path) -> None:
         fh.write(to_graph6(g) + "\n")
 
 
-def read_graph6(path, meta: GraphMeta | None = None) -> Graph:
+def read_graph6(path) -> Graph:
     """Read the first graph from a graph6 file."""
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                return from_graph6(line, meta)
+                return from_graph6(line)
     raise ValueError(f"no graph in {path}")
 
 

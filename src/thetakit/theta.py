@@ -23,9 +23,6 @@ class ThetaBounds:
     lower: float
     upper: float
 
-    def contains(self, value: float) -> bool:
-        return self.lower - 1e-9 <= value <= self.upper + 1e-9
-
 
 def theta_upper_regular(n: int, d: int, lmin: float) -> float:
     """Spectral upper bound -n*lmin/(d-lmin); exact for edge-transitive

@@ -389,6 +389,46 @@ def test_graph_construction_is_budgeted(capsys, monkeypatch):
     assert "error:" in err and "budget" in err
 
 
+def test_srg_check_is_budgeted(capsys, monkeypatch):
+    # C200 is built in 3 * 200^2 bytes, but its SRG check, which theta
+    # runs before any eigensolve, needs 12 * 200^2
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 200_000)
+    rc, _, err = run(["analyze", "--gen", "cycle:200", "--tasks", "theta"], capsys)
+    assert rc == 1
+    assert "error:" in err and "SRG check" in err and "budget" in err
+
+
+SRG_PAYLOADS = {
+    # conference graphs: 2d + (n - 1)(lam - mu) = 0, equal multiplicities
+    "cycle:5": {"strongly_regular": True, "params": [5, 2, 0, 1],
+                "complement_params": [5, 2, 0, 1],
+                "restricted_eigenvalues": [0.61803398875, -1.61803398875],
+                "multiplicities": [2, 2], "conference_case": True},
+    "paley:13": {"strongly_regular": True, "params": [13, 6, 2, 3],
+                 "complement_params": [13, 6, 2, 3],
+                 "restricted_eigenvalues": [1.30277563773, -2.30277563773],
+                 "multiplicities": [6, 6], "conference_case": True},
+    "petersen": {"strongly_regular": True, "params": [10, 3, 0, 1],
+                 "complement_params": [10, 6, 3, 4],
+                 "restricted_eigenvalues": [1.0, -2.0],
+                 "multiplicities": [5, 4], "conference_case": False},
+}
+
+
+@pytest.mark.parametrize("spec", SRG_PAYLOADS)
+def test_srg_task_payload(spec, capsys):
+    rc, out, _ = run(["analyze", "--gen", spec, "--tasks", "srg", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["tasks"]["srg"] == SRG_PAYLOADS[spec]
+
+
+def test_violations_ignore_an_inapplicable_report():
+    off = BoundReport("not-applicable", 2.0, 1.0, "<=", -1.0, False, "why")
+    broken = make_report("impossible-bound", 2.0, 1.0, "<=")
+    assert cli._violations([off]) == []
+    assert cli._violations([off, broken]) == ["impossible-bound"]
+
+
 NOT_APPLICABLE = [
     ("path:5", "ramanujan", {"applicable": False,
                              "reason": "graph is not regular"}),

@@ -258,6 +258,18 @@ def test_empty_and_trivial():
     assert chromatic_number(empty(4)).value == 1
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("bounded", [False, True], ids=["plain", "bounded"])
+def test_edgeless_chi_is_one_exact_colouring(n, bounded):
+    # the general path colours an edgeless graph with colour 0 alone
+    g = empty(n)
+    kwargs = {"lower": 1, "alpha_upper": n} if bounded else {}
+    res = chromatic_number(g, **kwargs)
+    assert (res.value, res.lower, res.upper, res.status) == (1, 1, 1, "exact")
+    assert res.witness == (0,) * n
+    assert_proper(g, res.witness, 1)
+
+
 def test_capacity_certificate_determined():
     g = petersen()
     th = theta_exact(g)
@@ -901,7 +913,7 @@ def test_paley29_needs_no_refutation(monkeypatch):
     res = chromatic_number(g, lower=lower, alpha_upper=alpha_upper)
     assert res.status == "exact" and res.value == 8
     assert_proper(g, res.witness, 8)
-    assert g._memo["alpha"][0].value == 4
+    assert g._memo[("alpha", alpha_upper)].value == 4
 
 
 def test_alpha_step_decides_gosset_by_the_cover(monkeypatch):
@@ -977,7 +989,7 @@ def test_alpha_timeout_keeps_the_interval(monkeypatch):
 
     monkeypatch.setattr(exact, "independence_number", spy)
     res = chromatic_number(g, budget=0.5, lower=11, alpha_upper=22)
-    assert statuses == ["timeout"] and "alpha" not in g._memo
+    assert statuses == ["timeout"] and ("alpha", 22) not in g._memo
     with monkeypatch.context() as m:
         alpha_times_out(m)
         plain = chromatic_number(g, budget=0.5, lower=11, alpha_upper=22)

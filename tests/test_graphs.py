@@ -424,6 +424,18 @@ def test_random_regular_pairing_is_refused_over_the_budget(d, monkeypatch):
     assert random_regular(200, 3, seed=0).degree() == 3
 
 
+def test_random_regular_pairing_peak_within_its_estimate():
+    # the budget check trusts PAIRING_PAIR_BYTES, so it must bound the peak
+    n, d = 1000, 100
+    tracemalloc.start()
+    try:
+        random_regular(n, d, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= graphs.PAIRING_PAIR_BYTES * (n * d // 2)
+
+
 # -- small dense solves on one OpenBLAS thread ---------------------------
 
 

@@ -166,7 +166,7 @@ def test_alpha_timeout_is_not_stored(monkeypatch):
     g = load_fixture("cameron")
     searches = complement_searches(monkeypatch, g)
     first = independence_number(g, 0.05)
-    assert first.status == "timeout" and "alpha" not in g._memo
+    assert first.status == "timeout" and ("alpha", None) not in g._memo
     second = independence_number(g, 5.0, target=21)
     assert second.status == "exact" and second.value == 21
     assert searches == [None, 21]
@@ -174,13 +174,19 @@ def test_alpha_timeout_is_not_stored(monkeypatch):
     assert searches == [None, 21]
 
 
-def test_alpha_below_its_target_serves_every_call():
-    # alpha(Petersen) = 4 < 5: the search proved it without the target
+def test_alpha_below_its_target_serves_only_that_target(monkeypatch):
+    # alpha(Petersen) = 4 < 5: the result is stored under target 5 alone,
+    # so a call with another target, or none, searches again
     g = petersen()
+    searches = complement_searches(monkeypatch, g)
     res = independence_number(g, target=5)
     assert res.status == "exact" and res.value == 4
-    assert independence_number(g) is res
-    assert independence_number(g, 0.0, target=10) is res
+    assert g._memo[("alpha", 5)] is res
+    assert independence_number(g, 0.0, target=5) is res
+    assert searches == [5]
+    assert independence_number(g, target=10).value == 4
+    assert independence_number(g).value == 4
+    assert searches == [5, 10, None]
 
 
 def test_alpha_at_its_target_serves_only_that_target(monkeypatch):
@@ -214,8 +220,8 @@ def test_chi_does_not_reuse_an_alpha_resting_on_another_target(monkeypatch):
 def test_derived_graphs_start_without_alpha():
     g = petersen()
     assert independence_number(g).value == 4
-    assert "alpha" in g._memo
+    assert ("alpha", None) in g._memo
     for h in (g.complement(), g.with_meta(name="relabelled"),
               g.relabel(list(range(9, -1, -1))), g.subgraph(range(9))):
-        assert "alpha" not in h._memo
+        assert ("alpha", None) not in h._memo
     assert independence_number(g.complement()).value == 2

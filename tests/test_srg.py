@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from thetakit import graphs
 from thetakit.catalog import fixture_names, load_fixture
 from thetakit.graphs import (
     Graph,
@@ -23,7 +25,8 @@ from thetakit.graphs import (
     shrikhande,
 )
 from thetakit.products import strong_product
-from thetakit.srg import SrgParams, _srg_identity, srg_check, srg_params_feasible
+from thetakit.srg import (SrgParams, _srg_identity, srg_check, srg_check_bytes,
+                          srg_params_feasible)
 from thetakit.theta import theta_srg
 
 
@@ -48,6 +51,35 @@ def test_srg_check_negatives():
     for g in [cycle(6), cycle(7), frucht(), hypercube(3), hypercube(4),
               path(4), complete(5), complete_bipartite(2, 3)]:
         assert srg_check(g) is None
+
+
+def test_srg_check_is_refused_over_the_budget(monkeypatch):
+    # C200 is built in 3 * 200^2 bytes; its check needs 12 * 200^2
+    g = cycle(200)
+    monkeypatch.setattr(graphs, "DENSE_BYTE_BUDGET", 200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="SRG check.*budget"):
+            srg_check(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    # an irregular graph allocates nothing, so it is answered
+    assert srg_check(path(200)) is None
+
+
+def test_srg_check_peak_within_its_estimate():
+    # the budget check trusts srg_check_bytes, so it must bound the peak
+    g = random_regular(1000, 4, 0)
+    g.degree()
+    tracemalloc.start()
+    try:
+        assert srg_check(g) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= srg_check_bytes(g.n)
 
 
 def test_complement_params_consistent():
