@@ -34,23 +34,23 @@ class CatalogEntry:
 
 # name -> (generator, example spec, description); `load` passes ints
 _GENERATORS: dict = {
-    "complete": (G.complete, "complete:n", "complete graph"),
-    "empty": (G.empty, "empty:n", "edgeless graph"),
-    "cycle": (G.cycle, "cycle:n", "cycle graph"),
-    "path": (G.path, "path:n", "path graph"),
-    "complete_bipartite": (G.complete_bipartite, "complete_bipartite:a:b",
+    "complete": (G.complete, "complete:5", "complete graph"),
+    "empty": (G.empty, "empty:4", "edgeless graph"),
+    "cycle": (G.cycle, "cycle:7", "cycle graph"),
+    "path": (G.path, "path:6", "path graph"),
+    "complete_bipartite": (G.complete_bipartite, "complete_bipartite:3:4",
                            "complete bipartite graph"),
-    "kneser": (G.kneser, "kneser:m:r",
+    "kneser": (G.kneser, "kneser:7:3",
                "disjointness graph on r-subsets of an m-set"),
     "petersen": (G.petersen, "petersen", "Kneser graph on 2-subsets of a 5-set"),
-    "paley": (G.paley, "paley:q",
+    "paley": (G.paley, "paley:13",
               "quadratic-residue graph on Z_q (prime q = 1 mod 4)"),
     "shrikhande": (G.shrikhande, "shrikhande",
                    "16-vertex Cayley graph on Z4 x Z4"),
-    "hypercube": (G.hypercube, "hypercube:k", "k-dimensional hypercube skeleton"),
+    "hypercube": (G.hypercube, "hypercube:4", "k-dimensional hypercube skeleton"),
     "frucht": (G.frucht, "frucht",
                "cubic 12-vertex graph with trivial symmetry group"),
-    "random_regular": (G.random_regular, "random_regular:n:d:seed",
+    "random_regular": (G.random_regular, "random_regular:12:3:0",
                        "random d-regular graph from the pairing model, fixed by seed"),
 }
 

@@ -505,8 +505,9 @@ def cmd_catalog(args) -> int:
             "name": e.name,
             "kind": e.kind,
             "description": e.description,
-            "example": e.example or e.name,
         }
+        if e.example:
+            item["example"] = e.example
         if e.order:
             item["order"] = e.order
         if e.srg:

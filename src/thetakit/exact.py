@@ -251,9 +251,10 @@ def independence_number(g: Graph, budget: float = DEFAULT_BUDGET,
 
 def _by_rank(g):
     """g's row bitsets relabelled by rank (-degree, then index); the ranks."""
-    order = sorted(range(g.n), key=(-g.degrees()).tolist().__getitem__)
-    rank = sorted(range(g.n), key=order.__getitem__)
-    return _pack(g.adj[np.ix_(order, order)]), rank
+    order = np.argsort(-g.degrees(), kind="stable")
+    adj = g.adj if (order == np.arange(g.n)).all() else g.adj[np.ix_(order, order)]
+    # Python-int ranks: `_k_colorable` shifts 1 << rank past bit 63
+    return _pack(adj), np.argsort(order).tolist()
 
 
 def _k_colorable(rows, rank, k, budget: _Budget, clique_seed):
@@ -500,8 +501,8 @@ def capacity_certificate(g: Graph, theta: float,
 
 def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     """Capacity lower bound w^(1/k) from an independent set of w vertices
-    in the power, built within the dense byte budget; returns (bound, its
-    SolveResult).
+    in the power, whose adjacency is refused (ValueError) before any search
+    when over the dense byte budget; returns (bound, its SolveResult).
 
     w is the independence number of the power when the search is exact.
     On a timeout it is the size of the best set known, res.lower: still
@@ -518,6 +519,7 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     start = time.monotonic()
     theta = theta_best(g).value
     pk = strong_power(g, k)
+    pk.adj  # the seed searches must not run on a power that is refused
     seed = ()
     if k > 1:
         first = independence_number(g, budget / 4.0,

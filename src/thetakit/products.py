@@ -28,14 +28,11 @@ def strong_product(*factors: Graph) -> Graph:
 
     Vertices are factor-vertex tuples in row-major order (for two factors,
     (i, j) sits at i*h.n + j). The product records its factors (those of
-    a factor that is itself a product, in its place) and builds its
-    adjacency only when `adj` is first read. Raises ValueError when that
-    n^2-byte adjacency would exceed the dense budget.
+    a factor that is itself a product, in its place) and allocates nothing:
+    `Graph.adj` and `Graph.degrees` build, and budget, what is read.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    n = math.prod(f.n for f in factors)
-    check_budget(n * n, f"a {n}-vertex product adjacency")
     names = [f.meta.name for f in factors]
     # a product of automorphisms is an automorphism of the product
     vt = True if all(f.meta.vertex_transitive for f in factors) else None

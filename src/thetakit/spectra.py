@@ -60,9 +60,6 @@ class Spectrum:
     def smallest(self) -> float:
         return self.groups[-1][0]
 
-    def __iter__(self):
-        return iter(self.expanded())
-
 
 def group_values(values, rtol: float = 1e-6) -> tuple:
     """Collapse a descending value list into (value, multiplicity) pairs.

@@ -153,9 +153,6 @@ class ThetaResult:
     gap: float
     classes: int = 0        # edge classes the IPM ran over; 0 when none ran
 
-    def __float__(self):
-        return self.value
-
 
 def _values(b, x, total, n):
     """lambda_max(B), and the value of the witness X on n vertices (trace

@@ -533,6 +533,17 @@ def test_catalog_listing(capsys):
     assert rc == 0 and "\x1b" not in out and "petersen" in out
 
 
+def test_catalog_examples_load(capsys):
+    rc, out, _ = run(["catalog", "--json"], capsys)
+    assert rc == 0
+    listed = json.loads(out)["entries"]
+    for e in listed:
+        if "example" in e:
+            assert catalog.load(e["example"]).n > 0
+    # a parameter set has no graph to load, so it names no example
+    assert [e["name"] for e in listed if "example" not in e] == ["suzuki-params"]
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run(["analyze", "--gen", "petersen", "--tasks", "srg",

@@ -558,6 +558,17 @@ def test_k_colorable_matches_the_plain_dsatur_rule(seed):
             assert got == naive_k_colorable(g, k, clique_seed)
 
 
+@pytest.mark.parametrize("g", [petersen(), cycle(7), frucht(), path(6),
+                               complete_bipartite(2, 5), gnp(20, 0.4, 3)],
+                         ids=lambda g: g.meta.name or "gnp")
+def test_by_rank_matches_the_sorted_construction(g):
+    order = sorted(range(g.n), key=(-g.degrees()).tolist().__getitem__)
+    rank = sorted(range(g.n), key=order.__getitem__)
+    rows, got = exact._by_rank(g)
+    assert rows == exact._pack(g.adj[np.ix_(order, order)])
+    assert got == rank and all(type(r) is int for r in got)
+
+
 def only_greedy_descent(monkeypatch):
     """Let `_k_colorable` run only with k = n, the greedy DSATUR descent:
     any refutation search (k < n) fails the test."""
@@ -649,6 +660,17 @@ def test_capacity_power_lb_short_budget_keeps_an_independent_witness():
 def test_capacity_power_lb_cap():
     with pytest.raises(ValueError):
         capacity_power_lb(petersen(), 5)       # a 10^5-vertex adjacency is over the byte budget
+
+
+def test_capacity_power_lb_refuses_before_any_search(monkeypatch):
+    # the seed searches on Petersen and Petersen^4 would take seconds
+    g = petersen()
+    targets = _spy_targets(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        capacity_power_lb(g, 5, 4.0)
+    assert time.perf_counter() - start < 0.1
+    assert targets == []
 
 
 def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):

@@ -62,7 +62,7 @@ def test_strong_power():
     with pytest.raises(ValueError):
         strong_power(g, 0)
     with pytest.raises(ValueError):
-        strong_power(g, 7)   # a 5^7-vertex adjacency is over the byte budget
+        strong_power(g, 7).adj   # a 5^7-vertex adjacency is over the byte budget
     assert not within_budget((5 ** 7) ** 2)
 
 
@@ -188,7 +188,7 @@ def test_spectrum_caps():
 
 def test_product_cap():
     with pytest.raises(ValueError):
-        strong_product(complete(200), complete(200))
+        strong_product(complete(200), complete(200)).adj
 
 
 def _peak_bytes(fn):
@@ -206,11 +206,33 @@ def test_budget_refuses_before_allocating():
     k200, e5000 = complete(200), empty(5000)
     s = eigenvalues(random_regular(20, 5, seed=4))
     huge = power_spectrum(eigenvalues(petersen()), 40)
-    for fn in (lambda: strong_product(k200, k200),   # 1.6 GB adjacency
+    for fn in (lambda: strong_product(k200, k200).adj,   # 1.6 GB adjacency
                lambda: eigenvalues(e5000),           # ~500 MB eigensolve
                lambda: power_spectrum(s, 8),         # 2.2e6 multisets
                huge.expanded):                       # 10^40 values
         assert _peak_bytes(fn) < 1 << 20
+
+
+def test_petersen_fifth_power_needs_no_adjacency():
+    # theta, degree and edge count of a 10^5-vertex power come from its
+    # factors; only its 10 GB adjacency is over the budget, refused on read
+    g = strong_power(petersen(), 5)
+    tracemalloc.start()
+    try:
+        est, d, m = theta_best(g), g.degree(), g.edge_count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.value, est.exact, est.method) == (1024.0, 1024, "product")
+    assert (d, m) == (1023, 51_150_000) and peak < 4 << 20
+    assert _peak_bytes(lambda: g.adj) < 1 << 20
+    assert g._adj is None
+
+
+def test_degree_vector_over_budget_refuses_before_allocating():
+    g = strong_power(petersen(), 9)     # 10^9 degrees
+    assert _peak_bytes(g.degree) < 1 << 20
+    assert g._adj is None
 
 
 def test_budget_admits_the_largest_old_product():
