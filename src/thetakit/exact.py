@@ -53,6 +53,10 @@ class _Budget:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
+    def left(self) -> float:
+        """Seconds left before the deadline, 0 once it has passed."""
+        return max(0.0, self.deadline - time.monotonic())
+
 
 def _pack(adj):
     """Row bitsets of a bool matrix: bit j of entry i is adj[i, j]."""
@@ -499,37 +503,76 @@ def capacity_certificate(g: Graph, theta: float,
     return CapacityCertificate(float(theta), alpha, None, "gap", res)
 
 
+def _cycle_order(g: Graph) -> Optional[list]:
+    """g's vertices along its cycle from vertex 0 when g is an odd cycle of
+    length at least 5 (connected and 2-regular), else None."""
+    cycle = g.n >= 5 and g.is_regular() and g.degree() == 2 and g.is_connected()
+    if not cycle or g.n % 2 == 0:
+        return None
+    order = [0, int(g.neighbors(0)[0])]
+    while len(order) < g.n:
+        a, c = g.neighbors(order[-1]).tolist()
+        order.append(c if a == order[-2] else a)
+    return order
+
+
 def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     """Capacity lower bound w^(1/k) from an independent set of w vertices
     in the power, whose adjacency is refused (ValueError) before any search
     when over the dense byte budget; returns (bound, its SolveResult).
 
-    w is the independence number of the power when the search is exact.
+    w is the independence number of the power when the result is exact.
     On a timeout it is the size of the best set known, res.lower: still
-    a valid, if weaker, lower bound on the capacity. The best set is the
-    search's own or, when larger, the product of independent sets of G and
-    G^(k-1), each searched first on a quarter of the budget: G^k is the
-    row-major kron of G^(k-1) and G, so vertex i of G^(k-1) and j of G
-    make vertex i*n + j, and the product of independent sets is independent.
+    a valid, if weaker, lower bound on the capacity, and res.upper is the
+    least ceiling proven. The best set is the power's own search's or,
+    when larger, the product of independent sets of G and H = G^(k-1),
+    each searched first on a quarter of the budget: G^k is the row-major
+    kron of H and G, so vertex i of H and j of G make vertex i*n + j, and
+    the product of independent sets is independent.
 
     When theta(G) is known, `alpha_ceiling(theta(G), j)` is the target of
     the search on G^j, so a search stops at a set that large and a timeout
     ends there.
+
+    When G is an odd cycle C_L (L >= 5), alpha(H) is exact and the slice
+    bound floor(L alpha(H) / 2) is below theta's ceiling, two searches come
+    first (`slices`). The slice search lowers that ceiling by refuting
+    targets whose pairs of consecutive slices fall short of alpha(H) by at
+    most `slices.SLICE_DEFICIT` in total, and the shift floor finds a set
+    invariant under the cyclic shift of coordinates. On C7^3 they give
+    33 <= alpha <= 33. The power's own search runs only when they leave a
+    gap, with the least proven ceiling as its target. Every phase after
+    the two seed searches reads one deadline.
     """
-    start = time.monotonic()
+    b = _Budget(budget)
     theta = theta_best(g).value
     pk = strong_power(g, k)
     pk.adj  # the seed searches must not run on a power that is refused
-    seed = ()
+    ceiling = alpha_ceiling(theta, k)
+    best = ()
     if k > 1:
-        first = independence_number(g, budget / 4.0,
-                                    target=alpha_ceiling(theta)).witness
+        h = g if k == 2 else strong_power(g, k - 1)
+        first = independence_number(g, budget / 4.0, target=alpha_ceiling(theta))
         rest = first if k == 2 else independence_number(
-            strong_power(g, k - 1), budget / 4.0,
-            target=alpha_ceiling(theta, k - 1)).witness
-        seed = tuple(i * g.n + j for i in rest for j in first)
-    left = max(0.0, budget - (time.monotonic() - start))
-    res = independence_number(pk, left, target=alpha_ceiling(theta, k))
-    if res.status == "timeout" and len(seed) > len(res.witness):
-        res = replace(res, lower=len(seed), witness=seed)
+            h, budget / 4.0, target=alpha_ceiling(theta, k - 1))
+        best = tuple(i * g.n + j for i in rest.witness for j in first.witness)
+        cyc = _cycle_order(g)
+        if (cyc and rest.status == "exact"
+                and (ceiling is None or len(cyc) * rest.value // 2 < ceiling)):
+            # imported on first use: compiled along with this module, it
+            # raised the import-time peak RSS of every command
+            from .slices import shift_floor, slice_ceiling
+            ceiling, found = slice_ceiling(pk, h, rest.value, cyc, b)
+            best = max(best, found, key=len)
+            if len(best) < ceiling and not b.expired:
+                diag = [w * (pk.n - 1) // (g.n - 1) for w in first.witness]
+                best = max(best, shift_floor(pk, diag, ceiling, b), key=len)
+    w = len(best)
+    if ceiling is not None and w >= ceiling:
+        return w ** (1.0 / k), SolveResult(w, w, w, best, "exact", b.elapsed())
+    if b.expired:   # the slice search ran out the budget
+        return w ** (1.0 / k), SolveResult(None, w, ceiling, best, "timeout", b.elapsed())
+    res = independence_number(pk, b.left(), target=ceiling)
+    if res.status == "timeout" and len(best) > len(res.witness):
+        res = replace(res, lower=len(best), witness=best)
     return len(res.witness) ** (1.0 / k), res

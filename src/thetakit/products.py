@@ -43,6 +43,8 @@ def strong_product(*factors: Graph) -> Graph:
 
 def strong_power(g: Graph, k: int) -> Graph:
     """k-fold strong product of g with itself (k >= 1), named "<name>^k"."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     name = g.meta.name
     return strong_product(*[g] * k).with_meta(name=f"{name}^{k}" if name else "")
 

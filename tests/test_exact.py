@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from thetakit import exact, graphs
+from thetakit import exact, graphs, slices
 from thetakit.catalog import load_fixture
 from thetakit.exact import (
     CapacityCertificate,
@@ -614,6 +614,7 @@ def _spy_targets(monkeypatch):
         return search(g, budget, target=target)
 
     monkeypatch.setattr(exact, "independence_number", spy)
+    monkeypatch.setattr(slices, "independence_number", spy)
     return targets
 
 
@@ -628,21 +629,21 @@ def test_capacity_power_lb_pentagon(monkeypatch):
 
 
 def test_capacity_power_lb_keeps_the_witness_on_a_timeout(monkeypatch):
-    # alpha(C7^3) = 33 is out of reach of a short search, but the set it
-    # found still bounds the capacity from below, and theta(C7)^3 = 36.5
-    # bounds the interval from above. alpha(C7) = 3 and alpha(C7^2) = 10
-    # are exact in milliseconds, so their 30-set product is there whatever
+    # alpha(C7^3) = 33 is out of reach of the seed search on a quarter
+    # second, so no slice search runs on C7^4 and its own search times out.
+    # The set it found still bounds the capacity from below, and
+    # floor(theta(C7)^4) = 121 bounds the interval from above. The first
+    # greedy descents alone give 81 (3 times 27, and C7^4's own), whatever
     # the machine's speed
     targets = _spy_targets(monkeypatch)
-    bound, res = capacity_power_lb(cycle(7), 3, budget=1.0)
-    assert targets == [3, 11, 36]
+    bound, res = capacity_power_lb(cycle(7), 4, budget=1.0)
+    assert targets == [3, 36, 121]
     assert res.status == "timeout" and res.value is None
-    assert res.lower <= 33 <= res.upper <= 36
-    assert bound == len(res.witness) ** (1 / 3) >= 30 ** (1 / 3)
+    assert 81 <= res.lower < res.upper <= 121
+    assert bound == len(res.witness) ** (1 / 4)
     assert res.lower == len(res.witness)
-    pk = strong_power(cycle(7), 3)
-    assert not any(pk.adj[u, v]
-                   for u, v in itertools.combinations(res.witness, 2))
+    w = list(res.witness)
+    assert not strong_power(cycle(7), 4).adj[np.ix_(w, w)].any()
 
 
 def test_capacity_power_lb_short_budget_keeps_an_independent_witness():
@@ -651,6 +652,7 @@ def test_capacity_power_lb_short_budget_keeps_an_independent_witness():
     bound, res = capacity_power_lb(cycle(7), 3, budget=0.1)
     assert res.status == "timeout"
     assert res.lower == len(res.witness) <= 33 <= res.upper
+    assert res.upper <= 35                     # the slice bound, not theta's 36
     assert bound == len(res.witness) ** (1 / 3)
     pk = strong_power(cycle(7), 3)
     assert not any(pk.adj[u, v]
@@ -671,6 +673,181 @@ def test_capacity_power_lb_refuses_before_any_search(monkeypatch):
         capacity_power_lb(g, 5, 4.0)
     assert time.perf_counter() - start < 0.1
     assert targets == []
+
+
+def _slice_search(h, length, maps=None):
+    """The slice search on h x C_length, with alpha(h) searched exactly;
+    maps defaults to the identity alone, a group that takes every slice."""
+    cyc = exact._cycle_order(cycle(length))
+    maps = np.arange(h.n)[None] if maps is None else maps
+    alpha = independence_number(h).value
+    return slices._Slices.build(h, alpha, maps, cyc, exact._Budget(60)), alpha
+
+
+def _slice_targets(length, alpha_h):
+    """The targets the slice search takes: deficit 0 to SLICE_DEFICIT."""
+    top = length * alpha_h // 2
+    return range((length * alpha_h - slices.SLICE_DEFICIT + 1) // 2, top + 1)
+
+
+def assert_slice_search_agrees(h, length, maps=None):
+    g = strong_product(h, cycle(length))
+    alpha = independence_number(g).value
+    search, alpha_h = _slice_search(h, length, maps)
+    for t in _slice_targets(length, alpha_h):
+        budget = exact._Budget(60)
+        found = search.search(t, budget)
+        assert not budget.expired
+        assert (found is not None) == (t <= alpha), t
+        if found:
+            assert len(found) >= t
+            assert not g.adj[np.ix_(found, found)].any()
+
+
+def _dihedral(length):
+    return slices._cycle_power_maps(exact._cycle_order(cycle(length)), 1)
+
+
+@pytest.mark.parametrize("h, length, maps", [
+    (cycle(5), 5, _dihedral(5)),
+    (cycle(5), 7, _dihedral(5)),
+    (cycle(7), 5, _dihedral(7)),
+    (cycle(7), 7, _dihedral(7)),
+    (complete(3), 5, np.array(list(itertools.permutations(range(3))))),
+], ids=["C5xC5", "C5xC7", "C7xC5", "C7xC7", "K3xC5"])
+def test_slice_search_agrees_with_exact_alpha(h, length, maps):
+    # found exactly when t <= alpha(h x C_L), for every target it takes
+    assert_slice_search_agrees(h, length, maps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_slice_search_agrees_on_random_graphs(seed):
+    # irregular h with no symmetry assumed; refutations as well as finds
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    a = np.triu(rng.random((n, n)) < 0.4, 1)
+    assert_slice_search_agrees(Graph(a | a.T), 5 + 2 * (seed % 2))
+
+
+def test_slice_search_joins_two_short_pairs(monkeypatch):
+    # C5 x C5 has 4-sets whose pairs fall short by 1 twice, e.g. slices
+    # {}, {0, 2}, {}, {1}, {3}: with the one-short-pair closure switched
+    # off, the meet in the middle alone still finds one
+    monkeypatch.setattr(slices._Slices, "_close", lambda self, layers, near0: None)
+    search, _ = _slice_search(cycle(5), 5, _dihedral(5))
+    found = search.search(4, exact._Budget(60))
+    assert found is not None and len(found) == 4
+    assert not strong_power(cycle(5), 2).adj[np.ix_(found, found)].any()
+
+
+def _short_pairs(g_set, alpha_h, cyc):
+    """How many cyclic slice pairs of a set of h x C_L fall short of
+    alpha(h), by 1 and by more."""
+    sizes = [0] * len(cyc)
+    for v in g_set:
+        sizes[cyc.index(v % len(cyc))] += 1
+    short = [alpha_h - sizes[j] - sizes[(j + 1) % len(cyc)] for j in range(len(cyc))]
+    return sum(d == 1 for d in short), sum(d > 1 for d in short)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+@pytest.mark.parametrize("shape", ["close", "join"])
+def test_slice_shapes_match_brute_force(shape, length, monkeypatch):
+    # every graph on 4 labelled vertices: with the other shape switched off,
+    # a t-set is found exactly when some t-set of h x C_L has that shape,
+    # at most one short pair ("close") or two pairs short by 1 ("join")
+    other = "_join" if shape == "close" else "_close"
+    monkeypatch.setattr(slices._Slices, other, lambda self, *args: None)
+    cyc = exact._cycle_order(cycle(length))
+    pairs = list(itertools.combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        h = Graph.from_edge_list(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        g = strong_product(h, cycle(length))
+        search, alpha_h = _slice_search(h, length)
+        for t in _slice_targets(length, alpha_h):
+            _, sets = exact._clique_search(g.complement().adj, exact._Budget(60), t, t)
+            counts = [_short_pairs(list(exact._bits(x)), alpha_h, cyc) for x in sets]
+            want = any(c[0] + c[1] <= 1 if shape == "close" else c == (2, 0)
+                       for c in counts)
+            assert (search.search(t, exact._Budget(60)) is not None) == want, (mask, t)
+
+
+def test_slice_search_positive_control():
+    # alpha(C7 x C7) = 10 = floor(7 * 3 / 2): t = 10 is found, independent
+    search, _ = _slice_search(cycle(7), 7, _dihedral(7))
+    found = search.search(10, exact._Budget(60))
+    assert len(found) == 10
+    assert not strong_power(cycle(7), 2).adj[np.ix_(found, found)].any()
+
+
+def test_slice_search_refutes_twelve_on_c5_cubed():
+    # C5^3 cut by its last factor: alpha(C5^2) = 5 and t = 12 leave a
+    # deficit of 1, but alpha(C5^3) = 10
+    cyc = exact._cycle_order(cycle(5))
+    h = strong_power(cycle(5), 2)
+    budget = exact._Budget(60)
+    search = slices._Slices.build(h, 5, slices._cycle_power_maps(cyc, 2), cyc, budget)
+    assert search.search(12, budget) is None
+    assert not budget.expired
+
+
+def _relabelled_c7():
+    perm = [3, 6, 0, 5, 1, 4, 2]
+    return Graph.from_edge_list(7, [(perm[i], perm[(i + 1) % 7]) for i in range(7)])
+
+
+def test_cycle_power_maps_are_the_wreath_product():
+    # (2 * 7)^2 * 2! = 392 distinct automorphisms of C7 x C7, also when the
+    # cycle's labels do not follow it
+    g = _relabelled_c7()
+    cyc = exact._cycle_order(g)
+    assert all(g.has_edge(cyc[i], cyc[(i + 1) % 7]) for i in range(7))
+    maps = slices._cycle_power_maps(cyc, 2)
+    a = strong_power(g, 2).adj
+    assert maps.shape == (392, 49) and len({tuple(m) for m in maps.tolist()}) == 392
+    assert all(np.array_equal(a[np.ix_(m, m)], a) for m in maps)
+    assert exact._cycle_order(cycle(6)) is None      # even
+    assert exact._cycle_order(cycle(3)) is None      # a triangle
+    assert exact._cycle_order(disjoint_union(cycle(5), cycle(5))) is None
+
+
+def test_shift_floor_on_c7_cubed():
+    # the diagonal (0,0,0), (2,2,2), (4,4,4) and ten orbits of three
+    g, k = cycle(7), 3
+    pk = strong_power(g, k)
+    diag = [w * 57 for w in (0, 2, 4)]
+    found = slices.shift_floor(pk, diag, 33, exact._Budget(60))
+    assert len(found) == 33 and set(diag) <= set(found)
+    assert not pk.adj[np.ix_(found, found)].any()
+    shift = {v: v % 49 * 7 + v // 49 for v in range(pk.n)}
+    assert {shift[v] for v in found} == set(found)
+
+
+def test_capacity_power_lb_decides_c7_cubed(monkeypatch):
+    # the slice search refutes 34 (so 35 too) and the shift floor finds 33,
+    # so the power's own search never runs; twice, the same set
+    targets = _spy_targets(monkeypatch)
+    runs = [capacity_power_lb(cycle(7), 3, budget=5.0) for _ in range(2)]
+    assert targets == [3, 11, 10] * 2          # C7, C7^2, the orbit graph
+    (bound, res), (again, res2) = runs
+    assert (bound, res.value, res.witness) == (again, res2.value, res2.witness)
+    assert res.status == "exact" and res.value == res.lower == res.upper == 33
+    assert bound == 33 ** (1 / 3)
+    w = list(res.witness)
+    assert len(w) == 33 and not strong_power(cycle(7), 3).adj[np.ix_(w, w)].any()
+
+
+@pytest.mark.parametrize("g, alpha", [(_relabelled_c7(), 10), (cycle(15), 52),
+                                      (cycle(21), 105)],
+                         ids=["C7-relabelled", "C15", "C21"])
+def test_capacity_power_lb_slices_cycle_squares(g, alpha):
+    # floor(L (L - 1) / 4) is below floor(theta(C_L)^2) and the slice
+    # search finds a set that large, so alpha(C_L^2) is exact with no branch
+    # and bound (which left C15^2 at [50, 55] after 5 s)
+    bound, res = capacity_power_lb(g, 2, budget=5.0)
+    assert res.status == "exact" and res.value == alpha
+    w = list(res.witness)
+    assert len(w) == alpha and not strong_power(g, 2).adj[np.ix_(w, w)].any()
 
 
 def test_chi_clique_seed_gets_only_the_budget_left(monkeypatch):

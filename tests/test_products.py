@@ -59,8 +59,9 @@ def test_strong_power():
     g = cycle(5)
     assert strong_power(g, 1) == g
     assert strong_power(g, 2) == strong_product(g, g)
-    with pytest.raises(ValueError):
-        strong_power(g, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            strong_power(g, k)
     with pytest.raises(ValueError):
         strong_power(g, 7).adj   # a 5^7-vertex adjacency is over the byte budget
     assert not within_budget((5 ** 7) ** 2)
