@@ -34,6 +34,8 @@ class SolveResult:
 
 class _Budget:
     def __init__(self, seconds: float):
+        if not seconds >= 0:    # NaN as well: it would never expire
+            raise ValueError(f"budget must be a number of seconds >= 0, got {seconds}")
         self.deadline = time.monotonic() + seconds
         self.start = time.monotonic()
         self.expired = False
@@ -524,55 +526,55 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     w is the independence number of the power when the result is exact.
     On a timeout it is the size of the best set known, res.lower: still
     a valid, if weaker, lower bound on the capacity, and res.upper is the
-    least ceiling proven. The best set is the power's own search's or,
-    when larger, the product of independent sets of G and H = G^(k-1),
-    each searched first on a quarter of the budget: G^k is the row-major
-    kron of H and G, so vertex i of H and j of G make vertex i*n + j, and
-    the product of independent sets is independent.
+    least ceiling proven.
 
-    When theta(G) is known, `alpha_ceiling(theta(G), j)` is the target of
-    the search on G^j, so a search stops at a set that large and a timeout
-    ends there.
-
-    When G is an odd cycle C_L (L >= 5), alpha(H) is exact and the slice
-    bound floor(L alpha(H) / 2) is below theta's ceiling, two searches come
-    first (`slices`). The slice search lowers that ceiling by refuting
-    targets whose pairs of consecutive slices fall short of alpha(H) by at
-    most `slices.SLICE_DEFICIT` in total, and the shift floor finds a set
-    invariant under the cyclic shift of coordinates. On C7^3 they give
-    33 <= alpha <= 33. The power's own search runs only when they leave a
-    gap, with the least proven ceiling as its target. Every phase after
-    the two seed searches reads one deadline.
+    The powers G^1, ..., G^k are decided in turn, one rung each, all on
+    one deadline. Rung 1 is `independence_number(g,
+    target=alpha_ceiling(theta))`, which shares g's alpha memo. Rung j >= 2,
+    with H = G^(j-1), runs three steps:
+    1. Its first set is the product of H's set and G's: G^j is the
+       row-major kron of H and G, so vertex i of H and v of G make vertex
+       i*n + v, and the product of independent sets is independent.
+    2. When G is an odd cycle C_L (L >= 5), alpha(H) is exact and the slice
+       bound floor(L alpha(H) / 2) is below the ceiling, two searches run
+       (`slices`). The slice search lowers the ceiling by refuting targets
+       whose pairs of consecutive slices fall short of alpha(H) by at most
+       `slices.SLICE_DEFICIT` in total, and the shift floor finds a set
+       invariant under the cyclic shift of coordinates. On C7^3 they give
+       33 <= alpha <= 33.
+    3. The power's own alpha search runs when a gap is left, with the
+       least ceiling proven as its target: the slice search's, else
+       `alpha_ceiling(theta(G), j)`, else n^j.
+    Once the deadline has passed, a rung is its best set and ceiling.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     b = _Budget(budget)
     theta = theta_best(g).value
-    pk = strong_power(g, k)
-    pk.adj  # the seed searches must not run on a power that is refused
-    ceiling = alpha_ceiling(theta, k)
-    best = ()
-    if k > 1:
-        h = g if k == 2 else strong_power(g, k - 1)
-        first = independence_number(g, budget / 4.0, target=alpha_ceiling(theta))
-        rest = first if k == 2 else independence_number(
-            h, budget / 4.0, target=alpha_ceiling(theta, k - 1))
-        best = tuple(i * g.n + j for i in rest.witness for j in first.witness)
-        cyc = _cycle_order(g)
-        if (cyc and rest.status == "exact"
-                and (ceiling is None or len(cyc) * rest.value // 2 < ceiling)):
+    powers = [g] + [strong_power(g, j) for j in range(2, k + 1)]
+    powers[-1].adj  # no search may run on a power that is refused
+    cyc = _cycle_order(g)
+    first = res = independence_number(g, b.left(), target=alpha_ceiling(theta))
+    for j, (h, pj) in enumerate(zip(powers, powers[1:]), 2):
+        ceiling = alpha_ceiling(theta, j) or pj.n
+        best = tuple(i * g.n + v for i in res.witness for v in first.witness)
+        if (cyc and res.status == "exact" and len(cyc) * res.value // 2 < ceiling
+                and not b.check_now()):
             # imported on first use: compiled along with this module, it
             # raised the import-time peak RSS of every command
             from .slices import shift_floor, slice_ceiling
-            ceiling, found = slice_ceiling(pk, h, rest.value, cyc, b)
+            ceiling, found = slice_ceiling(pj, h, res.value, cyc, b)
             best = max(best, found, key=len)
             if len(best) < ceiling and not b.expired:
-                diag = [w * (pk.n - 1) // (g.n - 1) for w in first.witness]
-                best = max(best, shift_floor(pk, diag, ceiling, b), key=len)
-    w = len(best)
-    if ceiling is not None and w >= ceiling:
-        return w ** (1.0 / k), SolveResult(w, w, w, best, "exact", b.elapsed())
-    if b.expired:   # the slice search ran out the budget
-        return w ** (1.0 / k), SolveResult(None, w, ceiling, best, "timeout", b.elapsed())
-    res = independence_number(pk, b.left(), target=ceiling)
-    if res.status == "timeout" and len(best) > len(res.witness):
-        res = replace(res, lower=len(best), witness=best)
+                diag = [w * (pj.n - 1) // (g.n - 1) for w in first.witness]
+                best = max(best, shift_floor(pj, diag, ceiling, b), key=len)
+        w = len(best)
+        if w >= ceiling:
+            res = SolveResult(w, w, w, best, "exact", b.elapsed())
+        elif b.check_now():
+            res = SolveResult(None, w, ceiling, best, "timeout", b.elapsed())
+        else:
+            res = independence_number(pj, b.left(), target=ceiling)
+            if res.status == "timeout" and w > len(res.witness):
+                res = replace(res, lower=w, witness=best)
     return len(res.witness) ** (1.0 / k), res

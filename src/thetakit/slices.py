@@ -67,6 +67,18 @@ def _words(sets, width):
     return np.frombuffer(buf, dtype="<u8").reshape(len(sets), width)
 
 
+def _maximum_sets(h: Graph, alpha: int, budget: _Budget) -> Optional[list]:
+    """H's independent sets of `alpha` vertices, its independence number, as
+    bitsets, or None when listing them runs out of budget or of bytes."""
+    _, found = _clique_search(h.complement().adj, budget, alpha, alpha)
+    maxsets = []
+    for m in found:
+        maxsets.append(m)
+        if not within_budget(len(maxsets) * _set_bytes(h.n)):
+            return None
+    return None if budget.expired else maxsets
+
+
 class _Slices:
     """The slice search on H ⊠ C_L, over H's maximum independent sets.
 
@@ -95,19 +107,6 @@ class _Slices:
                 images = maps[:, self.reps[-1]].tolist()
                 seen.update(sum(1 << v for v in row) for row in images)
         self.firsts = {}
-
-    @classmethod
-    def build(cls, h: Graph, alpha: int, maps, cyc, budget: _Budget):
-        """The search on H, whose independence number is `alpha`, or None
-        when listing H's maximum independent sets runs out of budget or of
-        bytes."""
-        _, found = _clique_search(h.complement().adj, budget, alpha, alpha)
-        maxsets = []
-        for m in found:
-            maxsets.append(m)
-            if not within_budget(len(maxsets) * _set_bytes(h.n)):
-                return None
-        return None if budget.expired else cls(h, alpha, maps, cyc, maxsets)
 
     def _held(self, s):
         """The maximum sets that hold the slice s, as a bitset of indices."""
@@ -283,8 +282,11 @@ def slice_ceiling(pk: Graph, h: Graph, alpha_h: int, cyc, budget: _Budget):
     the ceiling is maximum."""
     L = len(cyc)
     ceiling = L * alpha_h // 2
-    maps = _cycle_power_maps(cyc, len(pk.factors) - 1)
-    search = None if maps is None else _Slices.build(h, alpha_h, maps, cyc, budget)
+    # the maps only once the maximum sets are listed: 16464 of them on
+    # C7^3 take 0.3 s and 45 MB, and listing its 33-sets outlasts a 5 s budget
+    maxsets = _maximum_sets(h, alpha_h, budget)
+    maps = None if maxsets is None else _cycle_power_maps(cyc, len(pk.factors) - 1)
+    search = None if maps is None else _Slices(h, alpha_h, maps, cyc, maxsets)
     best = ()
     t = (L * alpha_h - SLICE_DEFICIT + 1) // 2
     while search and t <= ceiling:

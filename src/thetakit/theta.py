@@ -653,11 +653,6 @@ class ThetaEstimate:
     bounds: Optional[ThetaBounds] = None
     lower: Optional[float] = None   # certified lower end of theta, set with value
 
-    def __float__(self):
-        if self.value is None:
-            raise ValueError("theta not determined, only bounded")
-        return float(self.value)
-
 
 def theta_best(g: Graph, tol: float = THETA_TOL,
                exact_cap: int = THETA_EXACT_DEFAULT_CAP) -> ThetaEstimate:

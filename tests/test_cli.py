@@ -145,6 +145,17 @@ def test_bad_arguments_are_an_input_error(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_a_budget_that_is_not_seconds_is_an_input_error(budget, capsys):
+    # NaN would never time out and -1 would report a timeout unsearched:
+    # the exact solvers refuse both before searching
+    rc, out, err = run(["analyze", "--gen", "cameron", "--tasks", "chromatic-bounds",
+                        "--exact-chi", "--budget", budget], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "budget" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["power", "--help"]])
 def test_help_exits_zero(argv, capsys):
     rc, out, _ = run(argv, capsys)

@@ -38,7 +38,7 @@ from thetakit.graphs import (
 )
 from thetakit.catalog import entries
 from thetakit.products import strong_power, strong_product
-from thetakit.theta import theta_best, theta_exact
+from thetakit.theta import alpha_ceiling, theta_best, theta_exact
 
 
 def inertia_bound(g):
@@ -414,6 +414,19 @@ def test_alpha_with_target_matches_brute_force(seed, monkeypatch):
                            for u, v in itertools.combinations(res.witness, 2))
 
 
+@pytest.mark.parametrize("seconds", [math.nan, -1.0, -math.inf])
+def test_a_budget_is_a_number_of_seconds(seconds):
+    # a NaN deadline never passes, and a negative one would report a
+    # timeout with no search; an infinite budget stays legal
+    with pytest.raises(ValueError, match="budget"):
+        exact._Budget(seconds)
+    with pytest.raises(ValueError, match="budget"):
+        chromatic_number(petersen(), seconds)
+    with pytest.raises(ValueError, match="budget"):
+        capacity_power_lb(cycle(5), 2, seconds)
+    assert not exact._Budget(math.inf).check_now()
+
+
 def test_greedy_start_runs_one_descent_past_the_deadline():
     # on G(30, 0.5) seed 0 the first of the eight descents finds 5
     # vertices and a later one 6; past the deadline only the first runs,
@@ -629,15 +642,16 @@ def test_capacity_power_lb_pentagon(monkeypatch):
 
 
 def test_capacity_power_lb_keeps_the_witness_on_a_timeout(monkeypatch):
-    # alpha(C7^3) = 33 is out of reach of the seed search on a quarter
-    # second, so no slice search runs on C7^4 and its own search times out.
-    # The set it found still bounds the capacity from below, and
-    # floor(theta(C7)^4) = 121 bounds the interval from above. The first
-    # greedy descents alone give 81 (3 times 27, and C7^4's own), whatever
-    # the machine's speed
+    # C7^4 is not decided in 1 s: its rung lists C7^3's maximum 33-sets at
+    # best. Each rung's first set is the product of the rung below's and
+    # alpha(C7)'s, so the witness holds at least 3 * 3 * 3 * 3 = 81 vertices
+    # however far the rungs got, and floor(theta(C7)^4) = 121 bounds the
+    # interval from above. C7 is decided at its target 3 and C7^2 by the
+    # slice search; only the shift floor of C7^3 (target 10) may search
+    # alpha after that, if the machine gets that far within the second
     targets = _spy_targets(monkeypatch)
     bound, res = capacity_power_lb(cycle(7), 4, budget=1.0)
-    assert targets == [3, 36, 121]
+    assert targets in ([3], [3, 10])
     assert res.status == "timeout" and res.value is None
     assert 81 <= res.lower < res.upper <= 121
     assert bound == len(res.witness) ** (1 / 4)
@@ -681,7 +695,8 @@ def _slice_search(h, length, maps=None):
     cyc = exact._cycle_order(cycle(length))
     maps = np.arange(h.n)[None] if maps is None else maps
     alpha = independence_number(h).value
-    return slices._Slices.build(h, alpha, maps, cyc, exact._Budget(60)), alpha
+    maxsets = slices._maximum_sets(h, alpha, exact._Budget(60))
+    return slices._Slices(h, alpha, maps, cyc, maxsets), alpha
 
 
 def _slice_targets(length, alpha_h):
@@ -786,7 +801,8 @@ def test_slice_search_refutes_twelve_on_c5_cubed():
     cyc = exact._cycle_order(cycle(5))
     h = strong_power(cycle(5), 2)
     budget = exact._Budget(60)
-    search = slices._Slices.build(h, 5, slices._cycle_power_maps(cyc, 2), cyc, budget)
+    maxsets = slices._maximum_sets(h, 5, budget)
+    search = slices._Slices(h, 5, slices._cycle_power_maps(cyc, 2), cyc, maxsets)
     assert search.search(12, budget) is None
     assert not budget.expired
 
@@ -824,17 +840,67 @@ def test_shift_floor_on_c7_cubed():
 
 
 def test_capacity_power_lb_decides_c7_cubed(monkeypatch):
-    # the slice search refutes 34 (so 35 too) and the shift floor finds 33,
-    # so the power's own search never runs; twice, the same set
+    # the slice search finds C7^2's 10-set at its bound, then on C7^3
+    # refutes 34 (so 35 too) and the shift floor finds 33, so neither
+    # power's own search runs; twice, the same set
     targets = _spy_targets(monkeypatch)
     runs = [capacity_power_lb(cycle(7), 3, budget=5.0) for _ in range(2)]
-    assert targets == [3, 11, 10] * 2          # C7, C7^2, the orbit graph
+    assert targets == [3, 10] * 2              # C7, the orbit graph
     (bound, res), (again, res2) = runs
     assert (bound, res.value, res.witness) == (again, res2.value, res2.witness)
     assert res.status == "exact" and res.value == res.lower == res.upper == 33
     assert bound == 33 ** (1 / 3)
     w = list(res.witness)
     assert len(w) == 33 and not strong_power(cycle(7), 3).adj[np.ix_(w, w)].any()
+
+
+class _TopRungReached(Exception):
+    pass
+
+
+def test_capacity_power_lb_hands_each_rung_an_exact_alpha(monkeypatch):
+    # C7^4's top rung gets alpha(C7^3) = 33, exact, from rung 3: the slice
+    # search runs only on an exact rung below. The top rung's own slice
+    # search, which would list C7^3's maximum 33-sets until the deadline,
+    # is cut off where it starts
+    calls = []
+    search = slices.slice_ceiling
+
+    def spy(pk, h, alpha_h, cyc, budget):
+        calls.append((h.n, alpha_h))
+        if pk.n == 7 ** 4:
+            raise _TopRungReached
+        return search(pk, h, alpha_h, cyc, budget)
+
+    monkeypatch.setattr(slices, "slice_ceiling", spy)
+    with pytest.raises(_TopRungReached):
+        capacity_power_lb(cycle(7), 4, budget=5.0)
+    assert calls == [(7, 3), (49, 10), (343, 33)]
+
+
+def test_capacity_power_lb_builds_each_power_once(monkeypatch):
+    ks = []
+    build = exact.strong_power
+
+    def spy(g, k):
+        ks.append(k)
+        return build(g, k)
+
+    monkeypatch.setattr(exact, "strong_power", spy)
+    _, res = capacity_power_lb(cycle(5), 3, budget=5.0)
+    assert ks == [2, 3]
+    assert res.status == "exact" and res.value == 10
+
+
+@pytest.mark.parametrize("make", [lambda: cycle(7), petersen,
+                                  frucht, lambda: random_regular(12, 3, 0)],
+                         ids=["C7", "petersen", "frucht", "rr12"])
+def test_capacity_power_lb_first_power_is_the_alpha_search(make):
+    bound, res = capacity_power_lb(make(), 1)
+    g = make()
+    direct = independence_number(g, target=alpha_ceiling(theta_best(g).value))
+    assert (res.value, res.status, res.witness) == (direct.value, "exact", direct.witness)
+    assert bound == res.value
 
 
 @pytest.mark.parametrize("g, alpha", [(_relabelled_c7(), 10), (cycle(15), 52),
