@@ -535,11 +535,13 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     1. Its first set is the product of H's set and G's: G^j is the
        row-major kron of H and G, so vertex i of H and v of G make vertex
        i*n + v, and the product of independent sets is independent.
-    2. When G is an odd cycle C_L (L >= 5), alpha(H) is exact and the slice
-       bound floor(L alpha(H) / 2) is below the ceiling, two searches run
-       (`slices`). The slice search lowers the ceiling by refuting targets
-       whose pairs of consecutive slices fall short of alpha(H) by at most
-       `slices.SLICE_DEFICIT` in total, and the shift floor finds a set
+    2. When G is an odd cycle C_L (L >= 5) and alpha(H) is exact, the rung
+       goes to `slices.search_rung`, which reads L from the cycle and the
+       power from the orders of H and G^j, not from the power's factors.
+       When the slice bound floor(L alpha(H) / 2) is below the ceiling, its
+       slice search lowers the ceiling by refuting targets whose pairs of
+       consecutive slices fall short of alpha(H) by at most
+       `slices.SLICE_DEFICIT` in total, and its shift floor finds a set
        invariant under the cyclic shift of coordinates. On C7^3 they give
        33 <= alpha <= 33.
     3. The power's own alpha search runs when a gap is left, with the
@@ -558,16 +560,11 @@ def capacity_power_lb(g: Graph, k: int, budget: float = DEFAULT_BUDGET):
     for j, (h, pj) in enumerate(zip(powers, powers[1:]), 2):
         ceiling = alpha_ceiling(theta, j) or pj.n
         best = tuple(i * g.n + v for i in res.witness for v in first.witness)
-        if (cyc and res.status == "exact" and len(cyc) * res.value // 2 < ceiling
-                and not b.check_now()):
+        if cyc and res.status == "exact" and not b.check_now():
             # imported on first use: compiled along with this module, it
             # raised the import-time peak RSS of every command
-            from .slices import shift_floor, slice_ceiling
-            ceiling, found = slice_ceiling(pj, h, res.value, cyc, b)
-            best = max(best, found, key=len)
-            if len(best) < ceiling and not b.expired:
-                diag = [w * (pj.n - 1) // (g.n - 1) for w in first.witness]
-                best = max(best, shift_floor(pj, diag, ceiling, b), key=len)
+            from .slices import search_rung
+            ceiling, best = search_rung(pj, h, res.value, first.witness, cyc, best, ceiling, b)
         w = len(best)
         if w >= ceiling:
             res = SolveResult(w, w, w, best, "exact", b.elapsed())

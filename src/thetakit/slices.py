@@ -267,50 +267,55 @@ class _Slices:
         return None
 
 
-def _independent(g: Graph, vertices) -> bool:
-    """Whether no two of the vertices are adjacent in g."""
-    idx = list(vertices)
-    return not g.adj[np.ix_(idx, idx)].any()
+def search_rung(pk: Graph, h: Graph, alpha_h: int, base, cyc, best, ceiling: int,
+                budget: _Budget):
+    """The rung pk = C_L^k of `exact.capacity_power_lb`, cyc listing C_L's
+    vertices along the cycle: H = C_L^(k-1) with alpha(H) = alpha_h exact,
+    `base` a maximum independent set of C_L, and `best`, `ceiling` the
+    rung's set and ceiling so far. Returns them tightened, (ceiling, best).
 
-
-def slice_ceiling(pk: Graph, h: Graph, alpha_h: int, cyc, budget: _Budget):
-    """(ceiling, witness) on alpha(pk), pk = C_L^k and H = C_L^(k-1) with
-    alpha(H) = alpha_h: the slice bound floor(L alpha_h / 2), lowered by
-    each target the slice search refutes, and the largest set it found, ()
-    if none. Targets run up from the least with deficit at most
+    L and k are read from cyc and the orders of H and pk, never from a
+    power's factors. When the slice bound floor(L alpha_h / 2) is below the
+    ceiling, it becomes the ceiling, lowered by each target the slice
+    search refutes. Targets run up from the least with deficit at most
     SLICE_DEFICIT, each above the last set found, so a found set that meets
-    the ceiling is maximum."""
+    the ceiling is maximum. The shift floor runs when a gap is left."""
     L = len(cyc)
+    if L * alpha_h // 2 >= ceiling:
+        return ceiling, best
+    k = round(math.log(pk.n, L))
     ceiling = L * alpha_h // 2
     # the maps only once the maximum sets are listed: 16464 of them on
     # C7^3 take 0.3 s and 45 MB, and listing its 33-sets outlasts a 5 s budget
     maxsets = _maximum_sets(h, alpha_h, budget)
-    maps = None if maxsets is None else _cycle_power_maps(cyc, len(pk.factors) - 1)
+    maps = None if maxsets is None else _cycle_power_maps(cyc, k - 1)
     search = None if maps is None else _Slices(h, alpha_h, maps, cyc, maxsets)
-    best = ()
-    t = (L * alpha_h - SLICE_DEFICIT + 1) // 2
+    found, t = (), (L * alpha_h - SLICE_DEFICIT + 1) // 2
     while search and t <= ceiling:
-        found = search.search(t, budget)
+        hit = search.search(t, budget)
         if budget.expired:
             break
-        if not found:
+        if not hit:
             ceiling = t - 1
             break
-        best, t = found, len(found) + 1
-    if best and not _independent(pk, best):
-        raise RuntimeError("the slice search's set is not independent")
+        found, t = hit, len(hit) + 1
+    best = max(best, found, key=len)
+    if len(best) < ceiling and not budget.expired:
+        diag = [w * (pk.n - 1) // (L - 1) for w in base]    # the constant tuples
+        best = max(best, _shift_floor(pk, diag, L, k, ceiling, budget), key=len)
+    if pk.adj[np.ix_(best, best)].any():
+        raise RuntimeError("the rung's set is not independent")
     return ceiling, best
 
 
-def shift_floor(pk: Graph, diag, ceiling: int, budget: _Budget) -> tuple:
-    """An independent set of pk = G^k that the cyclic shift of coordinates
-    maps to itself (Mathew & Östergård 2017): the independent set `diag` of
-    constant tuples, and the most shift orbits of k vertices that are
-    independent, clear of diag's neighbourhood and pairwise non-adjacent,
-    found by the alpha search on their orbit graph with target
-    floor((ceiling - |diag|) / k)."""
-    size, k = pk.n, len(pk.factors)
-    n = pk.factors[0].n
+def _shift_floor(pk: Graph, diag, n: int, k: int, ceiling: int, budget: _Budget) -> tuple:
+    """An independent set of pk = G^k, G of n vertices, that the cyclic
+    shift of coordinates maps to itself (Mathew & Östergård 2017): the
+    independent set `diag` of constant tuples, and the most shift orbits of
+    k vertices that are independent, clear of diag's neighbourhood and
+    pairwise non-adjacent, found by the alpha search on their orbit graph
+    with target floor((ceiling - |diag|) / k)."""
+    size = pk.n
     v = np.arange(size)
     shift = v % (size // n) * n + v // (size // n)
     orbits = [v]
@@ -329,7 +334,4 @@ def shift_floor(pk: Graph, diag, ceiling: int, budget: _Budget) -> tuple:
     flat, m = orbits.ravel(), len(orbits)
     quotient = adj[np.ix_(flat, flat)].reshape(m, k, m, k).any(axis=(1, 3))
     res = independence_number(Graph._derived(quotient), budget.left(), target=target)
-    witness = tuple(sorted(list(diag) + orbits[list(res.witness)].ravel().tolist()))
-    if not _independent(pk, witness):
-        raise RuntimeError("the shift-invariant set is not independent")
-    return witness
+    return tuple(sorted(list(diag) + orbits[list(res.witness)].ravel().tolist()))

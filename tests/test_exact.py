@@ -832,7 +832,7 @@ def test_shift_floor_on_c7_cubed():
     g, k = cycle(7), 3
     pk = strong_power(g, k)
     diag = [w * 57 for w in (0, 2, 4)]
-    found = slices.shift_floor(pk, diag, 33, exact._Budget(60))
+    found = slices._shift_floor(pk, diag, 7, k, 33, exact._Budget(60))
     assert len(found) == 33 and set(diag) <= set(found)
     assert not pk.adj[np.ix_(found, found)].any()
     shift = {v: v % 49 * 7 + v // 49 for v in range(pk.n)}
@@ -864,18 +864,49 @@ def test_capacity_power_lb_hands_each_rung_an_exact_alpha(monkeypatch):
     # search, which would list C7^3's maximum 33-sets until the deadline,
     # is cut off where it starts
     calls = []
-    search = slices.slice_ceiling
+    search = slices.search_rung
 
-    def spy(pk, h, alpha_h, cyc, budget):
+    def spy(pk, h, alpha_h, *args):
         calls.append((h.n, alpha_h))
         if pk.n == 7 ** 4:
             raise _TopRungReached
-        return search(pk, h, alpha_h, cyc, budget)
+        return search(pk, h, alpha_h, *args)
 
-    monkeypatch.setattr(slices, "slice_ceiling", spy)
+    monkeypatch.setattr(slices, "search_rung", spy)
     with pytest.raises(_TopRungReached):
         capacity_power_lb(cycle(7), 4, budget=5.0)
     assert calls == [(7, 3), (49, 10), (343, 33)]
+
+
+@pytest.mark.parametrize("factors", [(complete(1), cycle(7)), (cycle(7), complete(1))],
+                         ids=["K1xC7", "C7xK1"])
+def test_capacity_power_lb_reads_the_cycle_not_the_factors(factors):
+    # K1 x C7 is a 7-cycle that records two factors, so its cube records
+    # six: the rung is still C7^3, decided as cycle(7)'s is
+    g = strong_product(*factors)
+    bound, res = capacity_power_lb(g, 3, 5.0)
+    assert res.status == "exact" and res.value == 33
+    w = list(res.witness)
+    assert len(w) == 33 and not strong_power(g, 3).adj[np.ix_(w, w)].any()
+
+
+def test_capacity_power_lb_builds_the_maps_of_the_rung_below(monkeypatch):
+    # K1 x C9 squared slices C9 itself, so only C9's maps are built, not
+    # the 204 MB table of C9^3's that its four recorded factors would ask for
+    powers = []
+    build = slices._cycle_power_maps
+
+    def spy(cyc, m):
+        powers.append(m)
+        return build(cyc, m)
+
+    monkeypatch.setattr(slices, "_cycle_power_maps", spy)
+    g = strong_product(complete(1), cycle(9))
+    _, res = capacity_power_lb(g, 2, 5.0)
+    assert res.status == "exact" and res.value == 18
+    assert powers == [1]
+    w = list(res.witness)
+    assert not strong_power(g, 2).adj[np.ix_(w, w)].any()
 
 
 def test_capacity_power_lb_builds_each_power_once(monkeypatch):
