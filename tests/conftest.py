@@ -26,3 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = _criteria[key]
         tag = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"{key}: {tag} - {detail}")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: takes seconds; deselect with -m 'not slow'")

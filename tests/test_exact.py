@@ -807,6 +807,183 @@ def test_slice_search_refutes_twelve_on_c5_cubed():
     assert not budget.expired
 
 
+def _reference_walk(maxsets, first, depth):
+    """The walk by reach sets one slice at a time, on Python int bitsets:
+    the slices one maximum step on from s are M ^ s for each maximum set M
+    that holds s, found by ANDing per-vertex bitsets of maximum-set indices."""
+    holding = {}
+    for i, m in enumerate(maxsets):
+        for v in exact._bits(m):
+            holding[v] = holding.get(v, 0) | 1 << i
+
+    def steps(s):
+        held = (1 << len(maxsets)) - 1
+        for v in exact._bits(s):
+            held &= holding.get(v, 0)
+        return [maxsets[i] ^ s for i in exact._bits(held)]
+
+    layers = [{first}]
+    for _ in range(depth):
+        layers.append({y for x in layers[-1] for y in steps(x)})
+    return layers
+
+
+def _as_int(row):
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def _keyed_sets(layer, key):
+    """One key's slices in a keyed layer, as Python int bitsets."""
+    sets, keys, idx = layer
+    return {_as_int(sets[i]) for i in idx[keys == key]}
+
+
+def assert_walk_matches_reference(search, maxsets, firsts, depth):
+    for i in range(0, len(firsts), search.batch):
+        batch = firsts[i:i + search.batch]
+        keys = np.arange(len(batch))
+        layers = search._walk([(batch, keys, keys)], depth, exact._Budget(60))
+        assert all((np.diff(layer[1]) >= 0).all() for layer in layers)   # sorted by key
+        for k in keys:
+            want = _reference_walk(maxsets, _as_int(batch[k]), depth)
+            assert [_keyed_sets(layer, k) for layer in layers] == want
+
+
+def test_batched_walk_matches_the_reference_on_c7_squared():
+    # every canonical first slice of C7 x C7, 90 of 4 vertices and 159 of 5,
+    # walked L - 1 = 6 maximum steps in batches: each first's layers are
+    # the reference walk's, and the firsts are one per orbit of the maps,
+    # each the least of its orbit
+    h, cyc = strong_power(cycle(7), 2), exact._cycle_order(cycle(7))
+    maps = slices._cycle_power_maps(cyc, 2)
+    maxsets = slices._maximum_sets(h, 10, exact._Budget(60))
+    search = slices._Slices(h, 10, maps, cyc, maxsets)
+    for s, count in ((4, 90), (5, 159)):
+        firsts = search._firsts(s, exact._Budget(60))
+        assert len(firsts) == count
+        subsets = {sum(1 << v for v in sub) for m in maxsets
+                   for sub in itertools.combinations(exact._bits(m), s)}
+        orbits = [{sum(1 << int(v) for v in row) for row in maps[:, list(exact._bits(f))]}
+                  for f in map(_as_int, firsts)]
+        assert set().union(*orbits) == subsets
+        assert sum(map(len, orbits)) == len(subsets)
+        assert [min(o) for o in orbits] == sorted(map(_as_int, firsts))
+        assert_walk_matches_reference(search, maxsets, firsts, 6)
+
+
+@pytest.mark.parametrize("cap", [None, 64], ids=["default", "tiny"])
+@pytest.mark.parametrize("length", [5, 7])
+def test_batched_walk_matches_the_reference_on_four_vertices(length, cap, monkeypatch):
+    # every graph on 4 labelled vertices, as in the brute-force shape test:
+    # each first slice's walk, and the independent sets the walk back
+    # starts from, against the reference walk and a brute-force listing;
+    # with a 64-byte cap as well, so that every batch, chunk and
+    # depth-first piece is split
+    if cap:
+        monkeypatch.setattr(slices, "SLICE_BYTES", cap)
+    pairs = list(itertools.combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        h = Graph.from_edge_list(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        search, alpha = _slice_search(h, length)
+        maxsets = slices._maximum_sets(h, alpha, exact._Budget(60))
+        for s in range(alpha // 2 + 1):
+            firsts = search._firsts(s, exact._Budget(60))
+            assert_walk_matches_reference(search, maxsets, firsts, length - 1)
+            near = search._near(firsts)
+            a = alpha - 1 - s
+            ends = search._independent_sets(search.every_vertex & ~near, a, exact._Budget(60))
+            assert (np.diff(ends[1]) >= 0).all()
+            for k, row in enumerate(near):
+                clear = [v for v in range(4) if not _as_int(row) >> v & 1]
+                want = {sum(1 << v for v in sub) for sub in itertools.combinations(clear, a)
+                        if not h.adj[np.ix_(sub, sub)].any()} if a >= 0 else set()
+                assert _keyed_sets(ends, k) == want, (mask, s)
+
+
+@pytest.mark.parametrize("h, length, maps", [
+    (cycle(5), 5, _dihedral(5)),
+    (cycle(5), 7, _dihedral(5)),
+    (complete(3), 5, np.array(list(itertools.permutations(range(3))))),
+], ids=["C5xC5", "C5xC7", "K3xC5"])
+def test_slice_search_in_tiny_chunks_agrees_with_exact_alpha(h, length, maps, monkeypatch):
+    # a 64-byte cap splits every batch of firsts, chunk of moves, meet and
+    # canonical pass: the verdicts are still exact alpha's
+    monkeypatch.setattr(slices, "SLICE_BYTES", 64)
+    assert_slice_search_agrees(h, length, maps)
+
+
+@pytest.mark.parametrize("shape", ["_close", "_join"])
+def test_slice_search_returns_a_set_found_as_the_deadline_passes(shape, monkeypatch):
+    # the budget expires right after `shape` finds a set: t = 10 on C7 x C7
+    # by one closing run, t = 4 on C5 x C5 by the meet with `_close` off.
+    # The set is returned, not dropped
+    budget = exact._Budget(60)
+    find = getattr(slices._Slices, shape)
+
+    def find_then_expire(self, *args):
+        found = find(self, *args)
+        budget.expired = budget.expired or bool(found)
+        return found
+
+    monkeypatch.setattr(slices._Slices, shape, find_then_expire)
+    if shape == "_join":
+        monkeypatch.setattr(slices._Slices, "_close", lambda self, layers, near0: None)
+    length, t = (7, 10) if shape == "_close" else (5, 4)
+    search, _ = _slice_search(cycle(length), length, _dihedral(length))
+    found = search.search(t, budget)
+    assert budget.expired
+    assert found is not None and len(found) >= t
+    assert not strong_power(cycle(length), 2).adj[np.ix_(found, found)].any()
+
+
+def test_search_rung_keeps_a_set_found_as_the_deadline_passes(monkeypatch):
+    # the rung C7 x C7 from the 9-set 3 x 3 under theta's ceiling 11: the
+    # slice search finds a 10-set at the slice bound floor(7 * 3 / 2) and
+    # the budget expires right after; the rung returns that set
+    budget = exact._Budget(60)
+    close = slices._Slices._close
+
+    def close_then_expire(self, layers, near0):
+        found = close(self, layers, near0)
+        budget.expired = budget.expired or bool(found)
+        return found
+
+    monkeypatch.setattr(slices._Slices, "_close", close_then_expire)
+    g = cycle(7)
+    base = independence_number(g).witness
+    pk = strong_power(g, 2)
+    best = tuple(sorted(i * 7 + v for i in base for v in base))
+    ceiling, best = slices.search_rung(pk, g, 3, base, exact._cycle_order(g), best, 11, budget)
+    assert budget.expired
+    assert ceiling == 10 and len(best) == 10
+    assert not pk.adj[np.ix_(best, best)].any()
+
+
+def test_capacity_power_lb_keeps_its_deadline_on_c7_cubed():
+    # a 0.2 s budget ends within 0.3 s at an interval between the seed set
+    # 10 x 3 and the slice bound 35, with an independent witness; a machine
+    # that decides C7^3 within 0.2 s gets exact 33, inside the same bounds
+    start = time.perf_counter()
+    bound, res = capacity_power_lb(cycle(7), 3, 0.2)
+    assert time.perf_counter() - start <= 0.3
+    assert res.status == "timeout" or (res.status, res.value) == ("exact", 33)
+    assert 30 <= res.lower == len(res.witness) and res.upper <= 35
+    w = list(res.witness)
+    assert not strong_power(cycle(7), 3).adj[np.ix_(w, w)].any()
+
+
+@pytest.mark.slow
+def test_capacity_power_lb_decides_c41_squared():
+    # the first slices are C(20, 9) + C(20, 10) subsets of one maximum set
+    # of C41, canonicalised in chunks: the slice search refutes nothing
+    # below floor(41 * 20 / 2) = 410 and finds a 410-set within 5 s
+    g = cycle(41)
+    bound, res = capacity_power_lb(g, 2, 5.0)
+    assert res.status == "exact" and res.value == 410
+    w = list(res.witness)
+    assert len(w) == 410 and not strong_power(g, 2).adj[np.ix_(w, w)].any()
+
+
 def _relabelled_c7():
     perm = [3, 6, 0, 5, 1, 4, 2]
     return Graph.from_edge_list(7, [(perm[i], perm[(i + 1) % 7]) for i in range(7)])
