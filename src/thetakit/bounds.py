@@ -195,25 +195,6 @@ def _eigmin_upper(closed: int, ratio: float) -> float:
     return -(closed - 1.0) / denom
 
 
-def eig2_lower_product(factors) -> float:
-    """Lower bound on l2 of a strong product from per-factor (n, d, theta).
-
-    Valid unless every factor is complete.
-    """
-    return _eig2_lower(math.prod(f[0] for f in factors),
-                       math.prod(1 + f[1] for f in factors),
-                       math.prod(float(f[2]) for f in factors))
-
-
-def eigmin_upper_product(factors) -> float:
-    """Upper bound on lmin of a strong product from per-factor (n, d, theta).
-
-    Valid unless every factor is empty.
-    """
-    return _eigmin_upper(math.prod(1 + f[1] for f in factors),
-                         math.prod(f[0] / float(f[2]) for f in factors))
-
-
 def non_ramanujan_k0(n: int, d: int, theta: float) -> int:
     """Smallest certified k0: every strong power with k >= k0 of a connected
     regular graph with theta < n/sqrt(d+1) is non-Ramanujan.
@@ -316,16 +297,14 @@ class FactorProducts:
 
     @classmethod
     def of(cls, factors) -> "FactorProducts":
-        """The products over a list of factors, each a math.prod in order."""
-        thetas = [float(f[2]) for f in factors]
-        spectral = [theta_upper_regular(n, d, lmin) for n, d, _, lmin in factors]
-        return cls(math.prod(f[0] for f in factors),
-                   math.prod(1 + f[1] for f in factors),
-                   math.prod(thetas),
-                   math.prod(f[0] / t for f, t in zip(factors, thetas)),
-                   math.prod(spectral),
-                   math.prod(f[0] / t for f, t in zip(factors, spectral)),
-                   all(u - t <= EQUALITY_TOL for u, t in zip(spectral, thetas)))
+        """The products over a list of factors: each factor's own, multiplied
+        in by `*` in order, as `power` carries them from row to row."""
+        out = cls()
+        for n, d, theta, lmin in factors:
+            theta, spectral = float(theta), theta_upper_regular(n, d, lmin)
+            out = out * cls(n, 1 + d, theta, n / theta, spectral, n / spectral,
+                            bool(spectral - theta <= EQUALITY_TOL))
+        return out
 
     def __mul__(self, other: "FactorProducts") -> "FactorProducts":
         """The products over self's factors followed by other's. With other

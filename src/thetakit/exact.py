@@ -60,10 +60,24 @@ class _Budget:
         return max(0.0, self.deadline - time.monotonic())
 
 
+def _words(sets, width):
+    """Bitsets as the rows of a uint64 array, `width` little-endian words each."""
+    buf = b"".join(x.to_bytes(8 * width, "little") for x in sets)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(sets), width)
+
+
+def _pack_words(rows):
+    """The rows of a bool matrix as bitsets in the layout of `_words`: bit j
+    of row i is rows[i, j]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    out = np.zeros((len(rows), -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def _pack(adj):
-    """Row bitsets of a bool matrix: bit j of entry i is adj[i, j]."""
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+    """Row bitsets of a bool matrix as ints, read off `_pack_words`' rows."""
+    return [int.from_bytes(r.tobytes(), "little") for r in _pack_words(adj)]
 
 
 def _degeneracy_order(adj):

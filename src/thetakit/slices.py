@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import _Budget, _bits, _clique_search, _set_bytes, independence_number
+from .exact import (_Budget, _bits, _clique_search, _pack_words, _set_bytes, _words,
+                    independence_number)
 from .graphs import Graph, within_budget
 
 # G^k is the row-major kron of H = G^(k-1) and G, so for G = C_L a set of
@@ -71,20 +72,6 @@ def _canonical(maps, subs, unit):
         col = images[:, :, w]
         keep &= col == np.where(keep, col, np.iinfo(np.uint64).max).min(axis=0)
     return images[np.argmax(keep, axis=0), np.arange(len(subs))]
-
-
-def _words(sets, width):
-    """Bitsets as the rows of a uint64 array, `width` little-endian words each."""
-    buf = b"".join(x.to_bytes(8 * width, "little") for x in sets)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(sets), width)
-
-
-def _pack_words(rows):
-    """The rows of a bool matrix as bitsets in the layout of `_words`."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    out = np.zeros((len(rows), -(-rows.shape[1] // 64) * 8), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
-    return out.view("<u8")
 
 
 def _members(words):

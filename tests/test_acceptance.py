@@ -14,11 +14,12 @@ import numpy as np
 from conftest import record_criterion
 
 from thetakit.bounds import (
+    FactorProducts,
+    _eig2_lower,
+    _eigmin_upper,
     affine_polar_params,
     chromatic_lb_strong_product,
-    eig2_lower_product,
     eig_inequality_cor0,
-    eigmin_upper_product,
     g_sequence,
     k0_self_complementary_vt,
 )
@@ -111,7 +112,8 @@ def test_power_eigenvalue_table():
     for k in range(1, 6):
         ps = power_spectrum(s, k, rtol=1e-10)
         l2.append(ps.second_largest())
-        lb.append(eig2_lower_product([(5, 2, math.sqrt(5.0))] * k))
+        p = FactorProducts.of([(5, 2, math.sqrt(5.0), s.smallest())] * k)
+        lb.append(_eig2_lower(p.order, p.closed, p.theta))
     l2_want = [0.6180, 3.8541, 13.5623, 42.6869, 130.0608]
     # the bound is (5^k - 3^k)/(5^(k/2) - 1) - 1; at k=4 that is
     # 544/24 - 1 = 65/3 = 21.6667
@@ -368,14 +370,16 @@ def test_oracle_soundness_sweep():
 
         # certified directions: upper thetas weaken the lower bound,
         # lower thetas weaken the upper bound, so a failure here is real
-        up = [(g1.n, g1.degree(), theta_res[a].value),
-              (g2.n, g2.degree(), theta_res[b].value)]
-        lo = [(g1.n, g1.degree(), theta_res[a].lower),
-              (g2.n, g2.degree(), theta_res[b].lower)]
+        up = FactorProducts.of(
+            [(g1.n, g1.degree(), theta_res[a].value, spectra[a].smallest()),
+             (g2.n, g2.degree(), theta_res[b].value, spectra[b].smallest())])
+        lo = FactorProducts.of(
+            [(g1.n, g1.degree(), theta_res[a].lower, spectra[a].smallest()),
+             (g2.n, g2.degree(), theta_res[b].lower, spectra[b].smallest())])
         l2p, lminp = ps.second_largest(), ps.smallest()
-        if eig2_lower_product(up) > l2p + 1e-9:
+        if _eig2_lower(up.order, up.closed, up.theta) > l2p + 1e-9:
             failures.append((a, b, "eig2-lower"))
-        if lminp > eigmin_upper_product(lo) + 1e-9:
+        if lminp > _eigmin_upper(lo.closed, lo.ratio) + 1e-9:
             failures.append((a, b, "eigmin-upper"))
 
         if gp.n <= 20:

@@ -8,11 +8,11 @@ import pytest
 from thetakit.bounds import (
     BoundReport,
     FactorProducts,
+    _eig2_lower,
+    _eigmin_upper,
     affine_polar_params,
     chromatic_lb_strong_product,
-    eig2_lower_product,
     eig_inequality_cor0,
-    eigmin_upper_product,
     g_sequence,
     haemers_clique_upper_maxdeg,
     k0_self_complementary_vt,
@@ -174,24 +174,29 @@ def test_wei_bounds():
 
 def test_product_eig_bounds_pentagon():
     sqrt5 = math.sqrt(5.0)
-    f = [(5, 2, sqrt5)]
-    assert eig2_lower_product(f) == pytest.approx((math.sqrt(5) - 1) / 2,
-                                                  abs=1e-9)
-    assert eigmin_upper_product(f) == pytest.approx(-(1 + math.sqrt(5)) / 2,
-                                                    abs=1e-9)
+    lmin = -(1 + sqrt5) / 2
+    p = FactorProducts.of([(5, 2, sqrt5, lmin)])
+    assert _eig2_lower(p.order, p.closed, p.theta) == pytest.approx(
+        (math.sqrt(5) - 1) / 2, abs=1e-9)
+    assert _eigmin_upper(p.closed, p.ratio) == pytest.approx(
+        -(1 + math.sqrt(5)) / 2, abs=1e-9)
     # the spectral theta agrees because C5 is strongly regular
-    fl = [(5, 2, theta_upper_regular(5, 2, -(1 + math.sqrt(5)) / 2))]
-    assert eig2_lower_product(fl) == pytest.approx(
-        eig2_lower_product(f), abs=1e-9)
-    assert eigmin_upper_product(fl) == pytest.approx(
-        eigmin_upper_product(f), abs=1e-9)
+    pl = FactorProducts.of([(5, 2, theta_upper_regular(5, 2, lmin), lmin)])
+    assert _eig2_lower(pl.order, pl.closed, pl.theta) == pytest.approx(
+        _eig2_lower(p.order, p.closed, p.theta), abs=1e-9)
+    assert _eigmin_upper(pl.closed, pl.ratio) == pytest.approx(
+        _eigmin_upper(p.closed, p.ratio), abs=1e-9)
 
 
 def test_product_eig_bounds_guard_rails():
-    with pytest.raises(ValueError):
-        eig2_lower_product([(4, 3, 1.0)])       # complete factor only
-    with pytest.raises(ValueError):
-        eigmin_upper_product([(4, 0, 4.0)])     # empty factor only
+    p = FactorProducts.of([(4, 3, 1.0, -1.0)])     # complete factor only
+    with pytest.raises(ValueError, match="all factors complete"):
+        _eig2_lower(p.order, p.closed, p.theta)
+    # an empty factor, (n, d, theta) = (4, 0, 4), has no negative lmin for
+    # FactorProducts.of, so its products prod (1 + d) and prod n/theta are
+    # passed directly
+    with pytest.raises(ValueError, match="all factors empty"):
+        _eigmin_upper(1 + 0, 4 / 4.0)
 
 
 def test_alon_boppana():
@@ -302,9 +307,9 @@ def test_variant_closed_forms_are_base_form_calls():
             assert cb.lower == pytest.approx(1.0 - dk / lmink, rel=rel)
             assert cb.upper == pytest.approx(nk * (1.0 + l2k) / (nk - dk + l2k),
                                              rel=rel)
-            factors = [(n, d, theta_hat)] * k
+            p = FactorProducts.of([(n, d, theta_hat, lmin)] * k)
             ratio = (1.0 - d / lmin) ** k
-            assert eigmin_upper_product(factors) == pytest.approx(
+            assert _eigmin_upper(p.closed, p.ratio) == pytest.approx(
                 -((1 + d) ** k - 1.0) / (ratio - 1.0), rel=rel)
             assert chromatic_lb_strong_product([(n, theta_hat)] * k)[0] == \
                 math.ceil(ratio - 1e-9)

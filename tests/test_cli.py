@@ -588,6 +588,22 @@ def test_paper_examples_all_pass(capsys):
     assert "17/17 examples reproduced" in out
 
 
+def test_paper_examples_report_failures(capsys, monkeypatch):
+    # a case whose value is wrong and a case that raises are both failures:
+    # each prints FAIL, the run goes on, and the exit code is a violation
+    def raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_examples_spec", lambda: [
+        ("a wrong value", lambda: (1, 2, False)), ("a crash", raises)])
+    rc, out, _ = run(["--paper-examples"], capsys)
+    assert rc == 2
+    assert out.splitlines() == [
+        "FAIL a wrong value: got 1, expected 2",
+        "FAIL a crash: RuntimeError('boom')",
+        "0/2 examples reproduced"]
+
+
 def test_console_entry_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "thetakit.cli", "catalog", "--json"],

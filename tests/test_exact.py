@@ -1,6 +1,7 @@
 """Exact clique / independent set / coloring solvers checked against
 brute-force enumeration on small graphs and known values on named ones."""
 
+import functools
 import itertools
 import math
 import sys
@@ -687,6 +688,67 @@ def test_capacity_power_lb_refuses_before_any_search(monkeypatch):
         capacity_power_lb(g, 5, 4.0)
     assert time.perf_counter() - start < 0.1
     assert targets == []
+
+
+def test_capacity_power_lb_keeps_its_own_set_when_the_search_times_out(monkeypatch):
+    # Paley(13) is not a cycle, so rung 2 starts from the product 3 x 3 = 9
+    # under theta's ceiling 13 and goes to the alpha search; when that
+    # times out with a shorter set, the rung keeps its own 9-set
+    search = exact.independence_number
+    calls = []
+
+    def short_timeout(g, budget, target=None):
+        if g.n == 13:
+            return search(g, budget, target=target)
+        calls.append(target)
+        return SolveResult(None, 1, target, (0,), "timeout", 0.0)
+
+    monkeypatch.setattr(exact, "independence_number", short_timeout)
+    bound, res = capacity_power_lb(paley(13), 2, 5.0)
+    assert calls == [13]
+    assert res.status == "timeout" and res.value is None
+    assert res.lower == 9 and res.upper == 13
+    assert bound == 9 ** (1 / 2)
+    w = list(res.witness)
+    assert len(set(w)) == 9
+    assert not strong_power(paley(13), 2).adj[np.ix_(w, w)].any()
+
+
+def test_bit_kernels_on_multi_word_rows():
+    # rows of 2 and 3 words with unequal popcounts, duplicates and an empty
+    # row: _fold takes its partial-row step, where only some rows still
+    # have a bit left in a word, and its full-row step
+    def as_int(row):
+        return sum(1 << int(b) for b in np.flatnonzero(row))
+
+    def ints(words):
+        return [int.from_bytes(r.tobytes(), "little") for r in words]
+
+    rng = np.random.default_rng(7)
+    for bits, width in ((100, 2), (150, 3)):
+        sets = [0, 1 << (bits - 1), (1 << 64) | 1, (1 << bits) - 1]
+        sets += [as_int(rng.random(bits) < p) for p in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)]
+        sets += sets[1:4]
+        words = exact._words(sets, width)
+        assert ints(words) == sets
+
+        rows, bit = slices._members(words)
+        assert list(zip(rows.tolist(), bit.tolist())) == [
+            (i, b) for i, x in enumerate(sets) for b in exact._bits(x)]
+        assert slices._sizes(words).tolist() == [x.bit_count() for x in sets]
+
+        adj = rng.random((bits, 70)) < 0.5
+        table, masks = exact._pack_words(adj), [as_int(row) for row in adj]
+        for ufunc, op, empty in ((np.bitwise_or, int.__or__, 0),
+                                 (np.bitwise_and, int.__and__, (1 << 70) - 1)):
+            got = slices._fold(ufunc, table, words, exact._words([empty], 2)[0])
+            assert ints(got) == [functools.reduce(op, [masks[b] for b in exact._bits(x)], empty)
+                                 for x in sets]
+
+        distinct, inv = slices._unique_rows(words)
+        want = sorted(set(sets))
+        assert ints(distinct) == want
+        assert inv.tolist() == [want.index(x) for x in sets]
 
 
 def _slice_search(h, length, maps=None):
