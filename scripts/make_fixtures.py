@@ -2,6 +2,9 @@
 """Build the bundled graph fixtures from classical constructions, certify
 each one (exact strong-regularity identity, spectra, and small exact
 invariants), and write graph6 files plus manifest.json into the package.
+The library's kneser(8, 2) gives the triangular graph T(8), the Chang
+graphs' base, as its complement, and Gosset as a 2x2 block matrix of the
+two.
 
 Run from the repository root:  python3 scripts/make_fixtures.py [names...]
 """
@@ -21,7 +24,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from thetakit.exact import chromatic_number, clique_number, independence_number
-from thetakit.graphs import Graph
+from thetakit.graphs import Graph, kneser
 from thetakit.io import to_graph6
 from thetakit.spectra import eigenvalues
 from thetakit.srg import SrgParams, srg_check
@@ -82,51 +85,24 @@ def schlafli() -> Graph:
 
 
 # ---------------------------------------------------------------------
-# Gosset: signed 2-subsets of an 8-set; equal signs join when the pairs
-# share one element, opposite signs join when the pairs are disjoint.
+# The 2-subsets of an 8-set, in lexicographic order: kneser(8, 2) joins
+# two that are disjoint, its complement, the triangular graph T(8), two
+# that share an element.
 # ---------------------------------------------------------------------
 
 
+# Gosset: signed 2-subsets; equal signs join when the pairs share one
+# element, opposite signs join when the pairs are disjoint.
 def gosset() -> Graph:
-    pairs = [frozenset(p) for p in itertools.combinations(range(8), 2)]
-    verts = [(s, p) for s in (0, 1) for p in pairs]
-    edges = []
-    for i, (s1, p1) in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            s2, p2 = verts[j]
-            common = len(p1 & p2)
-            if (s1 == s2 and common == 1) or (s1 != s2 and common == 0):
-                edges.append((i, j))
-    return Graph.from_edge_list(56, edges)
+    k = kneser(8, 2)
+    t = k.complement().adj
+    return Graph(np.block([[t, k.adj], [k.adj, t]]))
 
 
-# ---------------------------------------------------------------------
-# Chang graphs: Seidel switching of the triangular graph T(8) about
-# three kinds of edge sets of K8 (a perfect matching, an 8-cycle, and
-# a triangle plus a pentagon).
-# ---------------------------------------------------------------------
-
-
-def _triangular8():
-    verts = [frozenset(p) for p in itertools.combinations(range(8), 2)]
-    idx = {v: k for k, v in enumerate(verts)}
-    a = np.zeros((28, 28), dtype=bool)
-    for u, v in itertools.combinations(verts, 2):
-        if u & v:
-            a[idx[u], idx[v]] = a[idx[v], idx[u]] = True
-    return verts, idx, a
-
-def _switch(a: np.ndarray, subset) -> Graph:
-    b = a.copy()
-    s = np.zeros(a.shape[0], dtype=bool)
-    s[list(subset)] = True
-    cross = np.outer(s, ~s) | np.outer(~s, s)
-    b[cross] = ~b[cross]
-    np.fill_diagonal(b, False)
-    return Graph(b)
-
+# Chang graphs: Seidel switching of T(8) about three kinds of edge sets
+# of K8 (a perfect matching, an 8-cycle, and a triangle plus a pentagon):
+# the pairs in the set and the rest swap edges and non-edges between them.
 def chang(which: int) -> Graph:
-    verts, idx, a = _triangular8()
     if which == 1:
         switch_edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
     elif which == 2:
@@ -136,8 +112,10 @@ def chang(which: int) -> Graph:
             + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
     else:
         raise ValueError(which)
-    subset = [idx[frozenset(e)] for e in switch_edges]
-    return _switch(a, subset)
+    pairs = list(itertools.combinations(range(8), 2))
+    s = np.zeros(28, dtype=bool)
+    s[[pairs.index(tuple(sorted(e))) for e in switch_edges]] = True
+    return Graph(kneser(8, 2).complement().adj ^ (s[:, None] != s))
 
 
 # ---------------------------------------------------------------------
@@ -282,41 +260,49 @@ def _projective_index(pts, mul):
 
 # F4 arithmetic: elements 0,1,2,3 with 2*2=3, 2*3=1, 3*3=2 (2 = w, 3 = w^2)
 _F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+_F4 = ([[x ^ y for y in range(4)] for x in range(4)], _F4_MUL)
 
 
-def _f4_add(x, y):
-    return x ^ y
+def _dot(field, x, y):
+    """sum_k x[k] * y[k] over a field given by its (add, mul) tables."""
+    add, mul = field
+    s = 0
+    for a, b in zip(x, y):
+        s = add[s][mul[a][b]]
+    return s
+
+
+def _incidence(sets, m):
+    """The 0/1 matrix of which of the points 0..m-1 each set holds."""
+    inc = np.zeros((len(sets), m), dtype=np.int64)
+    inc[[i for i, s in enumerate(sets) for _ in s], [x for s in sets for x in s]] = 1
+    return inc
+
+
+def _shares(sets, m):
+    """Whether each two of the sets, of points 0..m-1, share a point: the
+    product of their set-point incidence matrix with its transpose."""
+    inc = _incidence(sets, m)
+    return inc @ inc.T > 0
 
 
 def _pg24_lines(pts):
     # lines = kernels of nonzero linear forms, up to scalar
     lines = set()
-    for form in _projective_points(_F4_MUL):
-        on = frozenset(
-            i for i, p in enumerate(pts)
-            if _f4_add(_f4_add(_F4_MUL[form[0]][p[0]], _F4_MUL[form[1]][p[1]]),
-                       _F4_MUL[form[2]][p[2]]) == 0)
+    for form in pts:   # a line's form has a point's coordinates
+        on = frozenset(i for i, p in enumerate(pts) if _dot(_F4, form, p) == 0)
         assert len(on) == 5
         lines.add(on)
     assert len(lines) == 21
     return sorted(lines, key=sorted)
 
 
-def _hyperovals(pts, lines):
-    collinear = np.zeros((21, 21, 21), dtype=bool)
-    for ln in lines:
-        for a, b, c in itertools.combinations(sorted(ln), 3):
-            for x, y, z in itertools.permutations((a, b, c)):
-                collinear[x, y, z] = True
-    ovals = []
-    for six in itertools.combinations(range(21), 6):
-        ok = True
-        for a, b, c in itertools.combinations(six, 3):
-            if collinear[a, b, c]:
-                ok = False
-                break
-        if ok:
-            ovals.append(frozenset(six))
+def _hyperovals(lines):
+    """The 6-sets of the 21 points that no line meets in three points."""
+    sixes = list(itertools.combinations(range(21), 6))
+    on_line = _incidence(sixes, 21) @ _incidence(lines, 21).T
+    ovals = [frozenset(six) for six, ok in zip(sixes, (on_line < 3).all(axis=1))
+             if ok]
     assert len(ovals) == 168
     return ovals
 
@@ -329,16 +315,8 @@ def _psl34_generators(pts):
         [[1, 2, 0], [0, 1, 0], [0, 0, 1]],   # transvection by w
         [[0, 0, 1], [1, 0, 0], [0, 1, 0]],   # coordinate 3-cycle
     ]
-    perms = []
-    for m in mats:
-        perm = []
-        for p in pts:
-            q = tuple(
-                _f4_add(_f4_add(_F4_MUL[m[r][0]][p[0]], _F4_MUL[m[r][1]][p[1]]),
-                        _F4_MUL[m[r][2]][p[2]]) for r in range(3))
-            perm.append(idx[q])
-        perms.append(perm)
-    return perms
+    return [[idx[tuple(_dot(_F4, row, p) for row in m)] for p in pts]
+            for m in mats]
 
 
 def _hyperoval_orbit(ovals, perms):
@@ -353,7 +331,7 @@ def steiner_3_6_22():
     """Blocks of S(3,6,22) on points 0..21 (21 = the extension point)."""
     pts = _projective_points(_F4_MUL)
     lines = _pg24_lines(pts)
-    ovals = _hyperovals(pts, lines)
+    ovals = _hyperovals(lines)
     perms = _psl34_generators(pts)
     orbit = _hyperoval_orbit(ovals, perms)
     blocks = [frozenset(ln) | {21} for ln in lines] + orbit
@@ -368,13 +346,8 @@ def steiner_3_6_22():
 
 
 def _disjointness(sets) -> Graph:
-    """The sets, joined when they are disjoint."""
-    n = len(sets)
-    a = np.zeros((n, n), dtype=bool)
-    for i, j in itertools.combinations(range(n), 2):
-        if not (sets[i] & sets[j]):
-            a[i, j] = a[j, i] = True
-    return Graph(a)
+    """The sets of the 22 points, joined when they are disjoint."""
+    return Graph(~_shares(sets, 22))
 
 
 def m22_graph(blocks=None) -> Graph:
@@ -389,21 +362,13 @@ def gewirtz(blocks=None) -> Graph:
 
 
 def cameron(blocks=None) -> Graph:
+    """The pairs of the 22 points, joined when they are disjoint and lie
+    in a common block."""
     blocks = blocks or steiner_3_6_22()
     pairs = [frozenset(p) for p in itertools.combinations(range(22), 2)]
     assert len(pairs) == 231
-    in_block = {}
-    for bi, b in enumerate(blocks):
-        for p in itertools.combinations(sorted(b), 2):
-            in_block.setdefault(frozenset(p), set()).add(bi)
-    a = np.zeros((231, 231), dtype=bool)
-    for i, j in itertools.combinations(range(231), 2):
-        p, q = pairs[i], pairs[j]
-        if p & q:
-            continue
-        if in_block[p] & in_block[q]:
-            a[i, j] = a[j, i] = True
-    return Graph(a)
+    in_blocks = [[bi for bi, b in enumerate(blocks) if p <= b] for p in pairs]
+    return Graph(~_shares(pairs, 22) & _shares(in_blocks, len(blocks)))
 
 
 # ---------------------------------------------------------------------
@@ -489,53 +454,31 @@ def _f9_tables():
 
 
 _F9_ADD, _F9_MUL, _F9_CONJ = _f9_tables()
+_F9 = (_F9_ADD, _F9_MUL)
 
 
 def _f9_dot_hermitian(u, v):
     """Hermitian form conj(u)^T J v with J the antidiagonal identity."""
-    s = 0
-    for k in range(3):
-        s = _F9_ADD[s][_F9_MUL[_F9_CONJ[u[k]]][v[2 - k]]]
-    return s
+    return _dot(_F9, [_F9_CONJ[x] for x in u], v[::-1])
 
 
 def _mat_vec(m, v):
-    return tuple(
-        _F9_ADD[_F9_ADD[_F9_MUL[m[r][0]][v[0]]][_F9_MUL[m[r][1]][v[1]]]]
-        [_F9_MUL[m[r][2]][v[2]]] for r in range(3))
+    return tuple(_dot(_F9, row, v) for row in m)
 
 
 def _is_special_unitary(m):
-    # conj(M)^T J M = J, J antidiagonal
-    for r in range(3):
-        for c in range(3):
-            s = 0
-            for k in range(3):
-                for l in range(3):
-                    j_kl = 1 if k + l == 2 else 0
-                    if j_kl:
-                        s = _F9_ADD[s][_F9_MUL[_F9_MUL[_F9_CONJ[m[k][r]]][j_kl]]
-                                       [m[l][c]]]
-            want = 1 if r + c == 2 else 0
-            if s != want:
-                return False
-    return _det(m) == 1
+    # conj(M)^T J M = J: the Hermitian form of columns r and c is J[r][c]
+    cols = list(zip(*m))
+    return all(_f9_dot_hermitian(cols[r], cols[c]) == int(r + c == 2)
+               for r in range(3) for c in range(3)) and _det(m) == 1
 
 
 def _det(m):
-    def mul(x, y):
-        return _F9_MUL[x][y]
-
-    def add(x, y):
-        return _F9_ADD[x][y]
-
-    def neg(x):
-        return _F9_MUL[x][2]  # -1 is 2
-
-    t1 = mul(m[0][0], add(mul(m[1][1], m[2][2]), neg(mul(m[1][2], m[2][1]))))
-    t2 = mul(m[0][1], add(mul(m[1][0], m[2][2]), neg(mul(m[1][2], m[2][0]))))
-    t3 = mul(m[0][2], add(mul(m[1][0], m[2][1]), neg(mul(m[1][1], m[2][0]))))
-    return add(add(t1, neg(t2)), t3)
+    """m[0] dotted with the cross product m[1] x m[2]."""
+    neg = _F9_MUL[2]   # -1 is 2
+    cross = [_dot(_F9, (m[1][k - 2], m[1][k - 1]), (m[2][k - 1], neg[m[2][k - 2]]))
+             for k in range(3)]
+    return _dot(_F9, m[0], cross)
 
 
 def _su33_generators():

@@ -86,8 +86,9 @@ def _one_blas_thread(order: int):
 
 # Peak bytes per adjacency cell of building a graph on a new array: the
 # array, then `Graph()`'s symmetry check and its copy. tracemalloc read
-# 2.00-2.36 on generators and edge lists and 2.59-2.98 on graph6 decoding,
-# which also holds a triangle mask and the body's bits (n = 300 to 2000).
+# 2.00-2.36 on generators and edge lists, and 1.67-1.73 on graph6 decoding,
+# which holds the adjacency and the body's bits and fills the adjacency
+# column by column, with no mask and no copy (n = 300 to 2000).
 BUILD_CELL_BYTES = 3
 
 # Peak bytes per pair of `random_regular`'s pairing: its list of tuples

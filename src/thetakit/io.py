@@ -100,15 +100,35 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _ints(fields, form):
+    """The integers of a line's fields, which must match `form`, "n" or
+    "u v"; ValueError otherwise."""
+    try:
+        if len(fields) == len(form.split()):
+            return [int(x) for x in fields]
+    except ValueError:
+        pass
+    raise ValueError(f"expected {form!r}, got {' '.join(fields)!r}")
+
+
 def read_edge_list(path) -> Graph:
-    """Read "n" on the first line then one "u v" pair per line, 0-indexed."""
+    """Read "n" on the first line then one "u v" pair per line, 0-indexed.
+    The ValueError of a bad line names the path and the line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(at, ln.split()) for at, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty edge list file {path}")
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph.from_edge_list(n, edges)
+    line, fields = lines[0]
+
+    def edges():
+        nonlocal line
+        for line, pair in lines[1:]:
+            yield _ints(pair, "u v")
+
+    try:
+        [n] = _ints(fields, "n")
+        if n < 0:
+            raise ValueError(f"negative order {n}")
+        return Graph.from_edge_list(n, edges())
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {line}: {exc}") from None

@@ -579,6 +579,14 @@ def test_edge_list_source(tmp_path, capsys):
     assert doc["tasks"]["srg"]["strongly_regular"] is True
 
 
+def test_edge_list_errors_exit_1_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("3\n0 1\n1 2 3\n")
+    rc, out, err = run(["analyze", "--edges", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}, line 3: expected 'u v', got '1 2 3'\n"
+
+
 def test_paper_examples_all_pass(capsys):
     rc, out, _ = run(["--paper-examples"], capsys)
     assert rc == 0

@@ -1,10 +1,13 @@
 """Exact clique / independent set / coloring solvers checked against
 brute-force enumeration on small graphs and known values on named ones."""
 
+import ast
 import functools
+import inspect
 import itertools
 import math
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -1032,6 +1035,107 @@ def test_capacity_power_lb_keeps_its_deadline_on_c7_cubed():
     assert 30 <= res.lower == len(res.witness) and res.upper <= 35
     w = list(res.witness)
     assert not strong_power(cycle(7), 3).adj[np.ix_(w, w)].any()
+
+
+class _Clock:
+    """A stand-in for `exact.time`: monotonic() reads 0 before its
+    `stop`-th read and from then on a time past any deadline that grows
+    with every read. It notes the function that made each read."""
+
+    _budget = {f.__code__ for f in vars(exact._Budget).values() if callable(f)}
+
+    def __init__(self, stop=math.inf):
+        self.stop, self.sites = stop, []
+
+    def monotonic(self):
+        frame = sys._getframe(1)
+        while frame.f_code in self._budget:
+            frame = frame.f_back
+        self.sites.append(frame.f_code.co_name)
+        return max(0, len(self.sites) - self.stop + 1) * 1e9
+
+
+def _exit(func, test):
+    """(code, line) of the statement that `if <test>:` guards in func."""
+    lines, start = inspect.getsourcelines(func)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    [node] = [n for n in ast.walk(tree)
+              if isinstance(n, ast.If) and ast.unparse(n.test) == test]
+    return func.__code__, start + node.body[0].lineno - 1
+
+
+def _lines_run(call, codes):
+    """call()'s result, and the (code, line) pairs it ran of the code
+    objects `codes`."""
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
+    try:
+        return call(), ran
+    finally:
+        sys.settrace(old)
+
+
+def test_capacity_power_lb_on_c7_cubed_takes_every_deadline_exit(monkeypatch):
+    # the clock passes the deadline at the first and at the last read of
+    # each slice-search step that reads it in one unexpired run: each
+    # deadline exit returns, and each stop leaves an independent witness
+    # of `lower` vertices under an upper end between alpha = 33 and
+    # floor(theta(C7)^3) = 36
+    exits = {_exit(slices._Slices.search, "firsts is None"),
+             _exit(slices._Slices.search, "layers is None"),
+             _exit(slices._Slices._firsts, "budget.check_now()"),
+             _exit(slices._Slices._walk, "budget.check_now()"),
+             _exit(slices._Slices._meet, "budget.check_now()")}
+
+    def run(clock):
+        monkeypatch.setattr(exact, "time", clock)
+        return capacity_power_lb(cycle(7), 3, 60.0)[1]
+
+    full = _Clock()
+    res = run(full)
+    assert (res.status, res.value) == ("exact", 33)
+    stops = set()
+    for site in ("_firsts", "_walk", "_meet"):
+        reads = [i for i, s in enumerate(full.sites, 1) if s == site]
+        stops |= {reads[0], reads[-1]}
+    pk, ran = strong_power(cycle(7), 3), set()
+    for stop in sorted(stops):
+        res, lines = _lines_run(lambda: run(_Clock(stop)), {c for c, _ in exits})
+        ran |= lines
+        assert res.status == "timeout", stop
+        w = list(res.witness)
+        assert res.lower == len(w) and not pk.adj[np.ix_(w, w)].any()
+        assert 33 <= res.upper <= 36
+    assert exits <= ran
+
+
+def test_clique_cover_takes_its_deadline_exits(monkeypatch):
+    # 200 disjoint triangles take three budget ticks a step, so of the two
+    # clock reads in an unexpired cover past the budget's own, the first is
+    # the cover's check at the top of its loop and the second a clique
+    # search's: a clock that passes the deadline at the first stops the
+    # cover through the loop's exit, at the second through the draw's
+    adj = np.kron(np.eye(200, dtype=bool), ~np.eye(3, dtype=bool))
+    top = _exit(exact._clique_cover, "budget.check()")
+
+    def run(clock):
+        monkeypatch.setattr(exact, "time", clock)
+        return exact._clique_cover(adj, 3, exact._Budget(60.0))
+
+    full = _Clock()
+    assert run(full)[0] is True
+    assert full.sites[2:] == ["_clique_cover", "expand"]
+    for stop in (3, 4):
+        out, lines = _lines_run(lambda: run(_Clock(stop)), {top[0]})
+        assert out == (None, None)
+        assert (top in lines) == (stop == 3)
 
 
 @pytest.mark.slow

@@ -156,3 +156,39 @@ def test_edge_list_preserves_isolated_vertices(tmp_path):
     p = tmp_path / "g.edges"
     write_edge_list(g, p)
     assert read_edge_list(p).n == 5
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("3\n0 1\n1 2 3\n", 3, "expected 'u v', got '1 2 3'"),
+    ("3\n\n0 x\n", 3, "expected 'u v', got '0 x'"),
+    ("-1\n", 1, "negative order -1"),
+    ("3 4\n", 1, "expected 'n', got '3 4'"),
+    ("3\n0 3\n", 2, "edge (0,3) out of range for n=3"),
+    ("3\n2 2\n", 2, "self-loop at 2"),
+], ids=["three-values", "not-an-int", "negative-order", "two-orders",
+        "out-of-range", "self-loop"])
+def test_edge_list_errors_name_the_file_and_the_line(tmp_path, text, line, reason):
+    p = tmp_path / "bad.edges"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_edge_list(p)
+    assert str(err.value) == f"{p}, line {line}: {reason}"
+
+
+def test_empty_files_hold_no_graph(tmp_path):
+    p = tmp_path / "blank"
+    p.write_text("\n  \n")
+    for read, message in [(read_edge_list, f"empty edge list file {p}"),
+                          (read_graph6, f"no graph in {p}")]:
+        with pytest.raises(ValueError) as err:
+            read(p)
+        assert str(err.value) == message
+
+
+def test_from_edge_list_refuses_bad_edges():
+    with pytest.raises(ValueError, match=r"^edge \(1,-1\) out of range for n=3$"):
+        Graph.from_edge_list(3, [(0, 1), (1, -1)])
+    with pytest.raises(ValueError, match=r"^edge \(3,0\) out of range for n=3$"):
+        Graph.from_edge_list(3, [(3, 0)])
+    with pytest.raises(ValueError, match="^self-loop at 0$"):
+        Graph.from_edge_list(3, [(0, 0)])
