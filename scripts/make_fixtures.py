@@ -2,9 +2,11 @@
 """Build the bundled graph fixtures from classical constructions, certify
 each one (exact strong-regularity identity, spectra, and small exact
 invariants), and write graph6 files plus manifest.json into the package.
-The library's kneser(8, 2) gives the triangular graph T(8), the Chang
-graphs' base, as its complement, and Gosset as a 2x2 block matrix of the
-two.
+T(8), Gosset, the Chang graphs and Schlafli come from the library's
+kneser: kneser(8, 2) gives the triangular graph T(8) as its complement,
+the Chang graphs as T(8) switched, and Gosset as a 2x2 block matrix of
+the two; kneser(6, 2) is the block of Schlafli's meet graph on the 15
+diagonal lines.
 
 Run from the repository root:  python3 scripts/make_fixtures.py [names...]
 """
@@ -53,41 +55,9 @@ def hoffman_singleton() -> Graph:
 
 
 # ---------------------------------------------------------------------
-# Schlafli: complement of the line-intersection graph of a double six
-# plus the 15 diagonal lines (the 27 lines of a cubic surface).
-# ---------------------------------------------------------------------
-
-
-def schlafli() -> Graph:
-    names = [("a", i) for i in range(6)] + [("b", i) for i in range(6)] \
-        + [("c", frozenset(p)) for p in itertools.combinations(range(6), 2)]
-    idx = {v: k for k, v in enumerate(names)}
-
-    def meets(u, v):
-        (tu, xu), (tv, xv) = u, v
-        if tu == "a" and tv == "a":
-            return False
-        if tu == "b" and tv == "b":
-            return False
-        if {tu, tv} == {"a", "b"}:
-            return xu != xv
-        if tu == "c" and tv == "c":
-            return not (xu & xv)
-        # one of them is the diagonal line c_{jk}
-        if tu == "c":
-            return xv in xu
-        return xu in xv
-
-    edges = [(idx[u], idx[v]) for u, v in itertools.combinations(names, 2)
-             if meets(u, v)]
-    meet_graph = Graph.from_edge_list(27, edges)
-    return meet_graph.complement()
-
-
-# ---------------------------------------------------------------------
-# The 2-subsets of an 8-set, in lexicographic order: kneser(8, 2) joins
-# two that are disjoint, its complement, the triangular graph T(8), two
-# that share an element.
+# The 2-subsets of an m-set, in lexicographic order: kneser(m, 2) joins
+# two that are disjoint, its complement, for m = 8 the triangular graph
+# T(8), two that share an element.
 # ---------------------------------------------------------------------
 
 
@@ -116,6 +86,17 @@ def chang(which: int) -> Graph:
     s = np.zeros(28, dtype=bool)
     s[[pairs.index(tuple(sorted(e))) for e in switch_edges]] = True
     return Graph(kneser(8, 2).complement().adj ^ (s[:, None] != s))
+
+
+# Schlafli: complement of the line-intersection graph of a double six
+# a_i, b_i plus the 15 diagonal lines c_jk (the 27 lines of a cubic
+# surface). a_i meets b_j when i != j, a_i and b_i meet c_jk when i is j
+# or k, and c_jk meets the c whose pairs are disjoint from jk: kneser(6, 2).
+def schlafli() -> Graph:
+    p = _incidence(list(itertools.combinations(range(6), 2)), 6)
+    o, j = np.zeros((6, 6), dtype=np.int64), 1 - np.eye(6, dtype=np.int64)
+    meets = np.block([[o, j, p.T], [j, o, p.T], [p, p, kneser(6, 2).adj]])
+    return Graph(meets > 0).complement()
 
 
 # ---------------------------------------------------------------------
@@ -162,6 +143,16 @@ def _orbits(n, gens):
         if not any(s in o for o in orbits):
             orbits.append(_orbit([s], gens, lambda g, x: g[x]))
     return orbits
+
+
+def _by_size(orbits, sizes):
+    """The orbits, whose sizes must be `sizes` in increasing order, as a
+    map from a size to the union of the orbits of that size."""
+    assert sorted(map(len, orbits)) == sizes, sorted(map(len, orbits))
+    out = {}
+    for o in orbits:
+        out.setdefault(len(o), set()).update(o)
+    return out
 
 
 def _edge(u, v):
@@ -419,20 +410,19 @@ def perkel() -> Graph:
     gen_action, sub_action, home = perkel_action()
 
     # suborbits of the identity-coset stabilizer = orbits of sub on cosets
-    suborbits = _orbits(57, sub_action)
-    six = [o for o in suborbits if len(o) == 6]
-    assert len(six) == 1, [len(o) for o in suborbits]
+    six = _by_size(_orbits(57, sub_action), [1, 6, 20, 30])[6]
 
     # orbital graph: edge orbit of {home, x} for x in the valency-6 suborbit
-    edges = _orbital([(home, x) for x in six[0]], gen_action)
+    edges = _orbital([(home, x) for x in six], gen_action)
     return Graph.from_edge_list(57, sorted(edges))
 
 
 # ---------------------------------------------------------------------
 # Hall-Janko: 1 + 36 + 63 points. The 63 are the nonisotropic points of
 # the unitary plane over F9, the 36 are the cosets of a PSL(2,7)
-# subgroup of the special unitary group; adjacency comes from the group
-# orbitals, fixed by strong-regularity certification.
+# subgroup of the special unitary group; adjacency comes from three
+# orbitals, each of the one orbit of its size, and the graph is
+# certified strongly regular.
 # ---------------------------------------------------------------------
 
 # F9 = F3[i]/(i^2+1), element a+b*i encoded as a+3b, so 0,1,2 are the
@@ -510,29 +500,6 @@ def _su33_on_nonisotropic():
     return sorted(elems), gen_perms
 
 
-def _unions(orbits, size):
-    """Every union of some of the orbits with size points, in the order of
-    itertools.combinations over increasing numbers of orbits."""
-    return [set().union(*combo) for r in range(1, len(orbits) + 1)
-            for combo in itertools.combinations(orbits, r)
-            if sum(len(o) for o in combo) == size]
-
-
-def _regular_orbitals(seeds, gens, n, d):
-    """The distinct d-regular graphs on n vertices among the orbitals of
-    the seed pair lists under gens, as edge sets."""
-    out = []
-    for pairs in seeds:
-        edges = _orbital(pairs, gens)
-        deg = [0] * n
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if set(deg) == {d} and edges not in out:
-            out.append(edges)
-    return out
-
-
 def hall_janko() -> Graph:
     elems, gens = _su33_on_nonisotropic()
     sub = _find_23_subgroup(elems, 7, 168)   # PSL(2,7)
@@ -540,72 +507,43 @@ def hall_janko() -> Graph:
     # 36 cosets g*sub
     reps, coset_of = _cosets(elems, sub)
     assert len(reps) == 36, len(reps)
-    gen_coset = _on_cosets(gens, reps, coset_of)
-    sub_coset = _on_cosets(sub, reps, coset_of)
-
-    # orbits of sub on the 36 cosets: expect sizes 1 + 14 + 21
     home = coset_of[tuple(range(63))]
-    suborbits = _orbits(36, sub_coset)
-    nontrivial = [o for o in suborbits if home not in o]
-    # the 14-valent orbit union: one size-14 suborbit, or two of size 7
-    # when the coset action has rank 4
-    a_seeds = _unions(nontrivial, 14)
-    assert a_seeds, sorted(len(o) for o in suborbits)
 
-    # A-graph on the 36 cosets: orbit closure of {home} x orb14
-    a_cands = _regular_orbitals([[(home, x) for x in seed] for seed in a_seeds],
-                                gen_coset, 36, 14)
-    assert a_cands
+    # PSL(2,7) fixes its home coset and splits the rest 7 + 7 + 21: the
+    # A-graph on the 36 cosets is the orbital of home with the two 7-orbits
+    sevens = _by_size(_orbits(36, _on_cosets(sub, reps, coset_of)), [1, 7, 7, 21])[7]
+    a_edges = _orbital([(home, x) for x in sevens], _on_cosets(gens, reps, coset_of))
 
-    # orbits of sub on the 63 points; the union of size 21 links a coset
-    # to its B-side neighbors
-    pt_orbits = _orbits(63, sub)
-    ab_candidates = _unions(pt_orbits, 21)
-    assert ab_candidates, sorted(len(o) for o in pt_orbits)
+    # it has orbits 21 + 42 on the 63 points: the coset of g joins g's
+    # images of the 21-orbit
+    ab_set = _by_size(_orbits(63, sub), [21, 42])[21]
 
-    # orbits of the point stabilizer of point 0 on the 63 points, for the
-    # B-graph: unions with valency 24
+    # the stabilizer of point 0 has orbits 1 + 6 + 24 + 32: the B-graph on
+    # the 63 points is the orbital of point 0 with the 24-orbit
     stab0 = [g for g in elems if g[0] == 0]
     assert len(stab0) == 96
-    stab_orbits = [o for o in _orbits(63, stab0) if 0 not in o]
-    bb_candidates = _unions(stab_orbits, 24)
-    assert bb_candidates
+    twenty_four = _by_size(_orbits(63, stab0), [1, 6, 24, 32])[24]
+    bb_edges = _orbital([(0, x) for x in twenty_four], gens)
 
-    # assemble candidates; keep the one that certifies as SRG(100,36,14,12)
-    ab_sets = []
-    for ab_set in ab_candidates:
-        # A-B edges: coset with representative g joins points g(ab_set)
-        ab_edges = set()
-        for ci, g in enumerate(reps):
-            for p in ab_set:
-                ab_edges.add((ci, g[p]))
-        # each coset must reach exactly 21 points, each point 12 cosets
-        from_c = {}
-        from_p = {}
-        for ci, p in ab_edges:
-            from_c[ci] = from_c.get(ci, 0) + 1
-            from_p[p] = from_p.get(p, 0) + 1
-        if set(from_c.values()) == {21} and set(from_p.values()) == {12}:
-            ab_sets.append(ab_edges)
-    bb_sets = _regular_orbitals([[(0, x) for x in seed] for seed in bb_candidates],
-                                gens, 63, 24)
-    for a_edges in a_cands:
-        for ab_edges in ab_sets:
-            for bb_edges in bb_sets:
-                a = np.zeros((100, 100), dtype=bool)
-                for x in range(36):                  # hub to all of A
-                    a[0, 1 + x] = a[1 + x, 0] = True
-                for u, v in a_edges:
-                    a[1 + u, 1 + v] = a[1 + v, 1 + u] = True
-                for ci, p in ab_edges:
-                    a[1 + ci, 37 + p] = a[37 + p, 1 + ci] = True
-                for u, v in bb_edges:
-                    a[37 + u, 37 + v] = a[37 + v, 37 + u] = True
-                g100 = Graph(a)
-                p = srg_check(g100)
-                if p is not None and p.as_tuple() == (100, 36, 14, 12):
-                    return g100
-    raise RuntimeError("no orbital combination certified as Hall-Janko")
+    # the hub 0 joins all of A = 1..36; B = 37..99
+    A, B = slice(1, 37), slice(37, 100)
+    a = np.zeros((100, 100), dtype=bool)
+    a[0, A] = True
+    u, v = np.array(sorted(a_edges)).T
+    a[1 + u, 1 + v] = True
+    for ci, g in enumerate(reps):
+        a[1 + ci, [37 + g[p] for p in ab_set]] = True
+    u, v = np.array(sorted(bb_edges)).T
+    a[37 + u, 37 + v] = True
+    a |= a.T
+    # A is 14-regular, each coset reaches 21 points, each point 12 cosets,
+    # and B is 24-regular
+    for rows, cols, d in ((A, A, 14), (A, B, 21), (B, A, 12), (B, B, 24)):
+        assert (a[rows, cols].sum(axis=1) == d).all(), d
+    g100 = Graph(a)
+    p = srg_check(g100)
+    assert p is not None and p.as_tuple() == (100, 36, 14, 12), "not Hall-Janko"
+    return g100
 
 
 # ---------------------------------------------------------------------
@@ -697,6 +635,10 @@ fixture("hall_janko", srg=(100, 36, 14, 12),
         solve=("alpha", "omega"))(hall_janko)
 
 
+SOLVERS = {"alpha": independence_number, "omega": clique_number,
+           "chi": chromatic_number}
+
+
 def build(names=None):
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     manifest_path = FIXTURE_DIR / "manifest.json"
@@ -730,24 +672,11 @@ def build(names=None):
             entry["expected"].update(_expected_theta(p))
         else:
             assert srg_check(g) is None, f"{name}: unexpectedly strongly regular"
-        if "alpha" in spec["solve"]:
-            r = independence_number(g, budget=300.0)
-            assert r.status == "exact", f"{name}: alpha timed out"
-            entry["expected"]["alpha"] = r.value
-            print(f"  alpha = {r.value} ({r.elapsed:.1f}s)")
-        if "omega" in spec["solve"]:
-            r = clique_number(g, budget=300.0)
-            assert r.status == "exact", f"{name}: omega timed out"
-            entry["expected"]["omega"] = r.value
-            print(f"  omega = {r.value} ({r.elapsed:.1f}s)")
-        if "chi" in spec["solve"]:
-            r = chromatic_number(g, budget=300.0)
-            assert r.status == "exact", f"{name}: chi timed out"
-            if "chi" in spec["expected"]:
-                assert r.value == spec["expected"]["chi"], \
-                    f"{name}: chi = {r.value}"
-            entry["expected"]["chi"] = r.value
-            print(f"  chi = {r.value} ({r.elapsed:.1f}s)")
+        for task in spec["solve"]:
+            r = SOLVERS[task](g, budget=300.0)
+            assert r.status == "exact", f"{name}: {task} timed out"
+            entry["expected"][task] = r.value
+            print(f"  {task} = {r.value} ({r.elapsed:.1f}s)")
         for k, v in spec["expected"].items():
             if k in entry["expected"] and entry["expected"][k] != v:
                 raise AssertionError(f"{name}: {k} mismatch")

@@ -84,13 +84,18 @@ def write_graph6(g: Graph, path) -> None:
 
 
 def read_graph6(path) -> Graph:
-    """Read the first graph from a graph6 file."""
+    """Read the first graph from a graph6 file. The ValueError of a bad
+    graph names the path and the line."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return from_graph6(line)
-    raise ValueError(f"no graph in {path}")
+        for at, line in enumerate(fh, 1):
+            if line.strip():
+                break
+        else:
+            raise ValueError(f"no graph in {path}")
+    try:
+        return from_graph6(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {at}: {exc}") from None
 
 
 def write_edge_list(g: Graph, path) -> None:

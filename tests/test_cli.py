@@ -1,6 +1,7 @@
 """Command-line behavior: JSON shape, determinism, exit codes, and the
 bundled reproduction suite."""
 
+import io
 import json
 import subprocess
 import sys
@@ -272,6 +273,42 @@ def test_bounds_past_float_range_are_an_input_error(argv, named):
     assert "Traceback" not in proc.stderr
     for words in named:
         assert words in proc.stderr
+
+
+def test_analyze_power_past_float_range_is_an_input_error(capsys):
+    rc, out, err = run(["analyze", "--gen", "petersen", "--tasks", "product-bounds",
+                        "--power", "600"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: --power 600 leaves float range\n"
+
+
+def test_power_table_names_a_violation_on_stderr(capsys, monkeypatch):
+    reports = FactorProducts.reports
+    monkeypatch.setattr(FactorProducts, "reports", lambda self, l2, lmin: (
+        reports(self, l2, lmin) + [make_report("impossible-bound", 2.0, 1.0, "<=")]))
+    rc, out, err = run(["power", "--gen", "petersen", "-k", "1"], capsys)
+    assert rc == 2
+    head, rule, row = out.splitlines()
+    assert head.split() == ["k", "order", "degree", "lambda2", "eig2_lower", "lambda_min",
+                            "eigmin_upper", "alon_boppana", "ramanujan"]
+    assert set(rule) == {"-", " "} and row.split()[:3] == ["1", "10", "3"]
+    assert err == "VIOLATED: impossible-bound\n"
+
+
+class _Tty(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_table_header_is_bold_on_a_tty_unless_no_color(monkeypatch):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    bold = _Tty()
+    cli._render_table([[1, 22]], ["a", "b"], bold)
+    assert bold.getvalue() == "\x1b[1ma\x1b[0m  \x1b[1mb \x1b[0m\n-  --\n1  22\n"
+    monkeypatch.setenv("NO_COLOR", "1")
+    plain = _Tty()
+    cli._render_table([[1, 22]], ["a", "b"], plain)
+    assert plain.getvalue() == "a  b \n-  --\n1  22\n"
 
 
 @pytest.mark.parametrize("spec, k", [
@@ -585,6 +622,14 @@ def test_edge_list_errors_exit_1_naming_the_line(tmp_path, capsys):
     rc, out, err = run(["analyze", "--edges", str(path)], capsys)
     assert (rc, out) == (1, "")
     assert err == f"error: {path}, line 3: expected 'u v', got '1 2 3'\n"
+
+
+def test_graph6_errors_exit_1_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_text("\nI?h]Y\n")
+    rc, out, err = run(["analyze", "--g6", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}, line 2: graph6 body too short\n"
 
 
 def test_paper_examples_all_pass(capsys):

@@ -1,7 +1,9 @@
 """scripts/make_fixtures.py rebuilds every bundled fixture byte for byte,
 its group toolkit numbers orbits and cosets as the constructions assume,
-and PSL(2,19) certifies the Perkel fixture's vertex_transitive flag."""
+PSL(2,19) certifies the Perkel fixture's vertex_transitive flag, and every
+function of the script is used by the script."""
 
+import ast
 import importlib.util
 import itertools
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_api import _names
 from thetakit.catalog import load_fixture
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
@@ -51,6 +54,10 @@ def test_orbit_search(mf):
     rot, ref = (1, 2, 3, 4, 0), (0, 4, 3, 2, 1)
     assert mf._orbits(5, [rot]) == [set(range(5))]
     assert mf._orbits(5, [ref]) == [{0}, {1, 4}, {2, 3}]
+    # orbits of one size are taken together, once their sizes are checked
+    assert mf._by_size(mf._orbits(5, [ref]), [1, 2, 2]) == {1: {0}, 2: {1, 2, 3, 4}}
+    with pytest.raises(AssertionError):
+        mf._by_size(mf._orbits(5, [ref]), [1, 4])
     assert mf._orbital([(1, 0)], [rot]) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
     assert len(mf._group((rot, ref))) == 10
     assert mf._group((rot, ref), limit=9) is None
@@ -71,3 +78,16 @@ def test_cosets_are_numbered_by_their_least_element(mf):
     # S4 acts on the four cosets as on the points, one orbit
     act = mf._on_cosets([(1, 2, 3, 0), (1, 0, 2, 3)], reps, coset_of)
     assert mf._orbits(4, act) == [set(range(4))]
+
+
+def _unnamed(source):
+    """The module-level functions of `source`, private ones included, that
+    it names nowhere outside their own definitions."""
+    tree = ast.parse(source)
+    everywhere = _names(tree)
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and everywhere[node.name] == _names(node)[node.name]}
+
+
+def test_every_function_of_the_script_is_used_by_it():
+    assert _unnamed(SCRIPT.read_text()) == set()

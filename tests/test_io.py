@@ -175,6 +175,20 @@ def test_edge_list_errors_name_the_file_and_the_line(tmp_path, text, line, reaso
     assert str(err.value) == f"{p}, line {line}: {reason}"
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("I?h]Y\n", 1, "graph6 body too short"),
+    ("D!!\n", 1, "invalid graph6 byte"),
+    ("~??\n", 1, "truncated graph6 size"),
+    ("\n  \nI?h]Y\n", 3, "graph6 body too short"),
+], ids=["short-body", "bad-byte", "truncated-size", "after-blank-lines"])
+def test_graph6_errors_name_the_file_and_the_line(tmp_path, text, line, reason):
+    p = tmp_path / "bad.g6"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_graph6(p)
+    assert str(err.value) == f"{p}, line {line}: {reason}"
+
+
 def test_empty_files_hold_no_graph(tmp_path):
     p = tmp_path / "blank"
     p.write_text("\n  \n")
